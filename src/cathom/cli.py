@@ -140,8 +140,16 @@ def _load_mn(args, want_n_variance):
     return ws, M, N
 
 
+def _check_bounds(args) -> None:
+    for flag in ("nmax", "rmax"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise ParseError(f"--{flag} must be non-negative, got {value}")
+
+
 def cmd_ss(args) -> int:
     try:
+        _check_bounds(args)
         ws, M, N = _load_mn(args, CO)
     except ParseError as e:
         print(f"INPUT ERROR: {e}", file=sys.stderr)
@@ -166,8 +174,11 @@ def cmd_ss(args) -> int:
         )
         fc = build_filtered_complex(M, N, p_max=args.pmax, q_max=q_max,
                                     Q=Q, jobs=args.jobs)
-        pages = spectral_pages(fc, args.rmax)
-        report = converge_and_compare(M, N, args.nmax, fc=fc)
+        pages = spectral_pages(fc)
+        report = converge_and_compare(M, N, args.nmax, fc=fc, pages=pages)
+        if args.rmax is not None:
+            # pages stop at r_stab, so E^0..E^rmax is a prefix of them
+            pages = pages[: args.rmax + 1]
     except UnboundedChains as e:
         print(f"UNBOUNDED: {e}", file=sys.stderr)
         return EXIT_UNBOUNDED
@@ -201,6 +212,7 @@ def cmd_ss(args) -> int:
 
 def cmd_ext(args) -> int:
     try:
+        _check_bounds(args)
         ws, M, N = _load_mn(args, CONTRA)
     except ParseError as e:
         print(f"INPUT ERROR: {e}", file=sys.stderr)

@@ -160,18 +160,6 @@ class CanonicalQuotient:
         """An ambient representative of canonical generator j."""
         return self._Uinv.column(self._kept[j])
 
-    def lift_vector(self, coords: list) -> list:
-        ring = self.ring
-        z = ring.zero
-        out = [z] * self.ambient
-        for j, c in enumerate(coords):
-            if c == z:
-                continue
-            col = self.lift(j)
-            for i in range(self.ambient):
-                out[i] = ring.add(out[i], ring.mul(c, col[i]))
-        return out
-
 
 class Subquotient:
     """(span Z)/(span B) inside an ambient free module, with witnesses.

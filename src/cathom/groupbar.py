@@ -1,10 +1,12 @@
 """Group-ring Tor via the truncated two-sided bar complex.
 
-C_q = A (x) R[G]^(x q) (x) B for a right module A and a left module B,
-with the standard alternating-sum differential.  Generators are ordered
-lexicographically in (A-generator, group tuple, B-generator), so all
-presentations are deterministic.  Rank |G|^q is the intended cost model
-for the small automorphism groups this is used on.
+C_q = A (x) R[G-e]^(x q) (x) B for a right module A and a left module B:
+the normalized bar complex, whose q-tuples avoid the identity e, with the
+standard alternating-sum differential.  Dropping the degenerate tuples
+changes no homology, because they span an acyclic subcomplex.  Generators
+are ordered lexicographically in (A-generator, group tuple, B-generator),
+so all presentations are deterministic.  Rank (|G|-1)^q is the intended
+cost model for the small automorphism groups this is used on.
 """
 
 from __future__ import annotations
@@ -66,11 +68,12 @@ class GroupModule:
 
 
 def _tuple_list(G: FiniteGroup, q: int) -> list[tuple[int, ...]]:
-    return list(product(range(G.n), repeat=q))
+    """q-tuples of non-identity elements (the identity is element 0)."""
+    return list(product(range(1, G.n), repeat=q))
 
 
 def bar_complex(A: GroupModule, B: GroupModule, top: int) -> PresentedComplex:
-    """The two-sided bar complex up to level ``top``."""
+    """The normalized two-sided bar complex up to level ``top``."""
     assert A.side == "right" and B.side == "left"
     assert A.G is B.G or A.G.table == B.G.table
     ring = A.ring
@@ -103,7 +106,10 @@ def bar_complex(A: GroupModule, B: GroupModule, top: int) -> PresentedComplex:
             sign = ring.one
             for k in range(q - 1):
                 sign = ring.neg(sign)
-                merged = t[:k] + (G.mul(t[k], t[k + 1]),) + t[k + 2 :]
+                g = G.mul(t[k], t[k + 1])
+                if g == G.e:
+                    continue  # a degenerate face, zero in the normalized complex
+                merged = t[:k] + (g,) + t[k + 2 :]
                 row = tgt_index[(i, merged, j)]
                 m.data[row][col] = ring.add(m.data[row][col], sign)
             # last (x) g_q . b

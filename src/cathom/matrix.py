@@ -2,7 +2,10 @@
 
 Vectors are plain lists; matrices act on column vectors from the left.
 Entries are kept in the ring's canonical representation (ints, Fractions,
-or ints mod p).
+or ints reduced into [0, p)).  Entries are coerced only where data comes in
+from outside: ``Matrix(ring, data)`` with the default ``copy=True`` and
+``matrix_from_json``.  Every other constructor trusts its entries to be
+canonical already.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, ring: Ring, columns: list[list], nrows: int | None = None) -> "Matrix":
+        """The matrix with the given columns.  Entries are not coerced:
+        columns must hold canonical entries of ``ring``."""
         if not columns:
             if nrows is None:
                 raise DimensionMismatch("need nrows for empty column list")
@@ -50,6 +55,7 @@ class Matrix:
         return cls(
             ring,
             [[col[i] for col in columns] for i in range(n)],
+            copy=False,
             cols=len(columns),
         )
 
@@ -135,17 +141,26 @@ class Matrix:
         )
 
     def apply(self, vec: list) -> list:
+        """The product with a column vector, summed over the vector's
+        nonzero entries only.  The result is canonical: sums start from
+        ``ring.zero`` (a Fraction over Q) and are reduced mod p once, at
+        the end, over F_p."""
         if len(vec) != self.cols:
             raise DimensionMismatch(f"matrix {self.rows}x{self.cols} applied to len-{len(vec)} vector")
         ring = self.ring
         z = ring.zero
+        nz = [(k, x) for k, x in enumerate(vec) if x]
         out = []
         for row in self.data:
             acc = z
-            for a, x in zip(row, vec):
-                if a != z and x != z:
-                    acc = ring.add(acc, ring.mul(a, x))
+            for k, x in nz:
+                a = row[k]
+                if a:
+                    acc += a * x
             out.append(acc)
+        if ring.kind == "Fp":
+            p = ring.p
+            out = [a % p for a in out]
         return out
 
     def hstack(self, other: "Matrix") -> "Matrix":
@@ -186,15 +201,3 @@ def matrix_from_json(d: dict) -> Matrix:
         return Matrix.zeros(ring, d.get("rows", 0), d.get("cols", 0))
     return Matrix(ring, [[ring.entry_from_json(x) for x in row] for row in entries], copy=False)
 
-
-def block_diag(ring: Ring, blocks: list[Matrix]) -> Matrix:
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = Matrix.zeros(ring, rows, cols)
-    i0 = j0 = 0
-    for b in blocks:
-        for i in range(b.rows):
-            out.data[i0 + i][j0 : j0 + b.cols] = list(b.data[i])
-        i0 += b.rows
-        j0 += b.cols
-    return out

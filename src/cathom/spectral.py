@@ -667,18 +667,21 @@ def converge_and_compare(M: CatModule, N: CatModule, n_max: int = 3,
                          fc: FilteredComplex | None = None,
                          oracle: list[FPModule] | None = None,
                          Q: Resolution | None = None, jobs: int = 1,
-                         strict: bool = False) -> ConvergenceReport:
+                         strict: bool = False,
+                         pages: list[Page] | None = None) -> ConvergenceReport:
     """Assemble E^inf, compare graded pieces of the filtration on the
     total homology, and compare the total homology with the Tor oracle.
 
-    With strict=True the first mismatching cell raises ComparisonFailed
-    instead of being reported."""
+    ``pages`` are the full ``spectral_pages(fc)`` when the caller already
+    has them.  With strict=True the first mismatching cell raises
+    ComparisonFailed instead of being reported."""
     if q_max is None:
         q_max = n_max + 1
     if fc is None:
         fc = build_filtered_complex(M, N, p_max=p_max, q_max=q_max, Q=Q, jobs=jobs)
     band = min(fc.certified_band(), n_max)
-    pages = spectral_pages(fc)
+    if pages is None:
+        pages = spectral_pages(fc)
     einf = pages[-1]
     if oracle is None:
         oracle = tor(M, N, band)

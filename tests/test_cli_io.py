@@ -166,6 +166,50 @@ class TestCLI:
         assert doc["convergence"]["all_match"] is True
         assert doc["pages"][-1]["stabilized"] is True
 
+    def test_ss_computes_pages_once(self, orz2_bundle, tmp_path, monkeypatch):
+        import cathom.cli
+        import cathom.spectral
+
+        calls = []
+        original = cathom.spectral.spectral_pages
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cathom.spectral, "spectral_pages", counting)
+        monkeypatch.setattr(cathom.cli, "spectral_pages", counting)
+        for extra in ([], ["--rmax", "1"]):
+            calls.clear()
+            assert main(["ss", orz2_bundle, "-M", "Malt", "-N", "Naug", "--nmax", "2",
+                         "--out", str(tmp_path / "o.json"), *extra]) == 0
+            assert len(calls) == 1
+
+    def test_ss_rmax_is_a_prefix(self, orz2_bundle, tmp_path):
+        docs = {}
+        for tag, extra in (("full", []), ("r1", ["--rmax", "1"])):
+            out = tmp_path / f"{tag}.json"
+            assert main(["ss", orz2_bundle, "-M", "Malt", "-N", "Naug",
+                         "--nmax", "2", "--out", str(out), *extra]) == 0
+            docs[tag] = json.loads(out.read_text())
+        full, r1 = docs["full"], docs["r1"]
+        assert len(full["pages"]) > 2
+        assert r1["pages"] == full["pages"][:2]
+        assert (json.dumps(r1["convergence"], sort_keys=True, indent=2)
+                == json.dumps(full["convergence"], sort_keys=True, indent=2))
+
+    @pytest.mark.parametrize("command", ["ss", "ext"])
+    @pytest.mark.parametrize("flags", [["--rmax", "-2", "--format", "table"],
+                                       ["--rmax", "-2"], ["--nmax", "-1"]])
+    def test_negative_bounds_exit_4(self, orz2_bundle, command, flags, tmp_path, capsys):
+        n = "Nconst" if command == "ss" else "Mconst"
+        out = tmp_path / "o.json"
+        rc = main([command, orz2_bundle, "-M", "Malt", "-N", n, *flags, "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("INPUT ERROR: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_ss_missing_module_exit_4(self, orz2_bundle, capsys):
         assert main(["ss", orz2_bundle, "-M", "nope", "-N", "Nconst"]) == 4
 

@@ -12,10 +12,16 @@ from cathom.e1data import (
 )
 from cathom.fixtures import fixture_category, fixture_modules
 from cathom.fpmod import FPModule
-from cathom.groupbar import GroupModule, group_tor, trivial_group_module
+from cathom.groupbar import (
+    GroupModule,
+    _tor_by_resolution,
+    bar_complex,
+    group_tor,
+    trivial_group_module,
+)
 from cathom.groups import FiniteGroup
 from cathom.matrix import Matrix
-from cathom.rings import QQ, ZZ
+from cathom.rings import GF, QQ, ZZ
 from cathom.spectral import build_filtered_complex
 
 
@@ -45,6 +51,21 @@ class TestGroupBar:
         t = group_tor(A, B, 2)
         assert t[0].module == FPModule(ZZ, 1)
         assert t[1].module.is_zero() and t[2].module.is_zero()
+
+
+    @pytest.mark.parametrize("group", ["C2", "C3", "S3"])
+    @pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3)], ids=str)
+    def test_normalized_bar_matches_resolution(self, group, ring):
+        G = {"C2": FiniteGroup.cyclic(2), "C3": FiniteGroup.cyclic(3),
+             "S3": FiniteGroup.symmetric(3)}[group]
+        A = trivial_group_module(ring, G, "right")
+        B = trivial_group_module(ring, G, "left")
+        bar = [w.module for w in group_tor(A, B, 3)]
+        assert bar == [w.module for w in _tor_by_resolution(A, B, 3)]
+        cx = bar_complex(A, B, 4)
+        assert [len(a) for a in cx.anns] == [
+            A.rank * B.rank * (G.n - 1) ** q for q in range(5)
+        ]
 
 
 class TestE1Direct:
