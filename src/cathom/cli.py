@@ -4,7 +4,8 @@ Commands: validate, chains, ss, ext, family, tor, assembly.
 Exit codes: 0 ok, 1 validation failure, 2 convergence/exactness mismatch,
 3 unbounded chains, 4 input error.  PCHAIN_CACHE overrides --cache-dir.
 Output is deterministic: identical inputs and config produce byte-identical
-documents at any --jobs value (the jobs count never enters the output).
+documents.  --jobs is accepted but does not change the output: every
+command runs serially.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .catmod import CO, CONTRA, full_subcategory
 from .e1data import verify_e1
 from .extpages import ext_pages
 from .fincat import UnboundedChains, chain_biset, enumerate_chains
-from .fpmod import FPModule
 from .groups import check_M, check_NM, cofinal_inclusion_check, reduce_family
 from .resolve import assembly_tor, tor
 from .rings import ring_from_tag
@@ -61,10 +61,6 @@ def _emit_table(lines, args):
 def _cache_from(args) -> DiskCache | None:
     directory = os.environ.get("PCHAIN_CACHE") or args.cache_dir
     return DiskCache(directory) if directory else None
-
-
-def _pretty(m: FPModule) -> str:
-    return m.pretty()
 
 
 def cmd_validate(args) -> int:

@@ -6,8 +6,13 @@ through boundaries/cycles/homology subfunctors, resolves those by the
 greedy free resolutions and assembles horseshoe resolutions P(W_p) with a
 strictly commuting horizontal differential (the classical construction,
 realized by exact linear solving).  The double cochain complex is then
-Hom_C(P(W_p)_q, N), which collapses to sums of values of N by Yoneda; the
-descending column filtration gives pages with d_r of bidegree (+r, 1-r),
+Hom_C(P(W_p)_q, N), which collapses to sums of values of N by Yoneda.
+
+This module only builds that double complex.  ``ExtFilteredComplex`` is a
+``spectral.TotalComplex`` with step -1: delta raises degree and the
+descending column filtration F^p is the columns p' >= p.  The pages (d_r
+of bidegree (+r, 1-r)), the total cohomology and the E_inf-versus-
+filtration check are spectral.py's, the same code that computes homology.
 E_1^{p,q} = Ext^q(W_p, N) splits as the product over p-chains of
 group-level Ext (cross-checked through the one-object subcategories), and
 the total cohomology is compared against the Ext oracle.
@@ -17,11 +22,17 @@ from __future__ import annotations
 
 from .catmod import CONTRA, CatModule, VarianceMismatch, full_subcategory
 from .fincat import NerveCell, PChain, chain_bound, enumerate_chains, face, nd_tilde_nerve
-from .fpmod import FPModule, SubPresentation, Subquotient, presented_homology
+from .fpmod import CanonicalQuotient, FPModule, SubPresentation, _ann_columns
 from .intlin import preimage_basis
 from .matrix import Matrix
 from .resolve import Resolution, ext, free_resolution, horseshoe
-from .spectral import MergedQuotient
+from .spectral import (
+    MergedQuotient,
+    TotalComplex,
+    _filtration_cells,
+    spectral_pages,
+    total_homology,
+)
 
 
 class WModule:
@@ -140,8 +151,10 @@ def _sub_catmodule(cat, ring, W: CatModule, lattices: dict[str, Matrix]):
     return mod, subs, incl
 
 
-class ExtFilteredComplex:
+class ExtFilteredComplex(TotalComplex):
     """Hom_C(P(W_*), N) for a Cartan-Eilenberg resolution P(W_*)."""
+
+    step = -1
 
     def __init__(self, M: CatModule, N: CatModule, p_max: int | None = None,
                  q_max: int = 4):
@@ -192,7 +205,9 @@ class ExtFilteredComplex:
             Wp = self.W[p].module
             if p >= 1:
                 ker = {
-                    s: _preimage_cols(self.dh[p][s], self.W[p - 1].module.anns[s], ring)
+                    s: preimage_basis(
+                        self.dh[p][s], _ann_columns(ring, self.W[p - 1].module.anns[s])
+                    )
                     for s in cat.objects
                 }
             else:
@@ -207,8 +222,6 @@ class ExtFilteredComplex:
                 for j in range(B_mods[p].rank(s)):
                     cols.append(Z_subs[s].express(B_subs[p][s].include(j)))
                 bincl[s] = Matrix.from_columns(ring, cols, nrows=Z_mod.rank(s))
-            from .fpmod import CanonicalQuotient
-
             hquots = {}
             for s in cat.objects:
                 rows = []
@@ -267,22 +280,24 @@ class ExtFilteredComplex:
             self._rb_sizes.append(
                 [len(RB[p - 1].levels[q].summands) for q in range(q_max + 1)]
             )
-        # Hom cells: level q of Hom(PW_p, N) is the sum of N(c_i)
-        self.cells: dict[tuple[int, int], dict] = {}
+        # Hom blocks: level q of Hom(PW_p, N) is the sum of N(c_i)
+        self._anns: dict[tuple[int, int], list] = {}
         for p in range(self.p_max + 1):
             for q in range(q_max + 1):
                 anns = []
                 for c in self.PW[p].levels[q].summands:
                     anns.extend(N.anns[c])
-                self.cells[(p, q)] = {"anns": anns, "dim": len(anns)}
-        self._dv: dict[tuple[int, int], Matrix] = {}
-        self._dh_cell: dict[tuple[int, int], Matrix] = {}
-        for p in range(self.p_max + 1):
-            for q in range(q_max):
-                self._dv[(p, q)] = self._hom_of_diff(p, q)
-        for p in range(self.p_max - 1, -1, -1):
-            for q in range(q_max + 1):
-                self._dh_cell[(p, q)] = self._hom_of_delta(p, q)
+                self._anns[(p, q)] = anns
+        self._vert = {
+            (p, q): self._hom_of_diff(p, q)
+            for p in range(self.p_max + 1)
+            for q in range(q_max)
+        }
+        self._horiz = {
+            (p, q): self._hom_of_delta(p, q)
+            for p in range(self.p_max)
+            for q in range(q_max + 1)
+        }
         self._total_cache: dict[int, Matrix] = {}
 
     # -- plumbing ---------------------------------------------------------
@@ -298,8 +313,8 @@ class ExtFilteredComplex:
         ring = self.ring
         N = self.N
         res = self.PW[p]
-        rows = self.cells[(p, q + 1)]["dim"]
-        cols = self.cells[(p, q)]["dim"]
+        rows = self.block_dim(p, q + 1)
+        cols = self.block_dim(p, q)
         m = Matrix.zeros(ring, rows, cols)
         offs_src = _offsets(res.levels[q].summands, N)
         offs_dst = _offsets(res.levels[q + 1].summands, N)
@@ -327,8 +342,8 @@ class ExtFilteredComplex:
         N = self.N
         src_res = self.PW[p]      # target of delta
         dst_res = self.PW[p + 1]  # source of delta
-        rows = self.cells[(p + 1, q)]["dim"]
-        cols = self.cells[(p, q)]["dim"]
+        rows = self.block_dim(p + 1, q)
+        cols = self.block_dim(p, q)
         m = Matrix.zeros(ring, rows, cols)
         tail = self._rb_len(p + 1, q)
         dst_sums = dst_res.levels[q].summands
@@ -350,82 +365,19 @@ class ExtFilteredComplex:
         """Number of RB_{p-1} tail summands at level q of PW_p."""
         return self._rb_sizes[p][q]
 
-    # -- total complex ------------------------------------------------------
+    # -- the blocks of the total complex ------------------------------------
 
-    def blocks(self, n: int) -> list[tuple[int, int]]:
-        return [
-            (p, n - p)
-            for p in range(min(self.p_max, n) + 1)
-            if 0 <= n - p <= self.q_max
-        ]
+    def horizontal(self, p: int, q: int) -> Matrix:
+        return self._horiz[(p, q)]
 
-    def total_dim(self, n: int) -> int:
-        return sum(self.cells[b]["dim"] for b in self.blocks(n))
+    def vertical(self, p: int, q: int) -> Matrix:
+        return self._vert[(p, q)]
 
-    def offsets(self, n: int) -> dict:
-        out = {}
-        tot = 0
-        for b in self.blocks(n):
-            out[b] = tot
-            tot += self.cells[b]["dim"]
-        return out
+    def block_dim(self, p: int, q: int) -> int:
+        return len(self._anns[(p, q)])
 
-    def anns_of_degree(self, n: int) -> list:
-        out = []
-        for b in self.blocks(n):
-            out.extend(self.cells[b]["anns"])
-        return out
-
-    def total_delta(self, n: int) -> Matrix:
-        if n in self._total_cache:
-            return self._total_cache[n]
-        ring = self.ring
-        out = Matrix.zeros(ring, self.total_dim(n + 1), self.total_dim(n))
-        ofs_src = self.offsets(n)
-        ofs_dst = self.offsets(n + 1)
-        for (p, q) in self.blocks(n):
-            c0 = ofs_src[(p, q)]
-            if (p + 1, q) in ofs_dst and (p, q) in self._dh_cell:
-                h = self._dh_cell[(p, q)]
-                r0 = ofs_dst[(p + 1, q)]
-                for r in range(h.rows):
-                    for c in range(h.cols):
-                        if h.data[r][c] != ring.zero:
-                            out.data[r0 + r][c0 + c] = h.data[r][c]
-            if (p, q + 1) in ofs_dst and (p, q) in self._dv:
-                v = self._dv[(p, q)]
-                sign = ring.one if p % 2 == 0 else ring.neg(ring.one)
-                r0 = ofs_dst[(p, q + 1)]
-                for r in range(v.rows):
-                    for c in range(v.cols):
-                        if v.data[r][c] != ring.zero:
-                            out.data[r0 + r][c0 + c] = ring.mul(sign, v.data[r][c])
-        self._total_cache[n] = out
-        return out
-
-    def filtration_cols(self, n: int, p: int) -> list[int]:
-        ofs = self.offsets(n)
-        out = []
-        for (pp, qq) in self.blocks(n):
-            if pp >= p:
-                start = ofs[(pp, qq)]
-                out.extend(range(start, start + self.cells[(pp, qq)]["dim"]))
-        return out
-
-    def certified_band(self) -> int:
-        return self.q_max - 1
-
-
-def _preimage_cols(mat: Matrix, anns_tgt: list, ring) -> Matrix:
-    cols = []
-    n = len(anns_tgt)
-    for i, d in enumerate(anns_tgt):
-        if d:
-            col = [ring.zero] * n
-            col[i] = d
-            cols.append(col)
-    L = Matrix.from_columns(ring, cols, nrows=n)
-    return preimage_basis(mat, L)
+    def block_anns(self, p: int, q: int) -> list:
+        return self._anns[(p, q)]
 
 
 def _unit(ring, n, j):
@@ -451,156 +403,6 @@ def _rebase(res: Resolution, W: CatModule, incl: dict[str, Matrix]) -> Resolutio
     for i, obj in enumerate(res.levels[0].summands):
         out.aug_images.append(incl[obj].apply(res.aug_images[i]))
     return out
-
-
-class ExtPage:
-    def __init__(self, r: int, entries: dict, diffs: dict, stabilized: bool):
-        self.r = r
-        self.entries = entries
-        self.diffs = diffs
-        self.stabilized = stabilized
-
-    def entry(self, p: int, q: int) -> FPModule:
-        e = self.entries.get((p, q))
-        return e[0] if e else None
-
-    def witness(self, p: int, q: int) -> Subquotient:
-        return self.entries[(p, q)][1]
-
-    def to_json(self) -> dict:
-        ents = []
-        for (p, q) in sorted(self.entries):
-            m = self.entries[(p, q)][0]
-            ents.append({"p": p, "q": q, "free_rank": m.free_rank,
-                         "torsion": list(m.torsion)})
-        diffs = []
-        for (p, q) in sorted(self.diffs):
-            mat = self.diffs[(p, q)]
-            if mat.rows == 0 or mat.cols == 0 or mat.is_zero():
-                continue
-            diffs.append({"from": [p, q], "to": [p + self.r, q - self.r + 1],
-                          "matrix": [[mat.ring.entry_to_json(x) for x in row]
-                                     for row in mat.data]})
-        return {"r": self.r, "stabilized": self.stabilized,
-                "entries": ents, "differentials": diffs}
-
-
-def _cocycle_basis(fcx: ExtFilteredComplex, n: int, p: int, upper: int) -> Matrix:
-    """{x in F^p T^n : delta x in F^upper + relations} as columns."""
-    ring = fcx.ring
-    cols = fcx.filtration_cols(n, p)
-    if not cols:
-        return Matrix.zeros(ring, fcx.total_dim(n), 0)
-    D = fcx.total_delta(n)
-    ofs = fcx.offsets(n + 1)
-    low_rows = []
-    low_anns = []
-    anns_next = fcx.anns_of_degree(n + 1)
-    for (pp, qq) in fcx.blocks(n + 1):
-        if pp < upper:
-            start = ofs[(pp, qq)]
-            for k in range(fcx.cells[(pp, qq)]["dim"]):
-                low_rows.append(start + k)
-                low_anns.append(anns_next[start + k])
-    sub = Matrix(
-        ring,
-        [[D.data[r][c] for c in cols] for r in low_rows],
-        copy=False,
-        cols=len(cols),
-    )
-    ann_cols = []
-    for k, d in enumerate(low_anns):
-        if d:
-            col = [ring.zero] * len(low_rows)
-            col[k] = d
-            ann_cols.append(col)
-    L = Matrix.from_columns(ring, ann_cols, nrows=len(low_rows))
-    K = preimage_basis(sub, L)
-    total = fcx.total_dim(n)
-    out_cols = []
-    for j in range(K.cols):
-        v = [ring.zero] * total
-        for k, c in enumerate(cols):
-            v[c] = K.data[k][j]
-        out_cols.append(v)
-    return Matrix.from_columns(ring, out_cols, nrows=total)
-
-
-def ext_spectral_pages(fcx: ExtFilteredComplex, r_max: int | None = None) -> list[ExtPage]:
-    ring = fcx.ring
-    r_stab = fcx.p_max + 1
-    r_top = min(r_max, r_stab) if r_max is not None else r_stab
-    grid = [(p, q) for p in range(fcx.p_max + 1) for q in range(fcx.q_max + 1)]
-    cache: dict = {}
-
-    def Z(r, p, q):
-        n = p + q
-        pc = max(min(p, fcx.p_max + 1), 0)
-        upper = max(min(p + r, fcx.p_max + 1), 0)
-        key = (pc, upper, n)
-        if key not in cache:
-            if n < 0 or fcx.total_dim(n) == 0 or pc > fcx.p_max:
-                cache[key] = Matrix.zeros(ring, max(fcx.total_dim(n), 0), 0)
-            else:
-                cache[key] = _cocycle_basis(fcx, n, pc, upper)
-        return cache[key]
-
-    pages = []
-    for r in range(r_top + 1):
-        entries = {}
-        diffs = {}
-        for (p, q) in grid:
-            n = p + q
-            gens_Z = Z(r, p, q)
-            b_cols = []
-            if r >= 1:
-                zb = Z(r - 1, p + 1, q - 1)
-                b_cols.extend(zb.columns())
-                zsrc = Z(r - 1, p - r + 1, q + r - 2)
-                if zsrc.cols:
-                    Dsrc = fcx.total_delta(p + q - 1)
-                    for j in range(zsrc.cols):
-                        b_cols.append(Dsrc.apply(zsrc.column(j)))
-            else:
-                zb = Z(0, p + 1, q - 1)
-                b_cols.extend(zb.columns())
-            anns_n = fcx.anns_of_degree(n)
-            total = fcx.total_dim(n)
-            for c in fcx.filtration_cols(n, p):
-                if anns_n[c]:
-                    v = [ring.zero] * total
-                    v[c] = anns_n[c]
-                    b_cols.append(v)
-            gens_B = Matrix.from_columns(ring, b_cols, nrows=total)
-            sq = Subquotient(ring, total, gens_Z, gens_B)
-            entries[(p, q)] = (sq.module, sq)
-        for (p, q) in grid:
-            tp, tq = p + r, q - r + 1
-            if (tp, tq) not in entries:
-                continue
-            src = entries[(p, q)][1]
-            dst = entries[(tp, tq)][1]
-            if src.module.n_gens == 0 or dst.module.n_gens == 0:
-                continue
-            D = fcx.total_delta(p + q)
-            cols = []
-            for j in range(src.module.n_gens):
-                cols.append(dst.project(D.apply(src.lift(j))))
-            diffs[(p, q)] = Matrix.from_columns(ring, cols, nrows=dst.module.n_gens)
-        pages.append(ExtPage(r, entries, diffs, stabilized=(r >= r_stab)))
-    return pages
-
-
-def ext_total_cohomology(fcx: ExtFilteredComplex, n: int) -> Subquotient:
-    d_out = fcx.total_delta(n)
-    d_in = (
-        fcx.total_delta(n - 1)
-        if n >= 1
-        else Matrix.zeros(fcx.ring, fcx.total_dim(0), 0)
-    )
-    return presented_homology(
-        d_out, d_in, fcx.anns_of_degree(n), fcx.anns_of_degree(n + 1)
-    )
 
 
 class ExtReport:
@@ -634,16 +436,7 @@ def _chain_ext_direct(fcx: ExtFilteredComplex, chain: PChain, q_max: int) -> lis
     ring = fcx.ring
     c0 = chain.reps[0]
     one_obj, _ = full_subcategory(cat, [c0])
-
-    class _Shim:
-        pass
-
-    shim = _Shim()
-    shim.cat = cat
-    shim.ring = ring
-    shim.M = fcx.M
-    shim.N = fcx.N
-    data = ChainGroupData(shim, chain)
+    data = ChainGroupData(fcx, chain)
     anns_A = {c0: data.A.anns}
     action_A = {a: data.A.act[idx] for idx, a in enumerate(data.elems0)}
     A_mod = CatModule(one_obj, CONTRA, ring, anns_A, action_A, check=False)
@@ -660,55 +453,27 @@ def ext_pages(M: CatModule, N: CatModule, p_max: int | None = None,
     against the Ext oracle and the E_1 product-form cross-check."""
     fcx = ExtFilteredComplex(M, N, p_max=p_max, q_max=q_max)
     band = fcx.certified_band() if n_max is None else min(n_max, fcx.certified_band())
-    pages = ext_spectral_pages(fcx, r_max)
-    einf = pages[-1]
+    pages = spectral_pages(fcx, r_max)
     oracle = ext(M, N, band)
     degrees = []
-    hwits = {}
+    cells = []
     for n in range(band + 1):
-        h = ext_total_cohomology(fcx, n)
-        hwits[n] = h
+        h = total_homology(fcx, n)
         degrees.append({"n": n, "oracle": oracle[n].pretty(),
                         "total": h.module.pretty(),
                         "match": oracle[n] == h.module})
+        cells.extend(_filtration_cells(fcx, n, h, pages[-1]))
     ring = fcx.ring
-    cells = []
-    for n in range(band + 1):
-        h = hwits[n]
-        h_anns = h.module.anns()
-        nh = h.module.n_gens
-        filt: dict[int, list] = {}
-        for p in range(fcx.p_max + 2):
-            gens = []
-            if p <= fcx.p_max:
-                zc = _cocycle_basis(fcx, n, p, fcx.p_max + 1)
-                for j in range(zc.cols):
-                    gens.append(h.project(zc.column(j)))
-            for i, d in enumerate(h_anns):
-                if d:
-                    v = [ring.zero] * nh
-                    v[i] = d
-                    gens.append(v)
-            filt[p] = gens
-        for p in range(fcx.p_max + 1):
-            q = n - p
-            if q < 0 or q > fcx.q_max:
-                continue
-            gZ = Matrix.from_columns(ring, filt[p], nrows=nh)
-            gB = Matrix.from_columns(ring, filt[p + 1], nrows=nh)
-            graded = Subquotient(ring, nh, gZ, gB).module
-            em = einf.entry(p, q)
-            cells.append({"p": p, "q": q, "E_inf": em.pretty(),
-                          "graded": graded.pretty(), "match": em == graded})
     e1 = pages[1] if len(pages) > 1 else pages[-1]
     e1_rows = []
     for p in sorted(fcx.chains):
         if p > fcx.p_max:
             continue
+        direct = [_chain_ext_direct(fcx, chain, band) for chain in fcx.chains[p]]
         for q in range(band + 1):
             total = FPModule(ring, 0)
-            for chain in fcx.chains[p]:
-                total = total.direct_sum(_chain_ext_direct(fcx, chain, q)[q])
+            for groups in direct:
+                total = total.direct_sum(groups[q])
             page_entry = e1.entry(p, q)
             e1_rows.append({"p": p, "q": q, "page": page_entry.pretty(),
                             "product_form": total.pretty(),

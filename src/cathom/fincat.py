@@ -89,9 +89,6 @@ class FiniteCategory:
     def id_of(self, obj: str) -> str:
         return self.identity[obj]
 
-    def mor_count(self) -> int:
-        return len(self.morphisms)
-
     # -- validation ----------------------------------------------------
 
     def validate(self) -> "ValidationReport":

@@ -237,13 +237,6 @@ def homology_at(d_out: Matrix, d_in: Matrix) -> FPModule:
     return Subquotient(d_out.ring, d_out.cols, ker, d_in).module
 
 
-def homology_with_witnesses(d_out: Matrix, d_in: Matrix) -> Subquotient:
-    if not (d_out @ d_in).is_zero():
-        raise CompositionNonzero("d_out . d_in != 0")
-    ker = kernel_basis(d_out)
-    return Subquotient(d_out.ring, d_out.cols, ker, d_in)
-
-
 def _ann_columns(ring: Ring, anns: list) -> Matrix:
     cols = []
     n = len(anns)

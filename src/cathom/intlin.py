@@ -214,19 +214,6 @@ class ColumnOps:
     def rank(self) -> int:
         return len(self._span_cols)
 
-    def image_basis(self) -> Matrix:
-        """Columns form a staircase basis of the column span of A."""
-        z = self.ring.zero
-        cols = [
-            _to_dense(
-                {j: v for j, v in self._basis.pivots[c].items() if j < self.m},
-                self.m,
-                z,
-            )
-            for c in self._span_cols
-        ]
-        return Matrix.from_columns(self.ring, cols, nrows=self.m)
-
     def solve(self, b: list) -> list | None:
         """Some x with A x = b, or None (exact over Z)."""
         ring = self.ring
@@ -243,15 +230,6 @@ class ColumnOps:
         for j, v in res.items():
             x[j - self.m] = ring.neg(v)
         return x
-
-    def solve_matrix(self, B: Matrix) -> Matrix | None:
-        cols = []
-        for j in range(B.cols):
-            x = self.solve(B.column(j))
-            if x is None:
-                return None
-            cols.append(x)
-        return Matrix.from_columns(self.ring, cols, nrows=self.n)
 
     def contains(self, b: list) -> bool:
         return self.solve(b) is not None

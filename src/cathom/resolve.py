@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .catmod import CO, CONTRA, CatModule, FreeCatModule, Functor, VarianceMismatch
 from .fincat import FiniteCategory
-from .fpmod import FPModule, Subquotient, presented_homology
+from .fpmod import FPModule, Subquotient, _ann_columns, presented_homology, solve_mod
 from .intlin import ColumnOps, StairBasis, kernel_basis, preimage_basis
 from .matrix import Matrix
 from .rings import Ring
@@ -26,17 +26,6 @@ from .rings import Ring
 
 class LiftFailed(AssertionError):
     pass
-
-
-def _ann_cols(ring: Ring, anns: list) -> Matrix:
-    cols = []
-    n = len(anns)
-    for i, d in enumerate(anns):
-        if d:
-            col = [ring.zero] * n
-            col[i] = d
-            cols.append(col)
-    return Matrix.from_columns(ring, cols, nrows=n)
 
 
 def scan_order(cat: FiniteCategory, variance: str) -> list[str]:
@@ -140,7 +129,7 @@ class Resolution:
                         out.append(f"d{k-1} . d{k} != 0 at {obj}")
             for k in range(self.length):
                 if k == 0:
-                    ker = preimage_basis(aug, _ann_cols(self.ring, manns))
+                    ker = preimage_basis(aug, _ann_columns(self.ring, manns))
                 else:
                     ker = kernel_basis(self.eval_diff(k, obj))
                 img = self.eval_diff(k + 1, obj)
@@ -196,7 +185,7 @@ def free_resolution(M: CatModule, length: int, strategy: str = "greedy") -> Reso
         for d in cat.objects:
             if k == 1:
                 kernels[d] = preimage_basis(
-                    res.eval_aug(d), _ann_cols(ring, M.anns[d])
+                    res.eval_aug(d), _ann_columns(ring, M.anns[d])
                 )
             else:
                 kernels[d] = kernel_basis(res.eval_diff(k - 1, d))
@@ -239,9 +228,6 @@ class PresentedComplex:
         self.ring = ring
         self.anns = anns
         self.diffs = diffs  # length len(anns) - 1, diffs[k-1] = d_k
-
-    def dims(self) -> list[int]:
-        return [len(a) for a in self.anns]
 
     def d(self, k: int) -> Matrix:
         """d_k: C_k -> C_{k-1}; zero maps off the ends."""
@@ -417,9 +403,7 @@ def horseshoe(iota: dict[str, Matrix], pi: dict[str, Matrix],
         out.aug_images.append(iota[obj].apply(resA.aug_images[i]))
     sigma0: list[list] = []
     for i, obj in enumerate(resC.levels[0].summands):
-        from .fpmod import solve_mod
-
-        v = solve_mod(pi[obj], [d for d in _c_anns(resC.M, obj)], resC.aug_images[i])
+        v = solve_mod(pi[obj], resC.M.anns[obj], resC.aug_images[i])
         if v is None:
             raise LiftFailed("horseshoe: no lift of the augmentation")
         out.aug_images.append(v)
@@ -448,8 +432,6 @@ def horseshoe(iota: dict[str, Matrix], pi: dict[str, Matrix],
                 rhs_val = sigma_extend(obj, dC)
                 rhs = [ring.neg(x) for x in rhs_val]
                 mat = iota[obj] @ resA.eval_aug(obj)
-                from .fpmod import solve_mod
-
                 hvec = solve_mod(mat, middle.anns[obj], rhs)
             else:
                 rhs = [ring.zero] * resA.levels[k - 2].rank(obj)
@@ -475,10 +457,6 @@ def horseshoe(iota: dict[str, Matrix], pi: dict[str, Matrix],
         out.gen_images.append(images)
         h_prev = h_this
     return out
-
-
-def _c_anns(module: CatModule, obj: str) -> list:
-    return module.anns[obj]
 
 
 # -- assembly ------------------------------------------------------------
@@ -533,7 +511,7 @@ def _map_is_iso(mat: Matrix, src_anns: list, dst_anns: list) -> bool:
         if not span.contains(e):
             return False
     # injective: preimage of target relations lies in source relations
-    ker = preimage_basis(mat, _ann_cols(ring, dst_anns))
+    ker = preimage_basis(mat, _ann_columns(ring, dst_anns))
     src_rel = StairBasis(ring, len(src_anns))
     for i, d in enumerate(src_anns):
         if d:

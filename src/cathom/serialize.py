@@ -194,23 +194,34 @@ class Workspace:
         self.violations = violations or []
 
 
+def _section(d: dict, name: str) -> dict:
+    """The bundle's ``name`` object (empty when absent)."""
+    out = d.get(name, {})
+    if not isinstance(out, dict):
+        raise ParseError(f"{name!r} must be an object, not {type(out).__name__}")
+    return out
+
+
 def workspace_from_json(d: dict, source: str = "<memory>",
                         strict: bool = True) -> Workspace:
     """Build a workspace.  With strict=True any violation raises
     ParseError; with strict=False violations are collected on the
     workspace so a validator can list them all."""
-    if d.get("format") != BUNDLE_FORMAT:
+    if not isinstance(d, dict) or d.get("format") != BUNDLE_FORMAT:
         raise ParseError(f"not a {BUNDLE_FORMAT} document")
     digest = content_hash(d)
     violations: list[str] = []
-    cat = category_from_json(d["category"])
+    cat = category_from_json(d.get("category"))
     report = cat.validate()
     if not report.ok:
         if strict:
             raise ParseError("invalid category:\n" + "\n".join(report.violations))
         violations.extend(report.violations)
+    groups_json = _section(d, "groups")
+    families_json = _section(d, "families")
+    modules_json = _section(d, "modules")
     groups = {}
-    for k, g in d.get("groups", {}).items():
+    for k, g in groups_json.items():
         G = group_from_json(g)
         problems = G.validate()
         if problems:
@@ -219,10 +230,11 @@ def workspace_from_json(d: dict, source: str = "<memory>",
             violations.extend(f"group {k!r}: {p}" for p in problems)
         groups[k] = G
     families = {}
-    for k, f in d.get("families", {}).items():
-        gname = f.get("group")
+    for k, f in families_json.items():
+        gname = f.get("group") if isinstance(f, dict) else None
         if gname not in groups:
-            msg = f"family {k!r} references unknown group {gname!r}"
+            msg = (f"family {k!r} references unknown group {gname!r}"
+                   if isinstance(f, dict) else f"family {k!r} must be an object")
             if strict:
                 raise ParseError(msg)
             violations.append(msg)
@@ -235,7 +247,7 @@ def workspace_from_json(d: dict, source: str = "<memory>",
             violations.append(f"family {k!r}: {e}")
     modules = {}
     if report.ok:
-        for k, m in d.get("modules", {}).items():
+        for k, m in modules_json.items():
             try:
                 modules[k] = module_from_json(cat, m)
             except ParseError as e:

@@ -11,6 +11,14 @@ Sign convention: horizontal differential = alternating sum of nerve face
 maps; vertical = (-1)^p times the resolution differential.  Degenerate
 faces map to zero (normalized chains).
 
+This module is the only page engine.  ``TotalComplex`` holds the total
+complex of a double complex and its column filtration; its class constant
+``step`` says which way the arrows run.  ``FilteredComplex`` (homology,
+step +1: D lowers degree, F_p is the columns p' <= p) and
+``extpages.ExtFilteredComplex`` (cohomology, step -1: delta raises degree,
+F^p is the columns p' >= p) both plug into the same cycle bases, pages,
+total (co)homology and E^inf-versus-filtration comparison.
+
 The chain-summand identifications (E^1 via group-ring Tor) and the d^1
 component decomposition live in e1data.py; this module owns the filtered
 complex, the pages, convergence against the Tor oracle, and the
@@ -29,7 +37,7 @@ from .fincat import (
     face,
     nd_tilde_nerve,
 )
-from .fpmod import CanonicalQuotient, FPModule, Subquotient, presented_homology
+from .fpmod import CanonicalQuotient, FPModule, Subquotient, _ann_columns, presented_homology
 from .intlin import StairBasis, preimage_basis
 from .matrix import Matrix
 from .resolve import Resolution, free_resolution, tor
@@ -168,6 +176,100 @@ class MergedQuotient:
         }
 
 
+# -- the total complex -------------------------------------------------------
+
+
+class TotalComplex:
+    """The total complex of a double complex A_{p,q} (0 <= p <= p_max,
+    0 <= q <= q_max), filtered by columns.
+
+    ``step`` is the direction of the arrows, fixed by the subclass.  For
+    step = +1 the horizontal block maps (p, q) to (p-1, q), the vertical
+    block (p, q) to (p, q-1), and F_p is the blocks with p' <= p.  For
+    step = -1 every arrow is reversed and F^p is the blocks with p' >= p.
+    In both, D_n: T_n -> T_{n-step} is horizontal + (-1)^p vertical.
+
+    Subclasses set ``ring``, ``p_max``, ``q_max`` and an empty
+    ``_total_cache`` dict, and provide ``block_dim(p, q)``,
+    ``block_anns(p, q)``, ``horizontal(p, q)`` and ``vertical(p, q)``.
+    """
+
+    step: int
+
+    def blocks(self, n: int) -> list[tuple[int, int]]:
+        return [
+            (p, n - p)
+            for p in range(min(self.p_max, n) + 1)
+            if 0 <= n - p <= self.q_max
+        ]
+
+    def total_dim(self, n: int) -> int:
+        return sum(self.block_dim(*blk) for blk in self.blocks(n))
+
+    def offsets(self, n: int) -> dict[tuple[int, int], int]:
+        out = {}
+        total = 0
+        for blk in self.blocks(n):
+            out[blk] = total
+            total += self.block_dim(*blk)
+        return out
+
+    def anns_of_degree(self, n: int) -> list:
+        out = []
+        for blk in self.blocks(n):
+            out.extend(self.block_anns(*blk))
+        return out
+
+    def total_diff(self, n: int) -> Matrix:
+        """D_n: T_n -> T_{n-step}, horizontal + (-1)^p vertical."""
+        if n in self._total_cache:
+            return self._total_cache[n]
+        ring = self.ring
+        s = self.step
+        out = Matrix.zeros(ring, self.total_dim(n - s), self.total_dim(n))
+        ofs_src = self.offsets(n)
+        ofs_dst = self.offsets(n - s)
+        for (p, q) in self.blocks(n):
+            c0 = ofs_src[(p, q)]
+            if (p - s, q) in ofs_dst:
+                _paste(out, ofs_dst[(p - s, q)], c0, self.horizontal(p, q))
+            if (p, q - s) in ofs_dst:
+                sign = ring.one if p % 2 == 0 else ring.neg(ring.one)
+                _paste(out, ofs_dst[(p, q - s)], c0, self.vertical(p, q), sign)
+        self._total_cache[n] = out
+        return out
+
+    def filtration_cols(self, n: int, p: int) -> list[int]:
+        """Coordinate indices of the filtration step F_p T_n."""
+        s = self.step
+        ofs = self.offsets(n)
+        out = []
+        for (pp, qq) in self.blocks(n):
+            if s * pp <= s * p:
+                start = ofs[(pp, qq)]
+                out.extend(range(start, start + self.block_dim(pp, qq)))
+        return out
+
+    def filtration_range(self) -> tuple[int, int]:
+        """(empty, full): F_empty is zero and F_full is the whole degree;
+        beyond them the filtration is constant."""
+        return (-1, self.p_max) if self.step == 1 else (self.p_max + 1, 0)
+
+    def certified_band(self) -> int:
+        """Total degrees for which pages and homology are trusted."""
+        return self.q_max - 1
+
+
+def _paste(out: Matrix, r0: int, c0: int, blk: Matrix, sign=None) -> None:
+    """Write the nonzero entries of blk (times sign) into out at (r0, c0)."""
+    z = out.ring.zero
+    for r, brow in enumerate(blk.data):
+        row = out.data[r0 + r]
+        for c, x in enumerate(brow):
+            if x != z:
+                row[c0 + c] = x if sign is None else out.ring.mul(sign, x)
+
+
 # -- the filtered double complex -------------------------------------------
 
 
@@ -189,8 +291,12 @@ class Cell:
         return self.module.n_gens
 
 
-class FilteredComplex:
-    """A_{p,q} = M (x)_C D_p (x)_C Q_q with both differentials recorded."""
+class FilteredComplex(TotalComplex):
+    """A_{p,q} = M (x)_C D_p (x)_C Q_q with both differentials recorded.
+
+    ``jobs`` is accepted for compatibility; the build is serial."""
+
+    step = 1
 
     def __init__(self, M: CatModule, N: CatModule, p_max: int | None = None,
                  q_max: int = 4, resolution_strategy: str = "greedy",
@@ -214,40 +320,25 @@ class FilteredComplex:
         self.Q: Resolution = (
             Q if Q is not None else free_resolution(N, q_max, strategy=resolution_strategy)
         )
-        self.cells: dict[tuple[int, int], Cell] = {}
-        self._face_mats: dict[tuple[int, int, int], Matrix] = {}
-        self._vert_mats: dict[tuple[int, int], Matrix] = {}
+        self._nerve: dict[tuple[int, str, str], NerveCell] = {}
         self._horiz_cache: dict[tuple[int, int], Matrix] = {}
         self._total_cache: dict[int, Matrix] = {}
-        from .parallel import pmap
-
-        first_slots = sorted({
-            b for q in range(q_max + 1) for b in self.Q.levels[q].summands
-        })
-        needed = [
-            (p, b, d)
+        self.cells: dict[tuple[int, int], Cell] = {
+            (p, q): self._build_cell(p, q)
+            for q in range(q_max + 1)
             for p in range(self.p_max + 1)
-            for b in first_slots
-            for d in self.cat.objects
-        ]
-        results = pmap(lambda key: nd_tilde_nerve(self.cat, *key), needed, jobs)
-        self._nerve: dict[tuple[int, str, str], NerveCell] = dict(zip(needed, results))
-        grid = [(p, q) for q in range(q_max + 1) for p in range(self.p_max + 1)]
-        for key, cell in zip(grid, pmap(lambda pq: self._build_cell(*pq), grid, jobs)):
-            self.cells[key] = cell
-        face_keys = [
-            (p, q, i)
+        }
+        self._face_mats: dict[tuple[int, int, int], Matrix] = {
+            (p, q, i): self._face_matrix(p, q, i)
             for q in range(q_max + 1)
             for p in range(1, self.p_max + 1)
             for i in range(p + 1)
-        ]
-        for key, mat in zip(face_keys, pmap(lambda k: self._face_matrix(*k), face_keys, jobs)):
-            self._face_mats[key] = mat
-        vert_keys = [
-            (p, q) for q in range(1, q_max + 1) for p in range(self.p_max + 1)
-        ]
-        for key, mat in zip(vert_keys, pmap(lambda k: self._vert_matrix(*k), vert_keys, jobs)):
-            self._vert_mats[key] = mat
+        }
+        self._vert_mats: dict[tuple[int, int], Matrix] = {
+            (p, q): self._vert_matrix(p, q)
+            for q in range(1, q_max + 1)
+            for p in range(self.p_max + 1)
+        }
 
     # -- construction -----------------------------------------------------
 
@@ -379,77 +470,11 @@ class FilteredComplex:
     def vertical(self, p: int, q: int) -> Matrix:
         return self._vert_mats[(p, q)]
 
-    def blocks(self, n: int) -> list[tuple[int, int]]:
-        return [
-            (p, n - p)
-            for p in range(min(self.p_max, n) + 1)
-            if 0 <= n - p <= self.q_max
-        ]
+    def block_dim(self, p: int, q: int) -> int:
+        return self.cells[(p, q)].dim
 
-    def total_dim(self, n: int) -> int:
-        return sum(self.cells[blk].dim for blk in self.blocks(n))
-
-    def offsets(self, n: int) -> dict[tuple[int, int], int]:
-        out = {}
-        total = 0
-        for blk in self.blocks(n):
-            out[blk] = total
-            total += self.cells[blk].dim
-        return out
-
-    def anns_of_degree(self, n: int) -> list:
-        out = []
-        for blk in self.blocks(n):
-            out.extend(self.cells[blk].module.anns())
-        return out
-
-    def total_diff(self, n: int) -> Matrix:
-        """D_n: T_n -> T_{n-1}, horizontal + (-1)^p vertical."""
-        if n in self._total_cache:
-            return self._total_cache[n]
-        ring = self.ring
-        rows = self.total_dim(n - 1)
-        cols = self.total_dim(n)
-        out = Matrix.zeros(ring, rows, cols)
-        ofs_src = self.offsets(n)
-        ofs_dst = self.offsets(n - 1)
-        for (p, q) in self.blocks(n):
-            c0 = ofs_src[(p, q)]
-            if p >= 1 and (p - 1, q) in ofs_dst:
-                h = self.horizontal(p, q)
-                r0 = ofs_dst[(p - 1, q)]
-                for r in range(h.rows):
-                    row = out.data[r0 + r]
-                    hrow = h.data[r]
-                    for c in range(h.cols):
-                        if hrow[c] != ring.zero:
-                            row[c0 + c] = hrow[c]
-            if q >= 1 and (p, q - 1) in ofs_dst:
-                v = self.vertical(p, q)
-                sign = ring.one if p % 2 == 0 else ring.neg(ring.one)
-                r0 = ofs_dst[(p, q - 1)]
-                for r in range(v.rows):
-                    row = out.data[r0 + r]
-                    vrow = v.data[r]
-                    for c in range(v.cols):
-                        if vrow[c] != ring.zero:
-                            row[c0 + c] = ring.mul(sign, vrow[c])
-        self._total_cache[n] = out
-        return out
-
-    def filtration_cols(self, n: int, p: int) -> list[int]:
-        """Coordinate indices of F_p T_n (blocks with p' <= p)."""
-        ofs = self.offsets(n)
-        out = []
-        for (pp, qq) in self.blocks(n):
-            if pp <= p:
-                start = ofs[(pp, qq)]
-                out.extend(range(start, start + self.cells[(pp, qq)].dim))
-        return out
-
-    def certified_band(self) -> int:
-        """Total degrees for which pages and homology are trusted."""
-        return self.q_max - 1
+    def block_anns(self, p: int, q: int) -> list:
+        return self.cells[(p, q)].module.anns()
 
 
 def build_filtered_complex(M: CatModule, N: CatModule, p_max: int | None = None,
@@ -469,11 +494,16 @@ class PageEntry:
 
 class Page:
     def __init__(self, r: int, entries: dict[tuple[int, int], PageEntry],
-                 diffs: dict[tuple[int, int], Matrix], stabilized: bool):
+                 diffs: dict[tuple[int, int], Matrix], stabilized: bool, step: int):
         self.r = r
         self.entries = entries
-        self.diffs = diffs  # d^r starting at (p,q), target (p-r, q+r-1)
+        self.diffs = diffs  # d^r starting at (p, q), into self.target(p, q)
         self.stabilized = stabilized
+        self.step = step
+
+    def target(self, p: int, q: int) -> tuple[int, int]:
+        """Where d^r from (p, q) lands: (p - step r, q + step (r-1))."""
+        return (p - self.step * self.r, q + self.step * (self.r - 1))
 
     def entry(self, p: int, q: int) -> FPModule:
         e = self.entries.get((p, q))
@@ -495,45 +525,39 @@ class Page:
                 continue
             diffs.append({
                 "from": [p, q],
-                "to": [p - self.r, q + self.r - 1],
+                "to": list(self.target(p, q)),
                 "matrix": [[mat.ring.entry_to_json(x) for x in row] for row in mat.data],
             })
         return {"r": self.r, "stabilized": self.stabilized,
                 "entries": ents, "differentials": diffs}
 
 
-def _cycle_basis(fc: FilteredComplex, n: int, p: int, lower: int) -> Matrix:
-    """{x in F_p T_n : D x in F_lower + relations}, as matrix columns."""
+def _cycle_basis(fc: TotalComplex, n: int, p: int, bound: int) -> Matrix:
+    """{x in F_p T_n : D x in F_bound + relations}, as matrix columns."""
     ring = fc.ring
+    s = fc.step
     cols = fc.filtration_cols(n, p)
     if not cols:
         return Matrix.zeros(ring, fc.total_dim(n), 0)
     D = fc.total_diff(n)
-    # rows of blocks with p' > lower in degree n-1
-    ofs = fc.offsets(n - 1)
-    upper_rows = []
-    upper_anns = []
-    anns_prev = fc.anns_of_degree(n - 1)
-    for (pp, qq) in fc.blocks(n - 1):
-        if pp > lower:
+    # rows of the blocks of degree n - s outside F_bound
+    ofs = fc.offsets(n - s)
+    out_rows = []
+    out_anns = []
+    anns_next = fc.anns_of_degree(n - s)
+    for (pp, qq) in fc.blocks(n - s):
+        if s * pp > s * bound:
             start = ofs[(pp, qq)]
-            for k in range(fc.cells[(pp, qq)].dim):
-                upper_rows.append(start + k)
-                upper_anns.append(anns_prev[start + k])
+            for k in range(fc.block_dim(pp, qq)):
+                out_rows.append(start + k)
+                out_anns.append(anns_next[start + k])
     sub = Matrix(
         ring,
-        [[D.data[r_][c] for c in cols] for r_ in upper_rows],
+        [[D.data[r_][c] for c in cols] for r_ in out_rows],
         copy=False,
         cols=len(cols),
     )
-    ann_cols = []
-    for k, d in enumerate(upper_anns):
-        if d:
-            col = [ring.zero] * len(upper_rows)
-            col[k] = d
-            ann_cols.append(col)
-    L = Matrix.from_columns(ring, ann_cols, nrows=len(upper_rows))
-    K = preimage_basis(sub, L)
+    K = preimage_basis(sub, _ann_columns(ring, out_anns))
     # embed back into T_n coordinates
     total = fc.total_dim(n)
     out_cols = []
@@ -545,7 +569,7 @@ def _cycle_basis(fc: FilteredComplex, n: int, p: int, lower: int) -> Matrix:
     return Matrix.from_columns(ring, out_cols, nrows=total)
 
 
-def _ann_gen_cols(fc: FilteredComplex, n: int, p: int) -> list[list]:
+def _ann_gen_cols(fc: TotalComplex, n: int, p: int) -> list[list]:
     ring = fc.ring
     anns = fc.anns_of_degree(n)
     total = fc.total_dim(n)
@@ -558,60 +582,54 @@ def _ann_gen_cols(fc: FilteredComplex, n: int, p: int) -> list[list]:
     return cols
 
 
-def spectral_pages(fc: FilteredComplex, r_max: int | None = None) -> list[Page]:
-    """E^0 .. E^{r_max}; pages stabilize once r exceeds the column range."""
+def spectral_pages(fc: TotalComplex, r_max: int | None = None) -> list[Page]:
+    """E^0 .. E^{r_max}; pages stabilize once r exceeds the column range.
+
+    With s = fc.step, E^r_{p,q} = Z(r, p, q) / (Z(max(r-1, 0), p-s, q+s)
+    + D Z(r-1, p+s(r-1), q-s(r-2)) + relations), the D term for r >= 1 only,
+    and d^r runs from (p, q) to (p-sr, q+s(r-1))."""
     ring = fc.ring
+    s = fc.step
     r_stab = fc.p_max + 1
-    if r_max is None:
-        r_max = r_stab
-    r_top = min(r_max, r_stab)
+    r_top = r_stab if r_max is None else min(r_max, r_stab)
     grid = [(p, q) for p in range(fc.p_max + 1) for q in range(fc.q_max + 1)]
+    empty, full = fc.filtration_range()
     cycles: dict[tuple[int, int, int], Matrix] = {}
 
+    def clamp(p):
+        # in u = s p the filtration grows with u; it is constant beyond its ends
+        return s * min(max(s * p, s * empty), s * full)
+
     def Z(r, p, q):
-        # the group {x in F_p T_{p+q} : D x in F_{p-r}}; the filtration
-        # clamps at the ends, so only p < 0 or an empty degree vanish
-        n = p + q
-        pc = min(p, fc.p_max)
-        lower = min(max(p - r, -1), fc.p_max)
-        key = (pc, lower, n)
+        # the group {x in F_p T_{p+q} : D x in F_{p-sr}}
+        key = (clamp(p), clamp(p - s * r), p + q)
         if key not in cycles:
-            if p < 0 or n < 0 or fc.total_dim(n) == 0:
-                cycles[key] = Matrix.zeros(ring, max(fc.total_dim(n), 0), 0)
-            else:
-                cycles[key] = _cycle_basis(fc, n, pc, lower)
+            cycles[key] = _cycle_basis(fc, key[2], key[0], key[1])
         return cycles[key]
 
     pages = []
     for r in range(r_top + 1):
-        entries = {}
-        diffs = {}
+        page = Page(r, {}, {}, r >= r_stab, s)
         for (p, q) in grid:
             n = p + q
-            gens_Z = Z(r, p, q)
-            b_cols = []
+            total = fc.total_dim(n)
+            b_cols = Z(max(r - 1, 0), p - s, q + s).columns()
             if r >= 1:
-                zb = Z(r - 1, p - 1, q + 1)
-                b_cols.extend(zb.columns())
-                zsrc = Z(r - 1, p + r - 1, q - r + 2)
+                zsrc = Z(r - 1, p + s * (r - 1), q - s * (r - 2))
                 if zsrc.cols:
-                    Dsrc = fc.total_diff(p + q + 1)
+                    Dsrc = fc.total_diff(n + s)
                     for j in range(zsrc.cols):
                         b_cols.append(Dsrc.apply(zsrc.column(j)))
-            else:
-                # E^0: quotient by the lower filtration step
-                zb = Z(0, p - 1, q + 1) if p >= 1 else Matrix.zeros(ring, fc.total_dim(n), 0)
-                b_cols.extend(zb.columns())
             b_cols.extend(_ann_gen_cols(fc, n, p))
-            gens_B = Matrix.from_columns(ring, b_cols, nrows=fc.total_dim(n))
-            sq = Subquotient(ring, fc.total_dim(n), gens_Z, gens_B)
-            entries[(p, q)] = PageEntry(sq.module, sq)
+            gens_B = Matrix.from_columns(ring, b_cols, nrows=total)
+            sq = Subquotient(ring, total, Z(r, p, q), gens_B)
+            page.entries[(p, q)] = PageEntry(sq.module, sq)
         for (p, q) in grid:
-            src = entries[(p, q)].witnesses
-            tp, tq = p - r, q + r - 1
-            if (tp, tq) not in entries or src.module.n_gens == 0:
+            src = page.entries[(p, q)].witnesses
+            tgt = page.target(p, q)
+            if tgt not in page.entries or src.module.n_gens == 0:
                 continue
-            dst = entries[(tp, tq)].witnesses
+            dst = page.entries[tgt].witnesses
             if dst.module.n_gens == 0:
                 continue
             D = fc.total_diff(p + q)
@@ -619,8 +637,8 @@ def spectral_pages(fc: FilteredComplex, r_max: int | None = None) -> list[Page]:
             for j in range(src.module.n_gens):
                 x = src.lift(j)
                 cols.append(dst.project(D.apply(x)))
-            diffs[(p, q)] = Matrix.from_columns(ring, cols, nrows=dst.module.n_gens)
-        pages.append(Page(r, entries, diffs, stabilized=(r >= r_stab)))
+            page.diffs[(p, q)] = Matrix.from_columns(ring, cols, nrows=dst.module.n_gens)
+        pages.append(page)
     return pages
 
 
@@ -654,12 +672,39 @@ class ConvergenceReport:
         }
 
 
-def total_homology(fc: FilteredComplex, m: int) -> Subquotient:
-    d_out = fc.total_diff(m) if m >= 1 else Matrix.zeros(fc.ring, 0, fc.total_dim(0))
-    d_in = fc.total_diff(m + 1)
+def total_homology(fc: TotalComplex, m: int) -> Subquotient:
+    """H_m of the total complex (H^m when fc.step is -1), with witnesses."""
+    s = fc.step
     return presented_homology(
-        d_out, d_in, fc.anns_of_degree(m), fc.anns_of_degree(m - 1) if m >= 1 else []
+        fc.total_diff(m), fc.total_diff(m + s),
+        fc.anns_of_degree(m), fc.anns_of_degree(m - s),
     )
+
+
+def _filtration_cells(fc: TotalComplex, m: int, h: Subquotient, einf: Page) -> list[dict]:
+    """E^inf at each block (p, m-p) against F_p H / F_{p-step} H, the graded
+    pieces of the filtration the total complex induces on h = H_m."""
+    ring = fc.ring
+    n_h = h.module.n_gens
+    rels = _ann_columns(ring, h.module.anns())
+    empty, _ = fc.filtration_range()
+    # images of the filtration steps inside H_m
+    steps = {}
+    for p in (empty, *range(fc.p_max + 1)):
+        zcap = _cycle_basis(fc, m, p, empty)  # D x in relations
+        gens = [h.project(zcap.column(j)) for j in range(zcap.cols)]
+        steps[p] = Matrix.from_columns(ring, gens, nrows=n_h).hstack(rels)
+    cells = []
+    for (p, q) in fc.blocks(m):
+        graded = Subquotient(ring, n_h, steps[p], steps[p - fc.step]).module
+        em = einf.entry(p, q)
+        cells.append({
+            "p": p, "q": q,
+            "E_inf": em.pretty(),
+            "graded": graded.pretty(),
+            "match": em == graded,
+        })
+    return cells
 
 
 def converge_and_compare(M: CatModule, N: CatModule, n_max: int = 3,
@@ -682,54 +727,19 @@ def converge_and_compare(M: CatModule, N: CatModule, n_max: int = 3,
     band = min(fc.certified_band(), n_max)
     if pages is None:
         pages = spectral_pages(fc)
-    einf = pages[-1]
     if oracle is None:
         oracle = tor(M, N, band)
     degrees = []
-    hwits = {}
+    cells = []
     for m in range(band + 1):
         h = total_homology(fc, m)
-        hwits[m] = h
         degrees.append({
             "m": m,
             "oracle": oracle[m].pretty(),
             "total": h.module.pretty(),
             "match": oracle[m] == h.module,
         })
-    cells = []
-    ring = fc.ring
-    for m in range(band + 1):
-        h = hwits[m]
-        h_anns = h.module.anns()
-        n_h = h.module.n_gens
-        # images of the filtration steps inside H_m
-        filt_gens: dict[int, list[list]] = {}
-        for p in range(-1, fc.p_max + 1):
-            gens = []
-            if p >= 0:
-                zcap = _cycle_basis(fc, m, min(p, fc.p_max), -1)  # D x in relations
-                for j in range(zcap.cols):
-                    gens.append(h.project(zcap.column(j)))
-            for i, d in enumerate(h_anns):
-                if d:
-                    v = [ring.zero] * n_h
-                    v[i] = d
-                    gens.append(v)
-            filt_gens[p] = gens
-        for p in range(fc.p_max + 1):
-            q = m - p
-            if q < 0 or q > fc.q_max:
-                continue
-            gZ = Matrix.from_columns(ring, filt_gens[p], nrows=n_h)
-            gB = Matrix.from_columns(ring, filt_gens[p - 1], nrows=n_h)
-            graded = Subquotient(ring, n_h, gZ, gB).module
-            em = einf.entry(p, q)
-            cells.append({
-                "p": p, "q": q,
-                "E_inf": em.pretty(),
-                "graded": graded.pretty(),
-                "match": em == graded,
-            })
+        cells.extend(_filtration_cells(fc, m, h, pages[-1]))
     report = ConvergenceReport(band, degrees, cells)
     if strict and not report.all_match:
         where = report.first_mismatch()
@@ -770,14 +780,7 @@ def _image_lattice(mat: Matrix, anns_target: list) -> StairBasis:
 
 def _kernel_lattice(mat: Matrix, anns_src: list, anns_target: list) -> StairBasis:
     ring = mat.ring
-    cols = []
-    for i, d in enumerate(anns_target):
-        if d:
-            col = [ring.zero] * len(anns_target)
-            col[i] = d
-            cols.append(col)
-    L = Matrix.from_columns(ring, cols, nrows=len(anns_target))
-    K = preimage_basis(mat, L)
+    K = preimage_basis(mat, _ann_columns(ring, anns_target))
     out = StairBasis(ring, len(anns_src))
     for j in range(K.cols):
         out.add(K.column(j))

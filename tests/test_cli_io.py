@@ -349,3 +349,35 @@ class TestConfigInvariants:
         N = CatModule.constant(cat, ZZ, CO)
         rep = converge_and_compare(M, N, 2, strict=True)
         assert rep.all_match
+
+
+class TestBundleSections:
+    @pytest.mark.parametrize("key,value,named", [
+        ("modules", [], "'modules'"), ("groups", [], "'groups'"),
+        ("families", [], "'families'"), ("category", None, "category"),
+    ])
+    @pytest.mark.parametrize("argv", [["validate"], ["ss", "-M", "Mconst", "-N", "Nconst"]])
+    def test_malformed_section_exit_4(self, orz2_bundle, tmp_path, capsys, key, value,
+                                      named, argv):
+        doc = json.loads(open(orz2_bundle).read())
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps(doc))
+        rc = main([argv[0], str(p), *argv[1:]])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    def test_family_entry_not_an_object(self, orz2_bundle, tmp_path, capsys):
+        doc = json.loads(open(orz2_bundle).read())
+        doc["families"]["all"] = []
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps(doc))
+        # validate lists it as a violation; a command refuses the bundle
+        assert main(["validate", str(p)]) == 1
+        assert "family 'all' must be an object" in capsys.readouterr().err
+        assert main(["ss", str(p), "-M", "Mconst", "-N", "Nconst"]) == 4
+        assert "family 'all' must be an object" in capsys.readouterr().err

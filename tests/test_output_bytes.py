@@ -1,0 +1,52 @@
+"""Byte pins for `cathom ext` and `cathom ss` documents.
+
+Each case writes a fixture bundle, runs the command with `--nmax 3` and
+compares the sha256 of the output document with a recorded digest.  The
+digests fix every byte: pages, differential matrices, the convergence
+report and (for `ext`) the E_1 product-form rows.  A refactor of the page
+engine must leave all of them unchanged.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from cathom.cli import main
+from cathom.fixtures import fixture_category, fixture_modules
+from cathom.rings import GF, ZZ
+from cathom.serialize import bundle_to_json
+
+RINGS = {"Z": ZZ, "F2": GF(2)}
+
+CASES = [
+    ("ext", "OrZ2", "Z", "Mconst", "Malt",
+     "382872eeb4ee0a4a0ae0e0df950f25e7ecceae24173538f829b04221ef409f1f"),
+    ("ext", "OrZ2", "F2", "Mconst", "Malt",
+     "9a6b3e467aa6a8dbfea388e7f3fae00af29b12d9973fe8e2d1734e8d94195cb3"),
+    ("ext", "OrZ3", "Z", "Mconst", "Malt",
+     "d753bcbee0b4175e10a57ecf468a2de9b95aa62a8dd1430f445240c8e036a09c"),
+    ("ext", "OrZ3", "F2", "Mconst", "Malt",
+     "37f146a937463a77c8db9f26d1306cbe6e77a3222f407517da702a66d6547620"),
+    ("ext", "OrZ4", "Z", "Mconst", "Malt",
+     "8f2983da6b36b40e6a6449a5f683d794ef1e83dc8367f2c7f87a894edcb71250"),
+    ("ss", "OrZ2", "Z", "Mconst", "Nconst",
+     "99f0b52785a2d2e70b5081879a9ce75a81e40ebbb2091077977273a9c45a46a6"),
+    ("ss", "OrZ4", "F2", "Malt", "Naug",
+     "d2ab91da20ccb30f02f4f3062aef597fbc2cccefca653519cf8a92368dfcce59"),
+]
+
+
+@pytest.mark.parametrize("command,cat_name,tag,m,n,digest", CASES,
+                         ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[3]}-{c[4]}" for c in CASES])
+def test_document_digest(tmp_path, command, cat_name, tag, m, n, digest):
+    cat = fixture_category(cat_name)
+    Ms, Ns = fixture_modules(cat, RINGS[tag])
+    doc = bundle_to_json(cat, modules={"Mconst": Ms["const"], "Malt": Ms["alt"],
+                                       "Nconst": Ns["const"], "Naug": Ns["aug"]})
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert main([command, str(bundle), "-M", m, "-N", n, "--nmax", "3",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
