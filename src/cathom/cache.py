@@ -3,7 +3,9 @@
 Keys are hex digests; values are JSON documents.  Writes go through a
 temporary file in the same directory followed by os.replace, so readers
 never see partial content.  Format-versioned: the version participates
-in every key.
+in every key.  Each resolution entry carries the sha256 of its payload;
+an entry whose digest does not match, or whose payload does not parse as
+a resolution, is a miss and is recomputed and overwritten.
 """
 
 from __future__ import annotations
@@ -13,12 +15,10 @@ import os
 import tempfile
 
 from .catmod import CatModule
-from .fincat import FiniteCategory
-from .matrix import Matrix
 from .resolve import Resolution, free_resolution
 from .serialize import content_hash
 
-CACHE_FORMAT = "cathom-cache-v1"
+CACHE_FORMAT = "cathom-cache-v2"
 
 
 class DiskCache:
@@ -100,8 +100,12 @@ def cached_free_resolution(M: CatModule, length: int, cache: DiskCache | None,
         "length": length,
     })
     hit = cache.get(key)
-    if hit is not None:
-        return resolution_from_json(M, hit)
+    if isinstance(hit, dict) and hit.get("digest") == content_hash(hit.get("resolution")):
+        try:
+            return resolution_from_json(M, hit["resolution"])
+        except (KeyError, TypeError, ValueError, IndexError):
+            pass  # an entry that does not parse is a miss
     res = free_resolution(M, length)
-    cache.put(key, resolution_to_json(res))
+    payload = resolution_to_json(res)
+    cache.put(key, {"digest": content_hash(payload), "resolution": payload})
     return res

@@ -17,7 +17,6 @@ import sys
 
 from .cache import DiskCache, cached_free_resolution
 from .catmod import CO, CONTRA, full_subcategory
-from .e1data import verify_e1
 from .extpages import ext_pages
 from .fincat import UnboundedChains, chain_biset, enumerate_chains
 from .groups import check_M, check_NM, cofinal_inclusion_check, reduce_family
@@ -26,7 +25,6 @@ from .rings import ring_from_tag
 from .serialize import (
     ParseError,
     category_to_json,
-    content_hash,
     family_to_json,
     load_bundle,
     module_to_json,

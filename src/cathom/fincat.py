@@ -75,6 +75,8 @@ class FiniteCategory:
         self._iso_cache: set[str] | None = None
         self._inverse: dict[str, str] = {}
         self._iso_data: IsoClassData | None = None
+        self._graph: tuple[dict[str, dict[str, list[str]]],
+                           dict[str, list[tuple[str, str]]]] | None = None
 
     def src(self, f: str) -> str:
         return self.morphisms[f][0]
@@ -109,6 +111,9 @@ class FiniteCategory:
                 report.add(f"identity of {c!r} is not an endomorphism of it")
         # composition totality and typing
         mors = self.morphisms
+        for g, f in self.compose_table:
+            for m in sorted({g, f} - mors.keys()):
+                report.add(f"compose triple ({g!r},{f!r}) names unknown morphism {m!r}")
         for f, (a, b) in mors.items():
             for g, (b2, c) in mors.items():
                 if b != b2:
@@ -175,9 +180,35 @@ class FiniteCategory:
     def isos_between(self, a: str, b: str) -> list[str]:
         return [f for f in self.hom[(a, b)] if self.is_iso(f)]
 
+    def _noniso_graph(self):
+        """(noniso_out, iso_out), built once.
+
+        ``noniso_out[a]`` maps each b with mor(a, b) holding a
+        non-isomorphism to those morphisms in hom order (b in object
+        order); ``iso_out[a]`` lists (u, u^-1) for every non-identity
+        isomorphism u leaving a.
+        """
+        if self._graph is not None:
+            return self._graph
+        self._compute_isos()
+        isos = self._iso_cache
+        noniso_out: dict[str, dict[str, list[str]]] = {}
+        iso_out: dict[str, list[tuple[str, str]]] = {}
+        for a in self.objects:
+            out = noniso_out[a] = {}
+            inv = iso_out[a] = []
+            for b in self.objects:
+                for f in self.hom[(a, b)]:
+                    if f not in isos:
+                        out.setdefault(b, []).append(f)
+                    elif f != self.identity.get(a):
+                        inv.append((f, self._inverse[f]))
+        self._graph = (noniso_out, iso_out)
+        return self._graph
+
     def noniso_morphisms(self, a: str, b: str) -> list[str]:
         """mor(a, b) minus the isomorphisms."""
-        return [f for f in self.hom[(a, b)] if not self.is_iso(f)]
+        return list(self._noniso_graph()[0][a].get(b, ()))
 
     def aut(self, c: str) -> list[str]:
         """Automorphisms of c, in hom order."""
@@ -314,17 +345,17 @@ class PChain:
 
 def noniso_class_graph(cat: FiniteCategory) -> dict[int, list[int]]:
     """Edges i -> j between iso classes with mor_not-iso(rep_i, rep_j) nonempty."""
-    data = cat.iso_classes()
-    edges: dict[int, list[int]] = {i: [] for i in range(data.count)}
-    for i, ri in enumerate(data.representative):
-        for j, rj in enumerate(data.representative):
-            if cat.noniso_morphisms(ri, rj):
-                edges[i].append(j)
-    return edges
+    noniso_out = cat._noniso_graph()[0]
+    reps = cat.iso_classes().representative
+    return {
+        i: [j for j, rj in enumerate(reps) if rj in noniso_out[ri]]
+        for i, ri in enumerate(reps)
+    }
 
 
-def check_bounded_chains(cat: FiniteCategory):
-    """Raise UnboundedChains when the non-iso class graph has a cycle.
+def check_bounded_chains(cat: FiniteCategory) -> dict[int, list[int]]:
+    """Raise UnboundedChains when the non-iso class graph has a cycle;
+    otherwise return that graph.
 
     Equivalent to the EI condition for finite categories: a cycle lets a
     string of |Is(C)|+1 non-isomorphisms compose class-wise.
@@ -349,12 +380,10 @@ def check_bounded_chains(cat: FiniteCategory):
     for v in edges:
         if state.get(v, 0) == 0:
             dfs(v, [v])
+    return edges
 
 
-def chain_bound(cat: FiniteCategory) -> int:
-    """Length of the longest chain (longest path in the acyclic class graph)."""
-    check_bounded_chains(cat)
-    edges = noniso_class_graph(cat)
+def _longest_path(edges: dict[int, list[int]]) -> int:
     memo: dict[int, int] = {}
 
     def longest(v):
@@ -365,14 +394,17 @@ def chain_bound(cat: FiniteCategory) -> int:
     return max((longest(v) for v in edges), default=0)
 
 
+def chain_bound(cat: FiniteCategory) -> int:
+    """Length of the longest chain (longest path in the acyclic class graph)."""
+    return _longest_path(check_bounded_chains(cat))
+
+
 def enumerate_chains(cat: FiniteCategory, p_max: int | None = None) -> dict[int, list[PChain]]:
     """All p-chains with nonempty biset, grouped by p, for p <= p_max."""
-    check_bounded_chains(cat)
+    edges = check_bounded_chains(cat)
     data = cat.iso_classes()
-    edges = noniso_class_graph(cat)
-    bound = chain_bound(cat)
     if p_max is None:
-        p_max = bound
+        p_max = _longest_path(edges)
     out: dict[int, list[PChain]] = {p: [] for p in range(p_max + 1)}
     reps = data.representative
 
@@ -410,17 +442,21 @@ class ChainBiset:
         self.chain = chain
         reps = chain.reps
         p = chain.p
-        factor_sets = [cat.noniso_morphisms(reps[i], reps[i + 1]) for i in range(p)]
+        noniso_out, iso_out = cat._noniso_graph()
+        compose = cat.compose_table
+        factor_sets = [noniso_out[reps[i]].get(reps[i + 1], []) for i in range(p)]
+        # the identity only unions a string with itself, so leave it out
+        auts = [[(a, ainv) for a, ainv in iso_out[c] if cat.tgt(a) == c] for c in reps]
         uf = UnionFind()
-        all_strings = [tuple(s) for s in product(*factor_sets)]
+        all_strings = list(product(*factor_sets))
         for s in all_strings:
             uf.find(s)
         for s in all_strings:
             for i in range(1, p):
-                for a in cat.aut(reps[i]):
+                for a, ainv in auts[i]:
                     t = list(s)
-                    t[i] = cat.compose(t[i], a)
-                    t[i - 1] = cat.compose(cat.inverse(a), t[i - 1])
+                    t[i] = compose[(t[i], a)]
+                    t[i - 1] = compose[(ainv, t[i - 1])]
                     uf.union(s, tuple(t))
         groups = uf.groups()
         self.elements: list[tuple[str, ...]] = sorted(min(g) for g in groups.values())
@@ -461,6 +497,14 @@ class NerveCell:
     src -> c_0, beta: c_p -> tgt and no interior phi_i an isomorphism;
     classes are orbits under objectwise isomorphisms, found by explicit
     orbit enumeration.
+
+    The object strings c_0 -> ... -> c_p are walks of length p in the
+    category's cached non-isomorphism graph (``_noniso_graph``).  A walk
+    starts at an object c_0 with mor(src, c_0) nonempty and steps only to
+    objects with a morphism to tgt, so every walk ends at a c_p with
+    mor(c_p, tgt) nonempty; by composition no string outside these walks
+    carries a diagram.  The orbit relation moves one object c_i along each
+    non-identity isomorphism u leaving it, read from the same cached table.
     """
 
     def __init__(self, cat: FiniteCategory, p: int, src: str, tgt: str):
@@ -468,43 +512,42 @@ class NerveCell:
         self.p = p
         self.src = src
         self.tgt = tgt
-        diagrams = []
-        for objs in product(cat.objects, repeat=p + 1):
-            interior_sets = [
-                cat.noniso_morphisms(objs[i], objs[i + 1]) for i in range(p)
+        noniso_out, iso_out = cat._noniso_graph()
+        hom = cat.hom
+        compose = cat.compose_table
+        walks = [((c,), ()) for c in cat.objects if hom[(src, c)] and hom[(c, tgt)]]
+        for _ in range(p):
+            walks = [
+                (objs + (b,), sets + (fs,))
+                for objs, sets in walks
+                for b, fs in noniso_out[objs[-1]].items()
+                if hom[(b, tgt)]
             ]
-            if any(not s for s in interior_sets):
-                continue
-            for alpha in cat.hom[(src, objs[0])]:
-                for phis in product(*interior_sets):
-                    for beta in cat.hom[(objs[p], tgt)]:
-                        diagrams.append((alpha, tuple(phis), beta))
+        diagrams = []
         uf = UnionFind()
-        for d in diagrams:
-            uf.find(d)
-        for alpha, phis, beta in diagrams:
-            objs = self._objects_of(alpha, phis, beta)
-            for i in range(p + 1):
-                c = objs[i]
-                for cprime in cat.objects:
-                    for u in cat.isos_between(c, cprime):
-                        if u == cat.id_of(c):
-                            continue
-                        uinv = cat.inverse(u)
-                        a2, ph2, b2 = alpha, list(phis), beta
-                        if i == 0:
-                            a2 = cat.compose(u, alpha)
-                            if p > 0:
-                                ph2[0] = cat.compose(phis[0], uinv)
-                            else:
-                                b2 = cat.compose(beta, uinv)
-                        elif i < p:
-                            ph2[i - 1] = cat.compose(u, phis[i - 1])
-                            ph2[i] = cat.compose(phis[i], uinv)
-                        else:
-                            ph2[i - 1] = cat.compose(u, phis[i - 1])
-                            b2 = cat.compose(beta, uinv)
-                        uf.union((alpha, phis, beta), (a2, tuple(ph2), b2))
+        for objs, sets in walks:
+            for alpha in hom[(src, objs[0])]:
+                for phis in product(*sets):
+                    for beta in hom[(objs[p], tgt)]:
+                        d = (alpha, phis, beta)
+                        diagrams.append(d)
+                        uf.find(d)
+                        for i in range(p + 1):
+                            for u, uinv in iso_out[objs[i]]:
+                                a2, ph2, b2 = alpha, list(phis), beta
+                                if i == 0:
+                                    a2 = compose[(u, alpha)]
+                                    if p > 0:
+                                        ph2[0] = compose[(phis[0], uinv)]
+                                    else:
+                                        b2 = compose[(beta, uinv)]
+                                elif i < p:
+                                    ph2[i - 1] = compose[(u, phis[i - 1])]
+                                    ph2[i] = compose[(phis[i], uinv)]
+                                else:
+                                    ph2[i - 1] = compose[(u, phis[i - 1])]
+                                    b2 = compose[(beta, uinv)]
+                                uf.union(d, (a2, tuple(ph2), b2))
         groups = uf.groups()
         self.classes: list[tuple] = sorted(min(g) for g in groups.values())
         rep_of = {root: min(g) for root, g in groups.items()}

@@ -12,8 +12,6 @@ a finite group.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .fincat import FiniteCategory
 
 

@@ -12,8 +12,6 @@ speaks dense lists.
 
 from __future__ import annotations
 
-from math import gcd
-
 from .matrix import DimensionMismatch, Matrix
 from .rings import Ring
 

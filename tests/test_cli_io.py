@@ -110,6 +110,41 @@ class TestResolutionCache:
         assert resolution_to_json(cold) == resolution_to_json(free_resolution(N, 3))
 
 
+class TestCacheEntries:
+    """An altered cache entry is a miss: the run recomputes the resolution,
+    overwrites the entry and writes the bytes of a cold run."""
+
+    @staticmethod
+    def _alter(entry, how):
+        payload = entry["resolution"]
+        if how == "coefficient":
+            payload["gen_images"][0][0][0][2] += 1
+        elif how == "shape":
+            payload["gen_images"][0].pop()
+        else:  # a payload that is no resolution, under its own digest
+            entry["resolution"] = {"levels": 3}
+            entry["digest"] = content_hash(entry["resolution"])
+
+    @pytest.mark.parametrize("how", ["coefficient", "shape", "unparsable"])
+    def test_altered_entry_is_a_miss(self, orz2_bundle, tmp_path, capsys, how):
+        cachedir = tmp_path / "cache"
+        argv = ["ss", orz2_bundle, "-M", "Mconst", "-N", "Naug", "--nmax", "2"]
+        cold = tmp_path / "cold.json"
+        assert main([*argv, "--out", str(cold)]) == 0
+        assert main([*argv, "--cache-dir", str(cachedir), "--out", str(tmp_path / "w.json")]) == 0
+        (name,) = os.listdir(cachedir)
+        path = cachedir / name
+        entry = json.loads(path.read_text())
+        altered = json.loads(path.read_text())
+        self._alter(altered, how)
+        path.write_text(json.dumps(altered))
+        out = tmp_path / "altered.json"
+        assert main([*argv, "--cache-dir", str(cachedir), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert out.read_bytes() == cold.read_bytes()
+        assert json.loads(path.read_text()) == entry
+
+
 class TestCLI:
     def test_validate_ok(self, orz2_bundle, capsys):
         assert main(["validate", orz2_bundle]) == 0
@@ -370,6 +405,20 @@ class TestBundleSections:
         assert rc == 4
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("triple", [["ghost", "ghost", "ghost"], ["ghost", None, None]])
+    def test_compose_triple_with_unknown_morphism(self, orz2_bundle, tmp_path, capsys, triple):
+        doc = json.loads(open(orz2_bundle).read())
+        known = doc["category"]["morphisms"][0]["id"]
+        doc["category"]["compose"].append([x if x is not None else known for x in triple])
+        p = tmp_path / "ghost.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == 1
+        assert "names unknown morphism 'ghost'" in capsys.readouterr().err
+        for argv in (["ss", "-M", "Mconst", "-N", "Nconst"], ["ext", "-M", "Mconst", "-N", "Malt"]):
+            assert main([argv[0], str(p), *argv[1:]]) == 4
+            err = capsys.readouterr().err
+            assert "names unknown morphism 'ghost'" in err and "Traceback" not in err
 
     def test_family_entry_not_an_object(self, orz2_bundle, tmp_path, capsys):
         doc = json.loads(open(orz2_bundle).read())

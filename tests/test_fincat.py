@@ -1,17 +1,22 @@
+from itertools import product
+
 import pytest
 
 from cathom.fincat import (
     BalancedTriples,
     ChainBiset,
     FiniteCategory,
+    NerveCell,
     PChain,
     UnboundedChains,
+    UnionFind,
     chain_bound,
     chain_biset,
     enumerate_chains,
     face,
     nd_tilde_nerve,
 )
+from cathom.fixtures import FIXTURE_NAMES, fixture_category
 from cathom.groups import FiniteGroup, orbit_category
 
 
@@ -300,3 +305,79 @@ class TestBisetActionLaws:
             for k in range(bs.size()):
                 assert bs.left_act(ident_p, k) == k
                 assert bs.right_act(k, ident_0) == k
+
+
+def reference_nerve(cat: FiniteCategory, p: int, src: str, tgt: str):
+    """(classes, index) of the tilde-nerve cell by brute force: every
+    (p+1)-tuple of objects, every string of non-isomorphisms along it,
+    orbits under every isomorphism between any two objects."""
+
+    def noniso(a, b):
+        return [f for f in cat.hom[(a, b)] if not cat.is_iso(f)]
+
+    diagrams = []
+    for objs in product(cat.objects, repeat=p + 1):
+        interior_sets = [noniso(objs[i], objs[i + 1]) for i in range(p)]
+        if any(not s for s in interior_sets):
+            continue
+        for alpha in cat.hom[(src, objs[0])]:
+            for phis in product(*interior_sets):
+                for beta in cat.hom[(objs[p], tgt)]:
+                    diagrams.append((alpha, tuple(phis), beta))
+    uf = UnionFind()
+    for d in diagrams:
+        uf.find(d)
+    for alpha, phis, beta in diagrams:
+        objs = [cat.tgt(alpha)] + [cat.tgt(f) for f in phis]
+        for i in range(p + 1):
+            c = objs[i]
+            for cprime in cat.objects:
+                for u in cat.isos_between(c, cprime):
+                    if u == cat.id_of(c):
+                        continue
+                    uinv = cat.inverse(u)
+                    a2, ph2, b2 = alpha, list(phis), beta
+                    if i == 0:
+                        a2 = cat.compose(u, alpha)
+                        if p > 0:
+                            ph2[0] = cat.compose(phis[0], uinv)
+                        else:
+                            b2 = cat.compose(beta, uinv)
+                    elif i < p:
+                        ph2[i - 1] = cat.compose(u, phis[i - 1])
+                        ph2[i] = cat.compose(phis[i], uinv)
+                    else:
+                        ph2[i - 1] = cat.compose(u, phis[i - 1])
+                        b2 = cat.compose(beta, uinv)
+                    uf.union((alpha, phis, beta), (a2, tuple(ph2), b2))
+    groups = uf.groups()
+    classes = sorted(min(g) for g in groups.values())
+    rep_of = {root: min(g) for root, g in groups.items()}
+    elem_index = {rep: k for k, rep in enumerate(classes)}
+    return classes, {d: elem_index[rep_of[uf.find(d)]] for d in diagrams}
+
+
+def _z2xz4_orbit_category():
+    return orbit_category(
+        FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)))
+
+
+class TestNerveAgainstReference:
+    """The graph walk in NerveCell gives the same classes and index as a
+    scan of every object tuple."""
+
+    @pytest.mark.parametrize("catf,p_max", [
+        *[((lambda name=name: fixture_category(name)), None) for name in FIXTURE_NAMES],
+        (_z2xz4_orbit_category, 3),
+    ], ids=[*FIXTURE_NAMES, "OrZ2xZ4"])
+    def test_same_classes_and_index(self, catf, p_max):
+        cat = catf()
+        if p_max is None:
+            p_max = chain_bound(cat)
+        for p in range(p_max + 1):
+            for s in cat.objects:
+                for t in cat.objects:
+                    classes, index = reference_nerve(cat, p, s, t)
+                    cell = NerveCell(cat, p, s, t)
+                    assert cell.classes == classes, (p, s, t)
+                    assert cell.index == index, (p, s, t)
