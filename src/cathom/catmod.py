@@ -14,7 +14,7 @@ restriction/induction along a functor.
 from __future__ import annotations
 
 from .fincat import FiniteCategory
-from .fpmod import CanonicalQuotient, FPModule
+from .fpmod import CanonicalQuotient, FPModule, _ann_rows
 from .matrix import Matrix
 from .rings import Ring
 
@@ -456,15 +456,9 @@ class InducedModule:
                     for phi in homs:
                         gens.append((b, j, phi))
             index = {g: i for i, g in enumerate(gens)}
-            rows = []
             z = ring.zero
             n = len(gens)
-            for (b, j, phi) in gens:
-                dd = X.anns[b][j]
-                if dd:
-                    row = [z] * n
-                    row[index[(b, j, phi)]] = dd
-                    rows.append(row)
+            rows = _ann_rows(ring, [X.anns[b][j] for (b, j, phi) in gens])
             for f, (b1, b2) in B.morphisms.items():
                 if f == B.id_of(b1) and b1 == b2:
                     continue

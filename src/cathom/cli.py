@@ -18,7 +18,7 @@ import sys
 from .cache import DiskCache, cached_free_resolution
 from .catmod import CO, CONTRA, full_subcategory
 from .extpages import ext_pages
-from .fincat import UnboundedChains, chain_biset, enumerate_chains
+from .fincat import UnboundedChains, chain_biset, chain_bound, enumerate_chains
 from .groups import check_M, check_NM, cofinal_inclusion_check, reduce_family
 from .resolve import assembly_tor, tor
 from .rings import ring_from_tag
@@ -134,48 +134,45 @@ def _load_mn(args, want_n_variance):
     return ws, M, N
 
 
-def _check_bounds(args) -> None:
-    for flag in ("nmax", "rmax"):
+def _load_paged(args, want_n_variance):
+    """(ws, M, N, q_max) for ss and ext, refusing the bounds under which
+    the pages cannot certify the convergence band."""
+    for flag in ("nmax", "pmax", "qmax", "rmax"):
         value = getattr(args, flag)
         if value is not None and value < 0:
             raise ParseError(f"--{flag} must be non-negative, got {value}")
+    ws, M, N = _load_mn(args, want_n_variance)
+    q_max = args.qmax if args.qmax is not None else args.nmax + 1
+    if q_max < args.nmax + 1:
+        raise ParseError(f"qmax must be at least nmax + 1 = {args.nmax + 1} "
+                         "for the convergence band")
+    bound = chain_bound(ws.category)
+    if args.pmax is not None and args.pmax < bound:
+        raise ParseError(f"pmax must cover the chain bound {bound} "
+                         "when convergence is requested")
+    return ws, M, N, q_max
 
 
 def cmd_ss(args) -> int:
     try:
-        _check_bounds(args)
-        ws, M, N = _load_mn(args, CO)
-    except ParseError as e:
-        print(f"INPUT ERROR: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    cache = _cache_from(args)
-    q_max = args.qmax if args.qmax is not None else args.nmax + 1
-    if q_max < args.nmax + 1:
-        print(f"INPUT ERROR: qmax must be at least nmax + 1 = {args.nmax + 1} "
-              "for the convergence band", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        from .fincat import chain_bound
-
-        bound = chain_bound(ws.category)
-        if args.pmax is not None and args.pmax < bound:
-            print(f"INPUT ERROR: pmax must cover the chain bound {bound} "
-                  "when convergence is requested", file=sys.stderr)
-            return EXIT_INPUT
+        ws, M, N, q_max = _load_paged(args, CO)
         Q = cached_free_resolution(
-            N, q_max, cache, cat_json=category_to_json(ws.category),
+            N, q_max, _cache_from(args), cat_json=category_to_json(ws.category),
             module_json=module_to_json(N),
         )
         fc = build_filtered_complex(M, N, p_max=args.pmax, q_max=q_max,
                                     Q=Q, jobs=args.jobs)
         pages = spectral_pages(fc)
         report = converge_and_compare(M, N, args.nmax, fc=fc, pages=pages)
-        if args.rmax is not None:
-            # pages stop at r_stab, so E^0..E^rmax is a prefix of them
-            pages = pages[: args.rmax + 1]
+    except ParseError as e:
+        print(f"INPUT ERROR: {e}", file=sys.stderr)
+        return EXIT_INPUT
     except UnboundedChains as e:
         print(f"UNBOUNDED: {e}", file=sys.stderr)
         return EXIT_UNBOUNDED
+    if args.rmax is not None:
+        # pages stop at r_stab, so E^0..E^rmax is a prefix of them
+        pages = pages[: args.rmax + 1]
     doc = {
         "bundle_hash": ws.digest,
         "M": args.module_m,
@@ -206,18 +203,16 @@ def cmd_ss(args) -> int:
 
 def cmd_ext(args) -> int:
     try:
-        _check_bounds(args)
-        ws, M, N = _load_mn(args, CONTRA)
+        ws, M, N, q_max = _load_paged(args, CONTRA)
+        pages, report = ext_pages(M, N, p_max=args.pmax, q_max=q_max, n_max=args.nmax)
     except ParseError as e:
         print(f"INPUT ERROR: {e}", file=sys.stderr)
         return EXIT_INPUT
-    q_max = args.qmax if args.qmax is not None else args.nmax + 1
-    try:
-        pages, report = ext_pages(M, N, p_max=args.pmax, q_max=q_max,
-                                  r_max=args.rmax, n_max=args.nmax)
     except UnboundedChains as e:
         print(f"UNBOUNDED: {e}", file=sys.stderr)
         return EXIT_UNBOUNDED
+    if args.rmax is not None:
+        pages = pages[: args.rmax + 1]
     doc = {
         "bundle_hash": ws.digest,
         "M": args.module_m,

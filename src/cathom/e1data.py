@@ -5,8 +5,9 @@ p-chains, and each summand is a group-ring Tor over the automorphism
 group of the chain's bottom object, with coefficients twisted through the
 chain's biset.  This module computes both sides:
 
-* per-chain column homology inside the engine's filtered complex
-  (the presentation the pages see), and
+* per-chain column homology inside the engine's filtered complex: each
+  column restricts the engine's ``spectral.Cell`` to the chain's raw
+  generators, so it is the presentation the pages see, and
 * the group-level Tor via the truncated bar complex (independent route),
 
 plus the d^1 component maps.  Components for i >= 1 are biset
@@ -19,12 +20,19 @@ through the module structure (the partial assembly at module level).
 from __future__ import annotations
 
 from .catmod import CatModule
-from .fincat import BalancedTriples, ChainBiset, PChain, face
-from .fpmod import CanonicalQuotient, FPModule, Subquotient, presented_homology
+from .fincat import BalancedTriples, ChainBiset, PChain
+from .fpmod import (
+    CanonicalQuotient,
+    FPModule,
+    Subquotient,
+    _ann_rows,
+    induced_map,
+    presented_homology,
+)
 from .groupbar import GroupModule, group_tor
 from .groups import group_from_aut
 from .matrix import Matrix
-from .spectral import FilteredComplex, MergedQuotient, build_filtered_complex, spectral_pages
+from .spectral import Cell, FilteredComplex, build_filtered_complex, spectral_pages
 
 
 class NotLeftFree(Exception):
@@ -37,92 +45,29 @@ def chain_key_of(fc: FilteredComplex, chain: PChain) -> tuple[int, ...]:
 
 
 class ChainColumn:
-    """The chain's sub-presentation of the cells at fixed p, with the
+    """The chain's sub-cells of the engine's cells at fixed p, with the
     vertical differential and its homology."""
 
     def __init__(self, fc: FilteredComplex, p: int, chain: PChain):
         self.fc = fc
         self.p = p
         self.chain = chain
-        self.key = chain_key_of(fc, chain)
-        ring = fc.ring
-        self.local_gens: list[list[tuple]] = []
-        self.local_index: list[dict] = []
-        self.quots: list[MergedQuotient] = []
-        for q in range(fc.q_max + 1):
-            cell = fc.cells[(p, q)]
-            gens = [g for g, k in zip(cell.raw_gens, cell.chain_keys) if k == self.key]
-            index = {g: i for i, g in enumerate(gens)}
-            keep = set(index)
-            rows = []
-            for row in cell.rows:
-                touched = [cell.raw_gens[u] for u in row]
-                if any(t in keep for t in touched):
-                    if not all(t in keep for t in touched):
-                        raise AssertionError("coequalizer relation straddles chains")
-                    rows.append({index[cell.raw_gens[u]]: c for u, c in row.items()})
-            self.local_gens.append(gens)
-            self.local_index.append(index)
-            self.quots.append(MergedQuotient(ring, len(gens), rows))
+        key = chain_key_of(fc, chain)
+        self.cells: list[Cell] = [fc.cells[(p, q)].restrict(key) for q in range(fc.q_max + 1)]
         self.vert: list[Matrix] = [None]  # vert[q]: column_q -> column_{q-1}
         for q in range(1, fc.q_max + 1):
-            self.vert.append(self._local_map(q, q - 1, self._vert_fn(q)))
-
-    def _vert_fn(self, q):
-        fc = self.fc
-        cat = fc.cat
-        summands = fc.Q.levels[q].summands
-        prev = fc.Q.levels[q - 1]
-
-        def raw_fn(gen):
-            si, d, cls, j = gen
-            b = summands[si]
-            alpha, phis, beta = fc.nerve(self.p, b, d).classes[cls]
-            out = []
-            for (i2, psi), coeff in fc.Q.gen_images[q][si].items():
-                pulled = (cat.compose(alpha, psi), phis, beta)
-                b2 = prev.summands[i2]
-                cls2 = fc.nerve(self.p, b2, d).class_of(pulled)
-                out.append(((i2, d, cls2, j), coeff))
-            return out
-
-        return raw_fn
-
-    def _local_map(self, q_src: int, q_dst: int, raw_fn) -> Matrix:
-        ring = self.fc.ring
-        src_q = self.quots[q_src]
-        dst_q = self.quots[q_dst]
-        dst_index = self.local_index[q_dst]
-        cols = []
-        z = ring.zero
-        for j in range(src_q.module.n_gens):
-            sparse = src_q.lift(j)
-            out: dict = {}
-            for u, c in sparse.items():
-                for v_tuple, c2 in raw_fn(self.local_gens[q_src][u]):
-                    v = dst_index[v_tuple]
-                    val = ring.add(out.get(v, z), ring.mul(c, c2))
-                    if val == z:
-                        out.pop(v, None)
-                    else:
-                        out[v] = val
-            cols.append(dst_q.project_raw(out))
-        return Matrix.from_columns(ring, cols, nrows=dst_q.module.n_gens)
+            self.vert.append(self.cells[q].precompose_map(self.cells[q - 1], fc.Q.gen_images[q]))
 
     def homology(self, q: int) -> Subquotient:
         ring = self.fc.ring
-        d_out = (
-            self.vert[q]
-            if q >= 1
-            else Matrix.zeros(ring, 0, self.quots[0].module.n_gens)
-        )
+        d_out = self.vert[q] if q >= 1 else Matrix.zeros(ring, 0, self.cells[0].dim)
         d_in = (
             self.vert[q + 1]
             if q + 1 <= self.fc.q_max
-            else Matrix.zeros(ring, self.quots[q].module.n_gens, 0)
+            else Matrix.zeros(ring, self.cells[q].dim, 0)
         )
-        anns_next = self.quots[q - 1].module.anns() if q >= 1 else []
-        return presented_homology(d_out, d_in, self.quots[q].module.anns(), anns_next)
+        anns_next = self.cells[q - 1].module.anns() if q >= 1 else []
+        return presented_homology(d_out, d_in, self.cells[q].module.anns(), anns_next)
 
 
 # -- the independent group-level side ------------------------------------
@@ -144,9 +89,7 @@ class ChainGroupData:
         p = chain.p
         if p == 0:
             n = M.rank(c0)
-            quot = CanonicalQuotient(ring, n, [
-                _unit_row(ring, n, i, d) for i, d in enumerate(M.anns[c0]) if d
-            ])
+            quot = CanonicalQuotient(ring, n, _ann_rows(ring, M.anns[c0]))
             act = []
             for a in self.elems0:
                 mat = M.act(a)  # right action x.a = M(a)(x)
@@ -158,12 +101,8 @@ class ChainGroupData:
             S = self.biset
             gens = [(j, k) for j in range(M.rank(cp)) for k in range(S.size())]
             index = {g: i for i, g in enumerate(gens)}
-            rows = []
+            rows = _ann_rows(ring, [M.anns[cp][j] for (j, k) in gens])
             z = ring.zero
-            for (j, k) in gens:
-                d = M.anns[cp][j]
-                if d:
-                    rows.append(_unit_row(ring, len(gens), index[(j, k)], d))
             for a in cat.aut(cp):
                 if a == cat.id_of(cp):
                     continue
@@ -201,12 +140,6 @@ class ChainGroupData:
 
     def tor(self, q_max: int) -> list[Subquotient]:
         return group_tor(self.A, self.B, q_max)
-
-
-def _unit_row(ring, n, i, d):
-    row = [ring.zero] * n
-    row[i] = d
-    return row
 
 
 def _transport(quot: CanonicalQuotient, raw_mat: Matrix, ring) -> Matrix:
@@ -334,6 +267,13 @@ class TransportTables:
         return self._nerve_to_triple[(chain.reps, src, tgt)]
 
 
+def _column(fc: FilteredComplex, columns: dict, p: int, chain: PChain) -> ChainColumn:
+    key = (p, chain.reps)
+    if key not in columns:
+        columns[key] = ChainColumn(fc, p, chain)
+    return columns[key]
+
+
 def d1_components(fc: FilteredComplex, p: int, chain: PChain, q: int,
                   tables: TransportTables | None = None,
                   columns: dict | None = None) -> list[dict]:
@@ -353,19 +293,12 @@ def d1_components(fc: FilteredComplex, p: int, chain: PChain, q: int,
         tables = TransportTables(fc)
     if columns is None:
         columns = {}
-
-    def column(pp, ch):
-        key = (pp, ch.reps)
-        if key not in columns:
-            columns[key] = ChainColumn(fc, pp, ch)
-        return columns[key]
-
-    src_col = column(p, chain)
+    src_col = _column(fc, columns, p, chain)
     src_h = src_col.homology(q)
     out = []
     for i in range(p + 1):
         target_chain = chain.omit(i)
-        tgt_col = column(p - 1, target_chain)
+        tgt_col = _column(fc, columns, p - 1, target_chain)
         tgt_h = tgt_col.homology(q)
 
         def raw_fn(gen, i=i, target_chain=target_chain):
@@ -397,7 +330,7 @@ def d1_components(fc: FilteredComplex, p: int, chain: PChain, q: int,
             cls2 = fc.nerve(p - 1, b, d).class_of(bt_tgt.to_diagram(k2))
             return [((si, d, cls2, j), ring.one)]
 
-        mat = _column_hom_map(src_col, tgt_col, src_h, tgt_h, q, raw_fn)
+        mat = induced_map(src_h, tgt_h, src_col.cells[q].map_to(tgt_col.cells[q], raw_fn))
         out.append({"i": i, "target": target_chain, "matrix": mat,
                     "source_module": src_h.module, "target_module": tgt_h.module})
     return out
@@ -407,58 +340,9 @@ def d1_face_block(fc: FilteredComplex, p: int, chain: PChain, i: int, q: int,
                   columns: dict | None = None) -> Matrix:
     """The i-th face map extracted from the filtered complex, restricted
     to the chain blocks (the engine-side matrix)."""
-    cat = fc.cat
-    ring = fc.ring
     if columns is None:
         columns = {}
-    key_s = (p, chain.reps)
-    if key_s not in columns:
-        columns[key_s] = ChainColumn(fc, p, chain)
-    src_col = columns[key_s]
-    target_chain = chain.omit(i)
-    key_t = (p - 1, target_chain.reps)
-    if key_t not in columns:
-        columns[key_t] = ChainColumn(fc, p - 1, target_chain)
-    tgt_col = columns[key_t]
-
-    def raw_fn(gen):
-        si, d, cls, j = gen
-        b = fc.Q.levels[q].summands[si]
-        diagram = fc.nerve(p, b, d).classes[cls]
-        fd = face(cat, diagram, i)
-        if fd is None:
-            return []
-        cls2 = fc.nerve(p - 1, b, d).class_of(fd)
-        return [((si, d, cls2, j), ring.one)]
-
-    return _column_hom_map(src_col, tgt_col, src_col.homology(q),
-                           tgt_col.homology(q), q, raw_fn)
-
-
-def _column_hom_map(src_col: ChainColumn, tgt_col: ChainColumn,
-                    src_h: Subquotient, tgt_h: Subquotient, q: int, raw_fn) -> Matrix:
-    ring = src_col.fc.ring
-    z = ring.zero
-    src_q = src_col.quots[q]
-    tgt_q = tgt_col.quots[q]
-    tgt_index = tgt_col.local_index[q]
-    cols = []
-    for jgen in range(src_h.module.n_gens):
-        canon = src_h.lift(jgen)  # in the column's canonical coords
-        raw: dict = {}
-        for t, c in enumerate(canon):
-            if c == z:
-                continue
-            for u, c2 in src_q.lift(t).items():
-                raw[u] = ring.add(raw.get(u, z), ring.mul(c, c2))
-        out: dict = {}
-        for u, c in raw.items():
-            for v_tuple, c2 in raw_fn(src_col.local_gens[q][u]):
-                v = tgt_index[v_tuple]
-                val = ring.add(out.get(v, z), ring.mul(c, c2))
-                if val == z:
-                    out.pop(v, None)
-                else:
-                    out[v] = val
-        cols.append(tgt_h.project(tgt_q.project_raw(out)))
-    return Matrix.from_columns(ring, cols, nrows=tgt_h.module.n_gens)
+    src_col = _column(fc, columns, p, chain)
+    tgt_col = _column(fc, columns, p - 1, chain.omit(i))
+    return induced_map(src_col.homology(q), tgt_col.homology(q),
+                       src_col.cells[q].face_map(tgt_col.cells[q], i))

@@ -1,7 +1,9 @@
 """The cohomology variant: Ext pages from a Cartan-Eilenberg resolution.
 
 With both modules contravariant, the engine builds the row complex
-W_p = M (x)_C D_p (nerve bimodule tensored on the second slot), splits it
+W_p = M (x)_C D_p (nerve bimodule tensored on the second slot; W_p(s) is
+the ``spectral.Cell`` over the single summand s, the coequalizer the
+homology cells use), splits it
 through boundaries/cycles/homology subfunctors, resolves those by the
 greedy free resolutions and assembles horseshoe resolutions P(W_p) with a
 strictly commuting horizontal differential (the classical construction,
@@ -21,13 +23,13 @@ the total cohomology is compared against the Ext oracle.
 from __future__ import annotations
 
 from .catmod import CONTRA, CatModule, VarianceMismatch, full_subcategory
-from .fincat import NerveCell, PChain, chain_bound, enumerate_chains, face, nd_tilde_nerve
-from .fpmod import CanonicalQuotient, FPModule, SubPresentation, _ann_columns
+from .fincat import NerveCache, PChain, chain_bound, enumerate_chains
+from .fpmod import CanonicalQuotient, FPModule, SubPresentation, _ann_columns, _ann_rows
 from .intlin import preimage_basis
 from .matrix import Matrix
 from .resolve import Resolution, ext, free_resolution, horseshoe
 from .spectral import (
-    MergedQuotient,
+    Cell,
     TotalComplex,
     _filtration_cells,
     spectral_pages,
@@ -36,100 +38,22 @@ from .spectral import (
 
 
 class WModule:
-    """W_p = M (x) D_p(-, ??) as a contravariant module, with the raw
-    coequalizer data retained for the face maps."""
+    """W_p = M (x) D_p(-, ??) as a contravariant module: one ``spectral.Cell``
+    per object s, over the single summand s, kept for the face maps."""
 
     def __init__(self, owner: "ExtFilteredComplex", p: int):
         cat = owner.cat
-        ring = owner.ring
-        M = owner.M
-        self.p = p
-        self.raw_gens: dict[str, list[tuple]] = {}
-        self.quots: dict[str, MergedQuotient] = {}
-        for s in cat.objects:
-            gens = []
-            for d in cat.objects:
-                if M.rank(d) == 0:
-                    continue
-                cell = owner.nerve(p, s, d)
-                for cls in range(cell.size()):
-                    for j in range(M.rank(d)):
-                        gens.append((d, cls, j))
-            index = {g: i for i, g in enumerate(gens)}
-            rows: list[dict] = []
-            z = ring.zero
-            for i, (d, cls, j) in enumerate(gens):
-                ann = M.anns[d][j]
-                if ann:
-                    rows.append({i: ann})
-            for f, (d, dprime) in cat.morphisms.items():
-                if f == cat.id_of(d) and d == dprime:
-                    continue
-                if M.rank(dprime) == 0 and M.rank(d) == 0:
-                    continue
-                Mf = M.act(f)
-                cell_d = owner.nerve(p, s, d)
-                for cls in range(cell_d.size()):
-                    alpha, phis, beta = cell_d.classes[cls]
-                    pushed = (alpha, phis, cat.compose(f, beta))
-                    cls2 = owner.nerve(p, s, dprime).class_of(pushed)
-                    for j in range(M.rank(dprime)):
-                        row: dict = {}
-                        for a in range(M.rank(d)):
-                            c = Mf.data[a][j]
-                            if c != z:
-                                u = index[(d, cls, a)]
-                                row[u] = ring.add(row.get(u, z), c)
-                        v = index[(dprime, cls2, j)]
-                        row[v] = ring.sub(row.get(v, z), ring.one)
-                        if row:
-                            rows.append(row)
-            self.raw_gens[s] = gens
-            self.quots[s] = MergedQuotient(ring, len(gens), rows)
-        self.index = {
-            s: {g: i for i, g in enumerate(self.raw_gens[s])} for s in cat.objects
+        one = owner.ring.one
+        self.cells: dict[str, Cell] = {
+            s: Cell(cat, owner.M, owner.nerve, p, [s]) for s in cat.objects
         }
-        anns = {s: self.quots[s].module.anns() for s in cat.objects}
-        action = {}
-        for g, (s2, s) in cat.morphisms.items():
-            # contravariant: g: s2 -> s acts W(s) -> W(s2) by alpha-precomposition
-            cols = []
-            for jgen in range(self.quots[s].module.n_gens):
-                sparse = self.quots[s].lift(jgen)
-                out: dict = {}
-                for u, c in sparse.items():
-                    d, cls, j = self.raw_gens[s][u]
-                    alpha, phis, beta = owner.nerve(p, s, d).classes[cls]
-                    pulled = (cat.compose(alpha, g), phis, beta)
-                    cls2 = owner.nerve(p, s2, d).class_of(pulled)
-                    v = self.index[s2][(d, cls2, j)]
-                    out[v] = ring.add(out.get(v, ring.zero), c)
-                cols.append(self.quots[s2].project_raw(out))
-            action[g] = Matrix.from_columns(
-                ring, cols, nrows=self.quots[s2].module.n_gens
-            )
-        self.module = CatModule(cat, CONTRA, ring, anns, action, check=False)
-
-    def face_matrix(self, owner: "ExtFilteredComplex", i: int, s: str) -> Matrix:
-        """face_i: W_p(s) -> W_{p-1}(s) on canonical generators."""
-        ring = owner.ring
-        cat = owner.cat
-        tgt = owner.W[self.p - 1]
-        cols = []
-        for jgen in range(self.quots[s].module.n_gens):
-            sparse = self.quots[s].lift(jgen)
-            out: dict = {}
-            for u, c in sparse.items():
-                d, cls, j = self.raw_gens[s][u]
-                diagram = owner.nerve(self.p, s, d).classes[cls]
-                fd = face(cat, diagram, i)
-                if fd is None:
-                    continue
-                cls2 = owner.nerve(self.p - 1, s, d).class_of(fd)
-                v = tgt.index[s][(d, cls2, j)]
-                out[v] = ring.add(out.get(v, ring.zero), c)
-            cols.append(tgt.quots[s].project_raw(out))
-        return Matrix.from_columns(ring, cols, nrows=tgt.quots[s].module.n_gens)
+        anns = {s: self.cells[s].module.anns() for s in cat.objects}
+        # contravariant: g: s2 -> s acts W(s) -> W(s2) by alpha-precomposition
+        action = {
+            g: self.cells[s].precompose_map(self.cells[s2], [{(0, g): one}])
+            for g, (s2, s) in cat.morphisms.items()
+        }
+        self.module = CatModule(cat, CONTRA, owner.ring, anns, action, check=False)
 
 
 def _sub_catmodule(cat, ring, W: CatModule, lattices: dict[str, Matrix]):
@@ -170,7 +94,7 @@ class ExtFilteredComplex(TotalComplex):
         self.p_max = self.p_bound if p_max is None else min(p_max, self.p_bound)
         self.q_max = q_max
         self.chains = enumerate_chains(self.cat, self.p_max)
-        self._nerve: dict[tuple[int, str, str], NerveCell] = {}
+        self.nerve = NerveCache(self.cat)
         cat, ring = self.cat, self.ring
         self.W: list[WModule] = [WModule(self, p) for p in range(self.p_max + 1)]
         # d^h_p: W_p -> W_{p-1}, alternating face sum, per object
@@ -178,11 +102,11 @@ class ExtFilteredComplex(TotalComplex):
         for p in range(1, self.p_max + 1):
             mats = {}
             for s in cat.objects:
-                m = Matrix.zeros(ring, self.W[p - 1].quots[s].module.n_gens,
-                                 self.W[p].quots[s].module.n_gens)
+                src, dst = self.W[p].cells[s], self.W[p - 1].cells[s]
+                m = Matrix.zeros(ring, dst.dim, src.dim)
                 sign = ring.one
                 for i in range(p + 1):
-                    m = m + self.W[p].face_matrix(self, i, s).scale(sign)
+                    m = m + src.face_map(dst, i).scale(sign)
                     sign = ring.neg(sign)
                 mats[s] = m
             self.dh.append(mats)
@@ -222,18 +146,11 @@ class ExtFilteredComplex(TotalComplex):
                 for j in range(B_mods[p].rank(s)):
                     cols.append(Z_subs[s].express(B_subs[p][s].include(j)))
                 bincl[s] = Matrix.from_columns(ring, cols, nrows=Z_mod.rank(s))
-            hquots = {}
-            for s in cat.objects:
-                rows = []
-                nz = Z_mod.rank(s)
-                for i, d in enumerate(Z_mod.anns[s]):
-                    if d:
-                        row = [ring.zero] * nz
-                        row[i] = d
-                        rows.append(row)
-                for j in range(bincl[s].cols):
-                    rows.append(bincl[s].column(j))
-                hquots[s] = CanonicalQuotient(ring, nz, rows)
+            hquots = {
+                s: CanonicalQuotient(ring, Z_mod.rank(s),
+                                     _ann_rows(ring, Z_mod.anns[s]) + bincl[s].columns())
+                for s in cat.objects
+            }
             h_anns = {s: hquots[s].module.anns() for s in cat.objects}
             h_action = {}
             for g, (s2, s) in cat.morphisms.items():
@@ -301,12 +218,6 @@ class ExtFilteredComplex(TotalComplex):
         self._total_cache: dict[int, Matrix] = {}
 
     # -- plumbing ---------------------------------------------------------
-
-    def nerve(self, p: int, s: str, t: str) -> NerveCell:
-        key = (p, s, t)
-        if key not in self._nerve:
-            self._nerve[key] = nd_tilde_nerve(self.cat, p, s, t)
-        return self._nerve[key]
 
     def _hom_of_diff(self, p: int, q: int) -> Matrix:
         """Hom(d_{q+1}, N): cell (p, q) -> cell (p, q+1)."""
@@ -447,13 +358,13 @@ def _chain_ext_direct(fcx: ExtFilteredComplex, chain: PChain, q_max: int) -> lis
 
 
 def ext_pages(M: CatModule, N: CatModule, p_max: int | None = None,
-              q_max: int = 4, r_max: int | None = None,
-              n_max: int | None = None):
-    """Cohomology pages with d_r of bidegree (+r, 1-r): convergence
-    against the Ext oracle and the E_1 product-form cross-check."""
+              q_max: int = 4, n_max: int | None = None):
+    """Cohomology pages E_0 .. E_inf with d_r of bidegree (+r, 1-r):
+    convergence against the Ext oracle and the E_1 product-form
+    cross-check."""
     fcx = ExtFilteredComplex(M, N, p_max=p_max, q_max=q_max)
     band = fcx.certified_band() if n_max is None else min(n_max, fcx.certified_band())
-    pages = spectral_pages(fcx, r_max)
+    pages = spectral_pages(fcx)
     oracle = ext(M, N, band)
     degrees = []
     cells = []
@@ -464,7 +375,7 @@ def ext_pages(M: CatModule, N: CatModule, p_max: int | None = None,
                         "match": oracle[n] == h.module})
         cells.extend(_filtration_cells(fcx, n, h, pages[-1]))
     ring = fcx.ring
-    e1 = pages[1] if len(pages) > 1 else pages[-1]
+    e1 = pages[1]
     e1_rows = []
     for p in sorted(fcx.chains):
         if p > fcx.p_max:

@@ -581,6 +581,21 @@ def nd_tilde_nerve(cat: FiniteCategory, p: int, src: str, tgt: str) -> NerveCell
     return NerveCell(cat, p, src, tgt)
 
 
+class NerveCache:
+    """nerve(p, src, tgt): the cell nd_tilde_nerve(cat, p, src, tgt), built
+    on first use and kept."""
+
+    def __init__(self, cat: FiniteCategory):
+        self.cat = cat
+        self._cells: dict[tuple[int, str, str], NerveCell] = {}
+
+    def __call__(self, p: int, src: str, tgt: str) -> NerveCell:
+        key = (p, src, tgt)
+        if key not in self._cells:
+            self._cells[key] = nd_tilde_nerve(self.cat, p, src, tgt)
+        return self._cells[key]
+
+
 def face(cat: FiniteCategory, diagram: tuple, i: int):
     """i-th face of a non-degenerate diagram; None when it degenerates."""
     alpha, phis, beta = diagram

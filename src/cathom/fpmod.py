@@ -237,16 +237,22 @@ def homology_at(d_out: Matrix, d_in: Matrix) -> FPModule:
     return Subquotient(d_out.ring, d_out.cols, ker, d_in).module
 
 
-def _ann_columns(ring: Ring, anns: list) -> Matrix:
-    cols = []
+def _ann_rows(ring: Ring, anns: list) -> list[list]:
+    """The relation vectors d e_i of a diagonal presentation, for each
+    nonzero annihilator d, in order."""
     n = len(anns)
     z = ring.zero
+    out = []
     for i, d in enumerate(anns):
         if d != z:
-            col = [z] * n
-            col[i] = d
-            cols.append(col)
-    return Matrix.from_columns(ring, cols, nrows=n)
+            row = [z] * n
+            row[i] = d
+            out.append(row)
+    return out
+
+
+def _ann_columns(ring: Ring, anns: list) -> Matrix:
+    return Matrix.from_columns(ring, _ann_rows(ring, anns), nrows=len(anns))
 
 
 def presented_homology(
@@ -300,20 +306,15 @@ class SubPresentation:
         basis = StairBasis(ring, n)
         for j in range(lattice_cols.cols):
             basis.add(lattice_cols.column(j))
-        for i, d in enumerate(ambient_anns):
-            if d:
-                row = [ring.zero] * n
-                row[i] = d
-                basis.add(row)
+        ann_rows = _ann_rows(ring, ambient_anns)
+        for row in ann_rows:
+            basis.add(row)
         self._basis = basis
         self._cols = basis.pivot_cols()
         rel_rows = []
-        for i, d in enumerate(ambient_anns):
-            if d:
-                vec = [ring.zero] * n
-                vec[i] = d
-                coeffs = basis.express(vec)
-                rel_rows.append([coeffs.get(c, ring.zero) for c in self._cols])
+        for vec in ann_rows:
+            coeffs = basis.express(vec)
+            rel_rows.append([coeffs.get(c, ring.zero) for c in self._cols])
         self.quot = CanonicalQuotient(ring, basis.rank, rel_rows)
         self.module = self.quot.module
 

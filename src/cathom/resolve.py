@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .catmod import CO, CONTRA, CatModule, FreeCatModule, Functor, VarianceMismatch
 from .fincat import FiniteCategory
-from .fpmod import FPModule, Subquotient, _ann_columns, presented_homology, solve_mod
+from .fpmod import FPModule, Subquotient, _ann_columns, _ann_rows, presented_homology, solve_mod
 from .intlin import ColumnOps, StairBasis, kernel_basis, preimage_basis
 from .matrix import Matrix
 from .rings import Ring
@@ -160,11 +160,8 @@ def free_resolution(M: CatModule, length: int, strategy: str = "greedy") -> Reso
     # level 0: cover the values of M
     spanned = {c: StairBasis(ring, M.rank(c)) for c in cat.objects}
     for c in cat.objects:
-        for i, d in enumerate(M.anns[c]):
-            if d:
-                row = [ring.zero] * M.rank(c)
-                row[i] = d
-                spanned[c].add(row)
+        for row in _ann_rows(ring, M.anns[c]):
+            spanned[c].add(row)
     summands: list[str] = []
     for c in order:
         for j in range(M.rank(c)):
@@ -498,11 +495,8 @@ def _map_is_iso(mat: Matrix, src_anns: list, dst_anns: list) -> bool:
     ring = mat.ring
     # surjective: columns plus target relations span everything
     span = StairBasis(ring, len(dst_anns))
-    for i, d in enumerate(dst_anns):
-        if d:
-            row = [ring.zero] * len(dst_anns)
-            row[i] = d
-            span.add(row)
+    for row in _ann_rows(ring, dst_anns):
+        span.add(row)
     for j in range(mat.cols):
         span.add(mat.column(j))
     for i in range(len(dst_anns)):
@@ -513,11 +507,8 @@ def _map_is_iso(mat: Matrix, src_anns: list, dst_anns: list) -> bool:
     # injective: preimage of target relations lies in source relations
     ker = preimage_basis(mat, _ann_columns(ring, dst_anns))
     src_rel = StairBasis(ring, len(src_anns))
-    for i, d in enumerate(src_anns):
-        if d:
-            row = [ring.zero] * len(src_anns)
-            row[i] = d
-            src_rel.add(row)
+    for row in _ann_rows(ring, src_anns):
+        src_rel.add(row)
     for j in range(ker.cols):
         if not src_rel.contains(ker.column(j)):
             return False

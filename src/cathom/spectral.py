@@ -11,6 +11,14 @@ Sign convention: horizontal differential = alternating sum of nerve face
 maps; vertical = (-1)^p times the resolution differential.  Degenerate
 faces map to zero (normalized chains).
 
+``Cell`` is the only nerve-tensor cell: M (x)_C D_p(b, -) summed over a
+list of summands b, built by one coequalizer loop.  The homology cells pass
+the summands of Q_q, ``extpages.WModule`` passes one object per cell, and
+``e1data.ChainColumn`` restricts a homology cell to one chain.  All three
+map between cells through ``Cell.map_to``, with the nerve face and the
+alpha-leg precomposition written once each (``face_map``,
+``precompose_map``).
+
 This module is the only page engine.  ``TotalComplex`` holds the total
 complex of a double complex and its column filtration; its class constant
 ``step`` says which way the arrows run.  ``FilteredComplex`` (homology,
@@ -27,9 +35,12 @@ two-column long exact sequence.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .catmod import CO, CONTRA, CatModule, VarianceMismatch
 from .fincat import (
     FiniteCategory,
+    NerveCache,
     NerveCell,
     UnionFind,
     chain_bound,
@@ -37,7 +48,14 @@ from .fincat import (
     face,
     nd_tilde_nerve,
 )
-from .fpmod import CanonicalQuotient, FPModule, Subquotient, _ann_columns, presented_homology
+from .fpmod import (
+    CanonicalQuotient,
+    FPModule,
+    Subquotient,
+    _ann_columns,
+    _ann_rows,
+    presented_homology,
+)
 from .intlin import StairBasis, preimage_basis
 from .matrix import Matrix
 from .resolve import Resolution, free_resolution, tor
@@ -274,21 +292,145 @@ def _paste(out: Matrix, r0: int, c0: int, blk: Matrix, sign=None) -> None:
 
 
 class Cell:
-    """One (p, q) entry: raw generators (summand, object, nerve class,
-    M-generator) with the coequalizer quotient."""
+    """One nerve-tensor cell: M (x)_C D_p(b, -) summed over the summands b.
 
-    def __init__(self, raw_gens: list[tuple], quot: MergedQuotient,
-                 chain_keys: list[tuple], rows: list[dict]):
+    Raw generators are (summand index, object d, nerve class, M-generator);
+    the coequalizer relations are the annihilator rows of the raw generators,
+    then, summand by summand, the rows x.M(f) (x) sigma - x (x) f.sigma.
+    ``map_to`` carries a map of raw generators to the canonical generators of
+    another cell; ``face_map`` and ``precompose_map`` are the two raw maps
+    every page is built from."""
+
+    def __init__(self, cat: FiniteCategory, M: CatModule, nerve: NerveCache,
+                 p: int, summands: list[str]):
+        self.cat = cat
+        self.ring = ring = M.ring
+        self.nerve = nerve
+        self.p = p
+        self.summands = summands
+        raw_gens = [
+            (i, d, cls, j)
+            for i, b in enumerate(summands)
+            for d in cat.objects
+            if M.rank(d)
+            for cls in range(nerve(p, b, d).size())
+            for j in range(M.rank(d))
+        ]
+        index = {g: k for k, g in enumerate(raw_gens)}
+        rows: list[dict] = [
+            {k: M.anns[d][j]} for k, (i, d, cls, j) in enumerate(raw_gens) if M.anns[d][j]
+        ]
+        z = ring.zero
+        for i, b in enumerate(summands):
+            for f, (d, dprime) in cat.morphisms.items():
+                # no relation lands where M vanishes
+                if M.rank(dprime) == 0 or (f == cat.id_of(d) and d == dprime):
+                    continue
+                Mf = M.act(f)  # M(d') -> M(d)
+                cell_d = nerve(p, b, d)
+                cell_dp = nerve(p, b, dprime)
+                for cls in range(cell_d.size()):
+                    alpha, phis, beta = cell_d.classes[cls]
+                    cls2 = cell_dp.class_of((alpha, phis, cat.compose(f, beta)))
+                    for j in range(M.rank(dprime)):
+                        row: dict = {}
+                        for a in range(M.rank(d)):
+                            c = Mf.data[a][j]
+                            if c != z:
+                                u = index[(i, d, cls, a)]
+                                row[u] = ring.add(row.get(u, z), c)
+                        v = index[(i, dprime, cls2, j)]
+                        row[v] = ring.sub(row.get(v, z), ring.one)
+                        if row:
+                            rows.append(row)
+        self._settle(raw_gens, index, rows)
+
+    def _settle(self, raw_gens: list[tuple], raw_index: dict, rows: list[dict]) -> None:
         self.raw_gens = raw_gens
-        self.raw_index = {g: i for i, g in enumerate(raw_gens)}
-        self.quot = quot
-        self.module = quot.module
-        self.chain_keys = chain_keys  # per raw gen: iso-class tuple of its diagram
+        self.raw_index = raw_index
         self.rows = rows  # coequalizer relations, sparse over raw generators
+        self.quot = MergedQuotient(self.ring, len(raw_gens), rows)
+        self.module = self.quot.module
 
     @property
     def dim(self) -> int:
         return self.module.n_gens
+
+    @cached_property
+    def chain_keys(self) -> list[tuple]:
+        """Per raw generator: the iso classes of its diagram's objects."""
+        return [self.nerve(self.p, self.summands[i], d).chain_key(cls)
+                for (i, d, cls, j) in self.raw_gens]
+
+    def restrict(self, chain_key: tuple) -> "Cell":
+        """The sub-cell on the raw generators of one chain; every
+        coequalizer relation must stay inside a chain."""
+        gens = [g for g, k in zip(self.raw_gens, self.chain_keys) if k == chain_key]
+        index = {g: k for k, g in enumerate(gens)}
+        rows = []
+        for row in self.rows:
+            touched = [self.raw_gens[u] for u in row]
+            if any(t in index for t in touched):
+                if not all(t in index for t in touched):
+                    raise AssertionError("coequalizer relation straddles chains")
+                rows.append({index[self.raw_gens[u]]: c for u, c in row.items()})
+        sub = Cell.__new__(Cell)
+        sub.cat, sub.ring, sub.nerve, sub.p = self.cat, self.ring, self.nerve, self.p
+        sub.summands = self.summands
+        sub._settle(gens, index, rows)
+        return sub
+
+    def map_to(self, dst: "Cell", raw_fn) -> Matrix:
+        """The matrix, on canonical generators, of the map that sends each
+        raw generator g to the sum of coeff * h over (h, coeff) in raw_fn(g)."""
+        ring = self.ring
+        z = ring.zero
+        cols = []
+        for jgen in range(self.dim):
+            out: dict = {}
+            for u, c in self.quot.lift(jgen).items():
+                for v_tuple, c2 in raw_fn(self.raw_gens[u]):
+                    v = dst.raw_index[v_tuple]
+                    val = ring.add(out.get(v, z), ring.mul(c, c2))
+                    if val == z:
+                        out.pop(v, None)
+                    else:
+                        out[v] = val
+            cols.append(dst.quot.project_raw(out))
+        return Matrix.from_columns(ring, cols, nrows=dst.dim)
+
+    def face_map(self, dst: "Cell", i: int) -> Matrix:
+        """The i-th nerve face onto dst, the cell at p - 1 over the same
+        summands; degenerate faces map to zero."""
+        one = self.ring.one
+
+        def raw_fn(gen):
+            si, d, cls, j = gen
+            b = self.summands[si]
+            fd = face(self.cat, self.nerve(self.p, b, d).classes[cls], i)
+            if fd is None:
+                return []
+            return [((si, d, dst.nerve(dst.p, b, d).class_of(fd), j), one)]
+
+        return self.map_to(dst, raw_fn)
+
+    def precompose_map(self, dst: "Cell", images: list[dict]) -> Matrix:
+        """Precompose the alpha leg: summand i goes to the sum of
+        coeff * (alpha . psi) over ((i2, psi), coeff) in images[i], where
+        psi: dst.summands[i2] -> self.summands[i]."""
+        cat = self.cat
+
+        def raw_fn(gen):
+            si, d, cls, j = gen
+            alpha, phis, beta = self.nerve(self.p, self.summands[si], d).classes[cls]
+            out = []
+            for (i2, psi), coeff in images[si].items():
+                pulled = (cat.compose(alpha, psi), phis, beta)
+                cls2 = dst.nerve(dst.p, dst.summands[i2], d).class_of(pulled)
+                out.append(((i2, d, cls2, j), coeff))
+            return out
+
+        return self.map_to(dst, raw_fn)
 
 
 class FilteredComplex(TotalComplex):
@@ -320,140 +462,27 @@ class FilteredComplex(TotalComplex):
         self.Q: Resolution = (
             Q if Q is not None else free_resolution(N, q_max, strategy=resolution_strategy)
         )
-        self._nerve: dict[tuple[int, str, str], NerveCell] = {}
+        self.nerve = NerveCache(self.cat)
         self._horiz_cache: dict[tuple[int, int], Matrix] = {}
         self._total_cache: dict[int, Matrix] = {}
         self.cells: dict[tuple[int, int], Cell] = {
-            (p, q): self._build_cell(p, q)
+            (p, q): Cell(self.cat, M, self.nerve, p, self.Q.levels[q].summands)
             for q in range(q_max + 1)
             for p in range(self.p_max + 1)
         }
+        cells = self.cells
         self._face_mats: dict[tuple[int, int, int], Matrix] = {
-            (p, q, i): self._face_matrix(p, q, i)
+            (p, q, i): cells[(p, q)].face_map(cells[(p - 1, q)], i)
             for q in range(q_max + 1)
             for p in range(1, self.p_max + 1)
             for i in range(p + 1)
         }
+        # psi: b_{i2} -> b (covariant basis) in the resolution differential
         self._vert_mats: dict[tuple[int, int], Matrix] = {
-            (p, q): self._vert_matrix(p, q)
+            (p, q): cells[(p, q)].precompose_map(cells[(p, q - 1)], self.Q.gen_images[q])
             for q in range(1, q_max + 1)
             for p in range(self.p_max + 1)
         }
-
-    # -- construction -----------------------------------------------------
-
-    def nerve(self, p: int, s: str, t: str) -> NerveCell:
-        key = (p, s, t)
-        if key not in self._nerve:
-            self._nerve[key] = nd_tilde_nerve(self.cat, p, s, t)
-        return self._nerve[key]
-
-    def _build_cell(self, p: int, q: int) -> Cell:
-        cat = self.cat
-        ring = self.ring
-        M = self.M
-        data = cat.iso_classes()
-        raw_gens: list[tuple] = []
-        chain_keys: list[tuple] = []
-        summands = self.Q.levels[q].summands
-        for i, b in enumerate(summands):
-            for d in cat.objects:
-                if M.rank(d) == 0:
-                    continue
-                cell = self.nerve(p, b, d)
-                for cls in range(cell.size()):
-                    key = cell.chain_key(cls)
-                    for j in range(M.rank(d)):
-                        raw_gens.append((i, d, cls, j))
-                        chain_keys.append(key)
-        index = {g: k for k, g in enumerate(raw_gens)}
-        rows: list[dict] = []
-        z = ring.zero
-        for k, (i, d, cls, j) in enumerate(raw_gens):
-            ann = M.anns[d][j]
-            if ann:
-                rows.append({k: ann})
-        for i, b in enumerate(summands):
-            for f, (d, dprime) in cat.morphisms.items():
-                if f == cat.id_of(d) and d == dprime:
-                    continue
-                if M.rank(dprime) == 0 and M.rank(d) == 0:
-                    continue
-                Mf = M.act(f)  # M(d') -> M(d)
-                cell_d = self.nerve(p, b, d)
-                cell_dp = self.nerve(p, b, dprime)
-                for cls in range(cell_d.size()):
-                    alpha, phis, beta = cell_d.classes[cls]
-                    pushed = (alpha, phis, cat.compose(f, beta))
-                    cls2 = cell_dp.class_of(pushed)
-                    for j in range(M.rank(dprime)):
-                        row: dict = {}
-                        for a in range(M.rank(d)):
-                            c = Mf.data[a][j]
-                            if c != z:
-                                key = index[(i, d, cls, a)]
-                                row[key] = ring.add(row.get(key, z), c)
-                        key2 = index[(i, dprime, cls2, j)]
-                        row[key2] = ring.sub(row.get(key2, z), ring.one)
-                        if row:
-                            rows.append(row)
-        quot = MergedQuotient(ring, len(raw_gens), rows)
-        return Cell(raw_gens, quot, chain_keys, rows)
-
-    def _cell_map(self, src: Cell, dst: Cell, raw_fn) -> Matrix:
-        ring = self.ring
-        z = ring.zero
-        cols = []
-        for jgen in range(src.dim):
-            sparse = src.quot.lift(jgen)
-            out: dict = {}
-            for u, c in sparse.items():
-                for v_tuple, c2 in raw_fn(src.raw_gens[u]):
-                    v = dst.raw_index[v_tuple]
-                    val = ring.add(out.get(v, z), ring.mul(c, c2))
-                    if val == z:
-                        out.pop(v, None)
-                    else:
-                        out[v] = val
-            cols.append(dst.quot.project_raw(out))
-        return Matrix.from_columns(ring, cols, nrows=dst.dim)
-
-    def _face_matrix(self, p: int, q: int, i: int) -> Matrix:
-        cat = self.cat
-        summands = self.Q.levels[q].summands
-
-        def raw_fn(gen):
-            si, d, cls, j = gen
-            b = summands[si]
-            diagram = self.nerve(p, b, d).classes[cls]
-            fd = face(cat, diagram, i)
-            if fd is None:
-                return []
-            cls2 = self.nerve(p - 1, b, d).class_of(fd)
-            return [((si, d, cls2, j), self.ring.one)]
-
-        return self._cell_map(self.cells[(p, q)], self.cells[(p - 1, q)], raw_fn)
-
-    def _vert_matrix(self, p: int, q: int) -> Matrix:
-        cat = self.cat
-        ring = self.ring
-        summands = self.Q.levels[q].summands
-        prev = self.Q.levels[q - 1]
-
-        def raw_fn(gen):
-            si, d, cls, j = gen
-            b = summands[si]
-            alpha, phis, beta = self.nerve(p, b, d).classes[cls]
-            out = []
-            for (i2, psi), coeff in self.Q.gen_images[q][si].items():
-                # psi: b_{i2} -> b (covariant basis); precompose the alpha leg
-                pulled = (cat.compose(alpha, psi), phis, beta)
-                b2 = prev.summands[i2]
-                cls2 = self.nerve(p, b2, d).class_of(pulled)
-                out.append(((i2, d, cls2, j), coeff))
-            return out
-
-        return self._cell_map(self.cells[(p, q)], self.cells[(p, q - 1)], raw_fn)
 
     # -- the total complex --------------------------------------------------
 
@@ -770,11 +799,8 @@ def _image_lattice(mat: Matrix, anns_target: list) -> StairBasis:
     out = StairBasis(ring, len(anns_target))
     for j in range(mat.cols):
         out.add(mat.column(j))
-    for i, d in enumerate(anns_target):
-        if d:
-            row = [ring.zero] * len(anns_target)
-            row[i] = d
-            out.add(row)
+    for row in _ann_rows(ring, anns_target):
+        out.add(row)
     return out
 
 
@@ -784,11 +810,8 @@ def _kernel_lattice(mat: Matrix, anns_src: list, anns_target: list) -> StairBasi
     out = StairBasis(ring, len(anns_src))
     for j in range(K.cols):
         out.add(K.column(j))
-    for i, d in enumerate(anns_src):
-        if d:
-            row = [ring.zero] * len(anns_src)
-            row[i] = d
-            out.add(row)
+    for row in _ann_rows(ring, anns_src):
+        out.add(row)
     return out
 
 

@@ -233,9 +233,25 @@ class TestCLI:
         assert (json.dumps(r1["convergence"], sort_keys=True, indent=2)
                 == json.dumps(full["convergence"], sort_keys=True, indent=2))
 
+    def test_ext_rmax_is_a_prefix(self, orz2_bundle, tmp_path):
+        docs = {}
+        for tag, extra in (("full", []), ("r0", ["--rmax", "0"]), ("r1", ["--rmax", "1"])):
+            out = tmp_path / f"{tag}.json"
+            assert main(["ext", orz2_bundle, "-M", "Mconst", "-N", "Malt",
+                         "--nmax", "2", "--out", str(out), *extra]) == 0
+            docs[tag] = json.loads(out.read_text())
+        full = docs["full"]
+        assert len(full["pages"]) > 2
+        for r in (0, 1):
+            part = docs[f"r{r}"]
+            assert part["pages"] == full["pages"][: r + 1]
+            assert (json.dumps(part["convergence"], sort_keys=True, indent=2)
+                    == json.dumps(full["convergence"], sort_keys=True, indent=2))
+
     @pytest.mark.parametrize("command", ["ss", "ext"])
     @pytest.mark.parametrize("flags", [["--rmax", "-2", "--format", "table"],
-                                       ["--rmax", "-2"], ["--nmax", "-1"]])
+                                       ["--rmax", "-2"], ["--nmax", "-1"],
+                                       ["--pmax", "-1"], ["--qmax", "-1"]])
     def test_negative_bounds_exit_4(self, orz2_bundle, command, flags, tmp_path, capsys):
         n = "Nconst" if command == "ss" else "Mconst"
         out = tmp_path / "o.json"
@@ -356,14 +372,19 @@ class TestMatrixJSON:
 
 class TestConfigInvariants:
     def test_qmax_guard(self, orz2_bundle, capsys):
-        rc = main(["ss", orz2_bundle, "-M", "Mconst", "-N", "Nconst",
-                   "--nmax", "3", "--qmax", "2"])
-        assert rc == 4
+        for command, n, flags in (("ss", "Nconst", ["--nmax", "3", "--qmax", "2"]),
+                                  ("ext", "Malt", ["--nmax", "3", "--qmax", "2"]),
+                                  ("ext", "Malt", ["--qmax", "0"])):
+            rc = main([command, orz2_bundle, "-M", "Mconst", "-N", n, *flags])
+            assert rc == 4
+            assert capsys.readouterr().err.startswith("INPUT ERROR: qmax")
 
     def test_pmax_guard(self, orz2_bundle, capsys):
-        rc = main(["ss", orz2_bundle, "-M", "Mconst", "-N", "Nconst",
-                   "--nmax", "2", "--pmax", "0"])
-        assert rc == 4
+        for command, n in (("ss", "Nconst"), ("ext", "Malt")):
+            rc = main([command, orz2_bundle, "-M", "Mconst", "-N", n,
+                       "--nmax", "2", "--pmax", "0"])
+            assert rc == 4
+            assert capsys.readouterr().err.startswith("INPUT ERROR: pmax")
 
     def test_family_mismatch_named(self):
         from cathom.groups import FamilyMismatch, FiniteGroup, SubgroupFamily, cofinal_inclusion_check
