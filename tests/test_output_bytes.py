@@ -50,3 +50,24 @@ def test_document_digest(tmp_path, command, cat_name, tag, m, n, digest):
     assert main([command, str(bundle), "-M", m, "-N", n, "--nmax", "3",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+ASSEMBLY_CASES = [
+    ("Naug", "917c4845edd7dc90db7c3558cb55a8d067eebf98795aba59240fbe8dc57a911e"),
+    ("Nconst", "dfd1fb4588c0a1d285f2f6d1998c4e93b3ade1031df0d514582db1656eaef083"),
+]
+
+
+@pytest.mark.parametrize("n,digest", ASSEMBLY_CASES, ids=[c[0] for c in ASSEMBLY_CASES])
+def test_assembly_document_digest(tmp_path, n, digest):
+    """`cathom assembly` on OrZ4/Z along the first object, default --nmax:
+    the document that carries the assembly map matrices."""
+    cat = fixture_category("OrZ4")
+    _, Ns = fixture_modules(cat, ZZ)
+    doc = bundle_to_json(cat, modules={"Nconst": Ns["const"], "Naug": Ns["aug"]})
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert main(["assembly", str(bundle), "-N", n, "--objects", cat.objects[0],
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
