@@ -14,7 +14,7 @@ restriction/induction along a functor.
 from __future__ import annotations
 
 from .fincat import FiniteCategory
-from .fpmod import CanonicalQuotient, FPModule, _ann_rows
+from .fpmod import CanonicalQuotient, FPModule, _ann_rows, induced_map
 from .matrix import Matrix
 from .rings import Ring
 
@@ -190,14 +190,8 @@ class CatModule:
         anns = {c: quots[c].module.anns() for c in cat.objects}
         action = {}
         for f, (a, b) in cat.morphisms.items():
-            src = b if variance == CONTRA else a
-            tgt = a if variance == CONTRA else b
-            raw = raw_action[f]
-            cols = []
-            for j in range(quots[src].module.n_gens):
-                v = quots[src].lift(j)
-                cols.append(quots[tgt].project(raw.apply(v)))
-            action[f] = Matrix.from_columns(ring, cols, nrows=quots[tgt].module.n_gens)
+            src, tgt = (b, a) if variance == CONTRA else (a, b)
+            action[f] = induced_map(quots[src], quots[tgt], raw_action[f])
         return cls(cat, variance, ring, anns, action)
 
     def __repr__(self):
@@ -255,6 +249,30 @@ class FreeCatModule:
             out[key] = self.ring.add(out.get(key, self.ring.zero), coeff)
         return out
 
+    def to_sparse(self, obj: str, vec: list) -> dict:
+        """The dense vector vec over basis(obj) as {(i, psi): coeff}, its
+        nonzero entries in basis order."""
+        z = self.ring.zero
+        return {key: x for key, x in zip(self.basis(obj), vec) if x != z}
+
+    def to_dense(self, obj: str, sparse: dict) -> list:
+        """The sparse vector {(i, psi): coeff} as a list over basis(obj)."""
+        idx = self.basis_index(obj)
+        out = [self.ring.zero] * len(idx)
+        for key, coeff in sparse.items():
+            out[idx[key]] = coeff
+        return out
+
+    def push(self, obj: str, image: dict, vecs: list[dict]) -> list:
+        """sum of coeff * transport(psi, vecs[j]) over the terms
+        ((j, psi), coeff) of image, as a list over basis(obj)."""
+        ring = self.ring
+        acc: dict = {}
+        for (j, psi), coeff in image.items():
+            for key, c in self.transport(psi, vecs[j]).items():
+                acc[key] = ring.add(acc.get(key, ring.zero), ring.mul(coeff, c))
+        return self.to_dense(obj, acc)
+
     def action_matrix(self, f: str) -> Matrix:
         cat = self.cat
         a, b = cat.morphisms[f]
@@ -310,18 +328,9 @@ class TensorResult:
         def gid(c, j, k):
             return offset[c] + j * N.rank(c) + k
 
-        rows = []
+        rows = _ann_rows(ring, [M.anns[c][j] for (c, j, k) in self.raw_gens])
+        rows += _ann_rows(ring, [N.anns[c][k] for (c, j, k) in self.raw_gens])
         z = ring.zero
-        for c in cat.objects:
-            manns = M.anns[c]
-            nanns = N.anns[c]
-            for j in range(M.rank(c)):
-                for k in range(N.rank(c)):
-                    for d in (manns[j], nanns[k]):
-                        if d:
-                            row = [z] * n
-                            row[gid(c, j, k)] = d
-                            rows.append(row)
         for f, (a, b) in cat.morphisms.items():
             if f == cat.id_of(a) and a == b:
                 continue

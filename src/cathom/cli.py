@@ -113,6 +113,14 @@ def cmd_chains(args) -> int:
     return EXIT_OK
 
 
+def _check_bounds(args):
+    """Refuse a negative --nmax, --pmax, --qmax or --rmax."""
+    for flag in ("nmax", "pmax", "qmax", "rmax"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise ParseError(f"--{flag} must be non-negative, got {value}")
+
+
 def _load_mn(args, want_n_variance):
     ws = load_bundle(args.bundle)
     if args.module_m not in ws.modules:
@@ -137,10 +145,7 @@ def _load_mn(args, want_n_variance):
 def _load_paged(args, want_n_variance):
     """(ws, M, N, q_max) for ss and ext, refusing the bounds under which
     the pages cannot certify the convergence band."""
-    for flag in ("nmax", "pmax", "qmax", "rmax"):
-        value = getattr(args, flag)
-        if value is not None and value < 0:
-            raise ParseError(f"--{flag} must be non-negative, got {value}")
+    _check_bounds(args)
     ws, M, N = _load_mn(args, want_n_variance)
     q_max = args.qmax if args.qmax is not None else args.nmax + 1
     if q_max < args.nmax + 1:
@@ -227,6 +232,7 @@ def cmd_ext(args) -> int:
 
 def cmd_tor(args) -> int:
     try:
+        _check_bounds(args)
         ws, M, N = _load_mn(args, CO)
     except ParseError as e:
         print(f"INPUT ERROR: {e}", file=sys.stderr)
@@ -247,6 +253,7 @@ def cmd_tor(args) -> int:
 
 def cmd_family(args) -> int:
     try:
+        _check_bounds(args)
         ws = load_bundle(args.bundle)
         if args.family not in ws.families:
             raise ParseError(f"family {args.family!r} not in bundle")
@@ -303,6 +310,7 @@ def cmd_family(args) -> int:
 
 def cmd_assembly(args) -> int:
     try:
+        _check_bounds(args)
         ws = load_bundle(args.bundle)
         if args.module_n not in ws.modules:
             raise ParseError(f"module {args.module_n!r} not in bundle")

@@ -27,11 +27,11 @@ from .fpmod import (
     Subquotient,
     _ann_rows,
     induced_map,
-    presented_homology,
 )
 from .groupbar import GroupModule, group_tor
 from .groups import group_from_aut
 from .matrix import Matrix
+from .resolve import PresentedComplex
 from .spectral import Cell, FilteredComplex, build_filtered_complex, spectral_pages
 
 
@@ -46,7 +46,7 @@ def chain_key_of(fc: FilteredComplex, chain: PChain) -> tuple[int, ...]:
 
 class ChainColumn:
     """The chain's sub-cells of the engine's cells at fixed p, with the
-    vertical differential and its homology."""
+    vertical differential and its homology, each degree computed once."""
 
     def __init__(self, fc: FilteredComplex, p: int, chain: PChain):
         self.fc = fc
@@ -57,17 +57,15 @@ class ChainColumn:
         self.vert: list[Matrix] = [None]  # vert[q]: column_q -> column_{q-1}
         for q in range(1, fc.q_max + 1):
             self.vert.append(self.cells[q].precompose_map(self.cells[q - 1], fc.Q.gen_images[q]))
+        self.complex = PresentedComplex(
+            fc.ring, [cell.module.anns() for cell in self.cells], self.vert[1:]
+        )
+        self._homology: dict[int, Subquotient] = {}
 
     def homology(self, q: int) -> Subquotient:
-        ring = self.fc.ring
-        d_out = self.vert[q] if q >= 1 else Matrix.zeros(ring, 0, self.cells[0].dim)
-        d_in = (
-            self.vert[q + 1]
-            if q + 1 <= self.fc.q_max
-            else Matrix.zeros(ring, self.cells[q].dim, 0)
-        )
-        anns_next = self.cells[q - 1].module.anns() if q >= 1 else []
-        return presented_homology(d_out, d_in, self.cells[q].module.anns(), anns_next)
+        if q not in self._homology:
+            self._homology[q] = self.complex.homology_witness(q)
+        return self._homology[q]
 
 
 # -- the independent group-level side ------------------------------------
@@ -90,10 +88,8 @@ class ChainGroupData:
         if p == 0:
             n = M.rank(c0)
             quot = CanonicalQuotient(ring, n, _ann_rows(ring, M.anns[c0]))
-            act = []
-            for a in self.elems0:
-                mat = M.act(a)  # right action x.a = M(a)(x)
-                act.append(_transport(quot, mat, ring))
+            # right action x.a = M(a)(x)
+            act = [induced_map(quot, quot, M.act(a)) for a in self.elems0]
             self.A = GroupModule(ring, self.G0, quot.module.anns(), act, "right")
             self.biset = None
         else:
@@ -140,13 +136,6 @@ class ChainGroupData:
 
     def tor(self, q_max: int) -> list[Subquotient]:
         return group_tor(self.A, self.B, q_max)
-
-
-def _transport(quot: CanonicalQuotient, raw_mat: Matrix, ring) -> Matrix:
-    cols = []
-    for j in range(quot.module.n_gens):
-        cols.append(quot.project(raw_mat.apply(quot.lift(j))))
-    return Matrix.from_columns(ring, cols, nrows=quot.module.n_gens)
 
 
 def e1_direct(M: CatModule, N: CatModule, q_max: int = 3,

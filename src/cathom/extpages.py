@@ -8,7 +8,8 @@ through boundaries/cycles/homology subfunctors, resolves those by the
 greedy free resolutions and assembles horseshoe resolutions P(W_p) with a
 strictly commuting horizontal differential (the classical construction,
 realized by exact linear solving).  The double cochain complex is then
-Hom_C(P(W_p)_q, N), which collapses to sums of values of N by Yoneda.
+Hom_C(P(W_p)_q, N), which collapses to sums of values of N by Yoneda:
+column p is ``resolve.hom_complex(P(W_p), N)``.
 
 This module only builds that double complex.  ``ExtFilteredComplex`` is a
 ``spectral.TotalComplex`` with step -1: delta raises degree and the
@@ -24,10 +25,10 @@ from __future__ import annotations
 
 from .catmod import CONTRA, CatModule, VarianceMismatch, full_subcategory
 from .fincat import NerveCache, PChain, chain_bound, enumerate_chains
-from .fpmod import CanonicalQuotient, FPModule, SubPresentation, _ann_columns, _ann_rows
+from .fpmod import CanonicalQuotient, FPModule, Subquotient, _ann_columns, _ann_rows, induced_map
 from .intlin import preimage_basis
 from .matrix import Matrix
-from .resolve import Resolution, ext, free_resolution, horseshoe
+from .resolve import Resolution, ext, free_resolution, hom_complex, horseshoe, yoneda_matrix
 from .spectral import (
     Cell,
     TotalComplex,
@@ -57,22 +58,18 @@ class WModule:
 
 
 def _sub_catmodule(cat, ring, W: CatModule, lattices: dict[str, Matrix]):
-    """A submodule functor of W given by generating columns per object,
-    as a CatModule plus inclusion matrices."""
-    subs = {s: SubPresentation(ring, W.anns[s], lattices[s]) for s in cat.objects}
+    """The submodule functor of W spanned per object by the lattice columns
+    and W's relations, as a CatModule plus its per-object Subquotients
+    (lift is the inclusion, project expresses a member)."""
+    subs = {}
+    for s in cat.objects:
+        rels = _ann_columns(ring, W.anns[s])
+        subs[s] = Subquotient(ring, W.rank(s), lattices[s].hstack(rels), rels)
     anns = {s: subs[s].module.anns() for s in cat.objects}
-    action = {}
-    for g, (s2, s) in cat.morphisms.items():
-        src = s  # contravariant
-        tgt = s2
-        cols = []
-        for j in range(subs[src].module.n_gens):
-            v = W.act(g).apply(subs[src].include(j))
-            cols.append(subs[tgt].express(v))
-        action[g] = Matrix.from_columns(ring, cols, nrows=subs[tgt].module.n_gens)
-    mod = CatModule(cat, CONTRA, ring, anns, action, check=False)
-    incl = {s: subs[s].include_matrix() for s in cat.objects}
-    return mod, subs, incl
+    # contravariant: g: s2 -> s acts W(s) -> W(s2)
+    action = {g: induced_map(subs[s], subs[s2], W.act(g))
+              for g, (s2, s) in cat.morphisms.items()}
+    return CatModule(cat, CONTRA, ring, anns, action, check=False), subs
 
 
 class ExtFilteredComplex(TotalComplex):
@@ -97,19 +94,11 @@ class ExtFilteredComplex(TotalComplex):
         self.nerve = NerveCache(self.cat)
         cat, ring = self.cat, self.ring
         self.W: list[WModule] = [WModule(self, p) for p in range(self.p_max + 1)]
-        # d^h_p: W_p -> W_{p-1}, alternating face sum, per object
-        self.dh: list[dict[str, Matrix]] = [None]
-        for p in range(1, self.p_max + 1):
-            mats = {}
-            for s in cat.objects:
-                src, dst = self.W[p].cells[s], self.W[p - 1].cells[s]
-                m = Matrix.zeros(ring, dst.dim, src.dim)
-                sign = ring.one
-                for i in range(p + 1):
-                    m = m + src.face_map(dst, i).scale(sign)
-                    sign = ring.neg(sign)
-                mats[s] = m
-            self.dh.append(mats)
+        # d^h_p: W_p -> W_{p-1}, per object
+        self.dh: list[dict[str, Matrix]] = [None] + [
+            {s: self.W[p].cells[s].boundary(self.W[p - 1].cells[s]) for s in cat.objects}
+            for p in range(1, self.p_max + 1)
+        ]
         # boundaries, cycles, homology subfunctors and the CE resolutions
         self.PW: list[Resolution] = []
         B_mods: list = [None] * (self.p_max + 2)
@@ -121,10 +110,8 @@ class ExtFilteredComplex(TotalComplex):
                 lat = {s: self.dh[p + 1][s] for s in cat.objects}
             else:
                 lat = {s: Matrix.zeros(ring, Wp.rank(s), 0) for s in cat.objects}
-            B_mods[p], B_subs[p], _ = _sub_catmodule(cat, ring, Wp, lat)
+            B_mods[p], B_subs[p] = _sub_catmodule(cat, ring, Wp, lat)
             RB[p] = free_resolution(B_mods[p], q_max)
-        # empty boundary object below the bottom row
-        zero_lat = {s: Matrix.zeros(ring, self.W[0].module.rank(s), 0) for s in cat.objects}
         for p in range(self.p_max + 1):
             Wp = self.W[p].module
             if p >= 1:
@@ -138,13 +125,13 @@ class ExtFilteredComplex(TotalComplex):
                 ker = {
                     s: Matrix.identity(ring, Wp.rank(s)) for s in cat.objects
                 }
-            Z_mod, Z_subs, _ = _sub_catmodule(cat, ring, Wp, ker)
+            Z_mod, Z_subs = _sub_catmodule(cat, ring, Wp, ker)
             # H = Z / B with B expressed inside Z
             bincl = {}
             for s in cat.objects:
                 cols = []
                 for j in range(B_mods[p].rank(s)):
-                    cols.append(Z_subs[s].express(B_subs[p][s].include(j)))
+                    cols.append(Z_subs[s].project(B_subs[p][s].lift(j)))
                 bincl[s] = Matrix.from_columns(ring, cols, nrows=Z_mod.rank(s))
             hquots = {
                 s: CanonicalQuotient(ring, Z_mod.rank(s),
@@ -152,40 +139,28 @@ class ExtFilteredComplex(TotalComplex):
                 for s in cat.objects
             }
             h_anns = {s: hquots[s].module.anns() for s in cat.objects}
-            h_action = {}
-            for g, (s2, s) in cat.morphisms.items():
-                cols = []
-                for j in range(hquots[s].module.n_gens):
-                    v = Z_mod.act(g).apply(hquots[s].lift(j))
-                    cols.append(hquots[s2].project(v))
-                h_action[g] = Matrix.from_columns(
-                    ring, cols, nrows=hquots[s2].module.n_gens
-                )
+            h_action = {g: induced_map(hquots[s], hquots[s2], Z_mod.act(g))
+                        for g, (s2, s) in cat.morphisms.items()}
             H_mod = CatModule(cat, CONTRA, ring, h_anns, h_action, check=False)
             RH = free_resolution(H_mod, q_max)
             hproj = {
                 s: Matrix.from_columns(
                     ring,
-                    [
-                        hquots[s].project(_unit(ring, Z_mod.rank(s), j))
-                        for j in range(Z_mod.rank(s))
-                    ],
+                    [hquots[s].project(e) for e in Matrix.identity(ring, Z_mod.rank(s)).columns()],
                     nrows=hquots[s].module.n_gens,
                 )
                 for s in cat.objects
             }
             RZ = horseshoe(bincl, hproj, RB[p], RH, Z_mod)
-            zincl = {s: Z_subs[s].include_matrix() for s in cat.objects}
+            zincl = {s: Z_subs[s].lifts() for s in cat.objects}
             if p >= 1:
-                wproj = {}
-                for s in cat.objects:
-                    cols = []
-                    for j in range(Wp.rank(s)):
-                        v = self.dh[p][s].apply(_unit(ring, Wp.rank(s), j))
-                        cols.append(B_subs[p - 1][s].express(v))
-                    wproj[s] = Matrix.from_columns(
-                        ring, cols, nrows=B_mods[p - 1].rank(s)
+                wproj = {
+                    s: Matrix.from_columns(
+                        ring, [B_subs[p - 1][s].project(v) for v in self.dh[p][s].columns()],
+                        nrows=B_mods[p - 1].rank(s),
                     )
+                    for s in cat.objects
+                }
                 PW = horseshoe(zincl, wproj, RZ, RB[p - 1], Wp)
             else:
                 PW = RZ
@@ -197,19 +172,8 @@ class ExtFilteredComplex(TotalComplex):
             self._rb_sizes.append(
                 [len(RB[p - 1].levels[q].summands) for q in range(q_max + 1)]
             )
-        # Hom blocks: level q of Hom(PW_p, N) is the sum of N(c_i)
-        self._anns: dict[tuple[int, int], list] = {}
-        for p in range(self.p_max + 1):
-            for q in range(q_max + 1):
-                anns = []
-                for c in self.PW[p].levels[q].summands:
-                    anns.extend(N.anns[c])
-                self._anns[(p, q)] = anns
-        self._vert = {
-            (p, q): self._hom_of_diff(p, q)
-            for p in range(self.p_max + 1)
-            for q in range(q_max)
-        }
+        # column p is Hom(PW_p, N); level q is the sum of N(c_i) (Yoneda)
+        self._hom = [hom_complex(PW, N) for PW in self.PW]
         self._horiz = {
             (p, q): self._hom_of_delta(p, q)
             for p in range(self.p_max)
@@ -219,58 +183,21 @@ class ExtFilteredComplex(TotalComplex):
 
     # -- plumbing ---------------------------------------------------------
 
-    def _hom_of_diff(self, p: int, q: int) -> Matrix:
-        """Hom(d_{q+1}, N): cell (p, q) -> cell (p, q+1)."""
-        ring = self.ring
-        N = self.N
-        res = self.PW[p]
-        rows = self.block_dim(p, q + 1)
-        cols = self.block_dim(p, q)
-        m = Matrix.zeros(ring, rows, cols)
-        offs_src = _offsets(res.levels[q].summands, N)
-        offs_dst = _offsets(res.levels[q + 1].summands, N)
-        for i, c in enumerate(res.levels[q + 1].summands):
-            for (j, psi), coeff in res.gen_images[q + 1][i].items():
-                blk = N.act(psi)  # psi: c -> c_j, contra: N(c_j) -> N(c)
-                r0 = offs_dst[i]
-                c0 = offs_src[j]
-                for r in range(blk.rows):
-                    for s2 in range(blk.cols):
-                        v = ring.mul(coeff, blk.data[r][s2])
-                        if v != ring.zero:
-                            m.data[r0 + r][c0 + s2] = ring.add(
-                                m.data[r0 + r][c0 + s2], v
-                            )
-        return m
-
     def _hom_of_delta(self, p: int, q: int) -> Matrix:
         """Hom(delta_{p+1}, N): cell (p, q) -> cell (p+1, q).
 
         delta: PW_{p+1} -> PW_p sends the RB_p tail summands of PW_{p+1}
         identically onto the leading RB_p summands of PW_p.
         """
-        ring = self.ring
-        N = self.N
-        src_res = self.PW[p]      # target of delta
-        dst_res = self.PW[p + 1]  # source of delta
-        rows = self.block_dim(p + 1, q)
-        cols = self.block_dim(p, q)
-        m = Matrix.zeros(ring, rows, cols)
-        tail = self._rb_len(p + 1, q)
-        dst_sums = dst_res.levels[q].summands
-        src_sums = src_res.levels[q].summands
-        offs_dst = _offsets(dst_sums, N)
-        offs_src = _offsets(src_sums, N)
-        for t in range(tail):
-            i_dst = len(dst_sums) - tail + t  # RB_p summand inside PW_{p+1}
-            i_src = t                          # leading RB_p summand inside PW_p
-            if src_sums[i_src] != dst_sums[i_dst]:
+        dst_sums = self.PW[p + 1].levels[q].summands  # source of delta
+        src_sums = self.PW[p].levels[q].summands      # target of delta
+        lead = len(dst_sums) - self._rb_len(p + 1, q)
+        images = [{} for _ in range(lead)]
+        for t, c in enumerate(dst_sums[lead:]):
+            if src_sums[t] != c:
                 raise AssertionError("CE block misalignment")
-            r0 = offs_dst[i_dst]
-            c0 = offs_src[i_src]
-            for k in range(N.rank(src_sums[i_src])):
-                m.data[r0 + k][c0 + k] = ring.one
-        return m
+            images.append({(t, self.cat.id_of(c)): self.ring.one})
+        return yoneda_matrix(self.N, dst_sums, src_sums, images, cochain=True)
 
     def _rb_len(self, p: int, q: int) -> int:
         """Number of RB_{p-1} tail summands at level q of PW_p."""
@@ -282,28 +209,13 @@ class ExtFilteredComplex(TotalComplex):
         return self._horiz[(p, q)]
 
     def vertical(self, p: int, q: int) -> Matrix:
-        return self._vert[(p, q)]
+        return self._hom[p].diffs[q]
 
     def block_dim(self, p: int, q: int) -> int:
-        return len(self._anns[(p, q)])
+        return len(self._hom[p].anns[q])
 
     def block_anns(self, p: int, q: int) -> list:
-        return self._anns[(p, q)]
-
-
-def _unit(ring, n, j):
-    v = [ring.zero] * n
-    v[j] = ring.one
-    return v
-
-
-def _offsets(summands: list[str], N: CatModule) -> list[int]:
-    out = []
-    tot = 0
-    for c in summands:
-        out.append(tot)
-        tot += N.rank(c)
-    return out
+        return self._hom[p].anns[q]
 
 
 def _rebase(res: Resolution, W: CatModule, incl: dict[str, Matrix]) -> Resolution:

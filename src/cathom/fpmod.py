@@ -274,8 +274,10 @@ def presented_homology(
     return Subquotient(ring, d_out.cols, cycles, bounds)
 
 
-def induced_map(src: Subquotient, dst: Subquotient, T: Matrix) -> Matrix:
-    """Matrix of the map induced on subquotients by the ambient map T."""
+def induced_map(src: Subquotient | CanonicalQuotient,
+                dst: Subquotient | CanonicalQuotient, T: Matrix) -> Matrix:
+    """Matrix, on canonical generators, of the map induced by the ambient
+    map T from src to dst."""
     cols = []
     for j in range(src.module.n_gens):
         cols.append(dst.project(T.apply(src.lift(j))))
@@ -290,58 +292,3 @@ def solve_mod(A: Matrix, anns_target: list, b: list) -> list | None:
         return None
     return sol[: A.cols]
 
-
-class SubPresentation:
-    """A sublattice of a presented module, canonicalized as a module.
-
-    The sublattice is spanned by the given columns together with the
-    ambient relations; ``include`` maps canonical generators to ambient
-    coordinates and ``express`` inverts it on members.
-    """
-
-    def __init__(self, ring: Ring, ambient_anns: list, lattice_cols: Matrix):
-        self.ring = ring
-        self.ambient_anns = list(ambient_anns)
-        n = len(ambient_anns)
-        basis = StairBasis(ring, n)
-        for j in range(lattice_cols.cols):
-            basis.add(lattice_cols.column(j))
-        ann_rows = _ann_rows(ring, ambient_anns)
-        for row in ann_rows:
-            basis.add(row)
-        self._basis = basis
-        self._cols = basis.pivot_cols()
-        rel_rows = []
-        for vec in ann_rows:
-            coeffs = basis.express(vec)
-            rel_rows.append([coeffs.get(c, ring.zero) for c in self._cols])
-        self.quot = CanonicalQuotient(ring, basis.rank, rel_rows)
-        self.module = self.quot.module
-
-    def include(self, j: int) -> list:
-        """Ambient coordinates of canonical generator j."""
-        y = self.quot.lift(j)
-        ring = self.ring
-        z = ring.zero
-        out = [z] * len(self.ambient_anns)
-        for c, coeff in zip(self._cols, y):
-            if coeff == z:
-                continue
-            piv = self._basis.pivots[c]
-            for i, v in piv.items():
-                out[i] = ring.add(out[i], ring.mul(coeff, v))
-        return out
-
-    def include_matrix(self) -> Matrix:
-        return Matrix.from_columns(
-            self.ring,
-            [self.include(j) for j in range(self.module.n_gens)],
-            nrows=len(self.ambient_anns),
-        )
-
-    def express(self, vec: list) -> list:
-        coeffs = self._basis.express(vec)
-        if coeffs is None:
-            raise NotASubmodule("vector is not in the sublattice")
-        y = [coeffs.get(c, self.ring.zero) for c in self._cols]
-        return self.quot.project(y)

@@ -163,6 +163,19 @@ class Matrix:
             out = [a % p for a in out]
         return out
 
+    def add_block(self, r0: int, c0: int, blk: "Matrix", coeff=None) -> None:
+        """Add coeff * blk (blk itself when coeff is None) into this matrix
+        in place, with blk's top-left entry at (r0, c0)."""
+        ring = self.ring
+        z = ring.zero
+        for r, brow in enumerate(blk.data):
+            row = self.data[r0 + r]
+            for c, x in enumerate(brow):
+                if x != z:
+                    if coeff is not None:
+                        x = ring.mul(coeff, x)
+                    row[c0 + c] = ring.add(row[c0 + c], x)
+
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")

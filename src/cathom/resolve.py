@@ -7,6 +7,13 @@ target element.  strategy="full" instead adds every kernel basis vector
 at every object; it is kept as the independent second resolution for the
 oracle-independence tests.
 
+Every collapse of a map of free modules against a coefficient module N is
+built by the one block builder ``yoneda_matrix``: the Tor complex
+(F_* (x)_C N), the Ext complex Hom_C(F_*, N) (also the columns of
+``extpages.ExtFilteredComplex`` and its horizontal blocks) and the chain
+map of the assembly.  Vectors over a free module's basis are moved and
+densified by ``FreeCatModule.to_sparse``/``to_dense``/``push``.
+
 The assembly map along a functor F: B -> C is computed by inducing a free
 resolution of the constant module over B (a symbol-level relabeling),
 lifting its augmentation into a free resolution of the constant module
@@ -18,7 +25,15 @@ from __future__ import annotations
 
 from .catmod import CO, CONTRA, CatModule, FreeCatModule, Functor, VarianceMismatch
 from .fincat import FiniteCategory
-from .fpmod import FPModule, Subquotient, _ann_columns, _ann_rows, presented_homology, solve_mod
+from .fpmod import (
+    FPModule,
+    Subquotient,
+    _ann_columns,
+    _ann_rows,
+    induced_map,
+    presented_homology,
+    solve_mod,
+)
 from .intlin import ColumnOps, StairBasis, kernel_basis, preimage_basis
 from .matrix import Matrix
 from .rings import Ring
@@ -95,18 +110,12 @@ class Resolution:
 
     def eval_diff(self, k: int, obj: str) -> Matrix:
         """The matrix F_k(obj) -> F_{k-1}(obj)."""
-        Fk = self.levels[k]
         Fprev = self.levels[k - 1]
-        tgt_index = Fprev.basis_index(obj)
-        cols = []
-        z = self.ring.zero
-        for (i, phi) in Fk.basis(obj):
-            col = [z] * len(tgt_index)
-            moved = Fprev.transport(phi, self.gen_images[k][i])
-            for key, coeff in moved.items():
-                col[tgt_index[key]] = self.ring.add(col[tgt_index[key]], coeff)
-            cols.append(col)
-        return Matrix.from_columns(self.ring, cols, nrows=len(tgt_index))
+        cols = [
+            Fprev.to_dense(obj, Fprev.transport(phi, self.gen_images[k][i]))
+            for (i, phi) in self.levels[k].basis(obj)
+        ]
+        return Matrix.from_columns(self.ring, cols, nrows=Fprev.rank(obj))
 
     def verify(self) -> list[str]:
         """Check d.d = 0 and exactness objectwise below the top level."""
@@ -191,24 +200,16 @@ def free_resolution(M: CatModule, length: int, strategy: str = "greedy") -> Reso
         images: list[dict] = []
         for c in order:
             K = kernels[c]
-            basis_c = prev.basis(c)
             for j in range(K.cols):
                 v = K.column(j)
                 if strategy != "full" and spanned[c].contains(v):
                     continue
                 summands.append(c)
-                sparse = {
-                    basis_c[i]: v[i] for i in range(len(v)) if v[i] != ring.zero
-                }
+                sparse = prev.to_sparse(c, v)
                 images.append(sparse)
                 for d in cat.objects:
                     for phi in reaches(d, c):
-                        moved = prev.transport(phi, sparse)
-                        dense = [ring.zero] * prev.rank(d)
-                        idx = prev.basis_index(d)
-                        for key, coeff in moved.items():
-                            dense[idx[key]] = ring.add(dense[idx[key]], coeff)
-                        spanned[d].add(dense)
+                        spanned[d].add(prev.to_dense(d, prev.transport(phi, sparse)))
         res.levels.append(FreeCatModule(cat, ring, M.variance, summands))
         res.gen_images.append(images)
     return res
@@ -254,96 +255,63 @@ class PresentedComplex:
         return self.homology_witness(q).module
 
 
-def tensor_complex(res: Resolution, N: CatModule) -> PresentedComplex:
-    """(F_* of the resolution) (x)_C N, collapsed by co-Yoneda.
+def yoneda_matrix(N: CatModule, gens: list[str], targets: list[str],
+                  images: list[dict], cochain: bool = False) -> Matrix:
+    """A map of free modules collapsed against N by (co-)Yoneda.
 
-    Level k is the direct sum of N(c_i) over the level's summands; the
-    differential block from summand i to summand j sums coeff * N(psi)
-    over the terms (j, psi) of the generator image.
+    Generator i (at object gens[i]) maps to the sum of coeff * (j, psi)
+    over the terms ((j, psi), coeff) of images[i], j indexing targets.  The
+    block coeff * N(psi) goes at (target j, generator i), as a block of the
+    tensored chain map; with cochain set it goes at (generator i, target j),
+    as a block of the Hom cochain map.
     """
+    def offsets(objs):
+        out, total = [], 0
+        for c in objs:
+            out.append(total)
+            total += N.rank(c)
+        return out, total
+
+    g_offs, g_dim = offsets(gens)
+    t_offs, t_dim = offsets(targets)
+    m = Matrix.zeros(N.ring, g_dim, t_dim) if cochain else Matrix.zeros(N.ring, t_dim, g_dim)
+    for i, image in enumerate(images):
+        for (j, psi), coeff in image.items():
+            if cochain:
+                m.add_block(g_offs[i], t_offs[j], N.act(psi), coeff)
+            else:
+                m.add_block(t_offs[j], g_offs[i], N.act(psi), coeff)
+    return m
+
+
+def _collapse(res: Resolution, N: CatModule, cochain: bool) -> PresentedComplex:
+    """Level k is the sum of N(c_i) over the summands c_i of F_k; diffs[k-1]
+    is the Yoneda collapse of F_k -> F_{k-1}."""
+    anns = [[d for c in lvl.summands for d in N.anns[c]] for lvl in res.levels]
+    diffs = [
+        yoneda_matrix(N, res.levels[k].summands, res.levels[k - 1].summands,
+                      res.gen_images[k], cochain)
+        for k in range(1, res.length + 1)
+    ]
+    return PresentedComplex(N.ring, anns, diffs)
+
+
+def tensor_complex(res: Resolution, N: CatModule) -> PresentedComplex:
+    """(F_* of the resolution) (x)_C N, collapsed by co-Yoneda."""
     if N.variance != (CO if res.variance == CONTRA else CONTRA):
         raise VarianceMismatch("tensor needs opposite variances")
-    ring = res.ring
-    anns = []
-    for k in range(res.length + 1):
-        level = []
-        for c in res.levels[k].summands:
-            level.extend(N.anns[c])
-        anns.append(level)
-    offsets = []
-    for k in range(res.length + 1):
-        offs = []
-        total = 0
-        for c in res.levels[k].summands:
-            offs.append(total)
-            total += N.rank(c)
-        offsets.append(offs)
-    diffs = []
-    for k in range(1, res.length + 1):
-        rows = len(anns[k - 1])
-        cols = len(anns[k])
-        m = Matrix.zeros(ring, rows, cols)
-        col0 = 0
-        for i, c in enumerate(res.levels[k].summands):
-            for (j, psi), coeff in res.gen_images[k][i].items():
-                blk = N.act(psi)  # N(c) -> N(c_j) (co) based at summand objects
-                r0 = offsets[k - 1][j]
-                for r in range(blk.rows):
-                    for s in range(blk.cols):
-                        v = ring.mul(coeff, blk.data[r][s])
-                        if v != ring.zero:
-                            m.data[r0 + r][col0 + s] = ring.add(
-                                m.data[r0 + r][col0 + s], v
-                            )
-            col0 += N.rank(c)
-        diffs.append(m)
-    return PresentedComplex(ring, anns, diffs)
+    return _collapse(res, N, cochain=False)
 
 
 def hom_complex(res: Resolution, N: CatModule) -> PresentedComplex:
-    """Hom_C(F_*, N) for contravariant res and N; cochain differentials.
+    """Hom_C(F_*, N) for contravariant res and N, collapsed by Yoneda.
 
-    Level q is the sum of N(c_i) over level-q summands (Yoneda); the
-    returned PresentedComplex stores delta^q: C^q -> C^{q+1} as diffs[q],
-    so homology_witness is not applicable; use cohomology_witness.
+    The returned PresentedComplex stores delta^q: C^q -> C^{q+1} as
+    diffs[q], so homology_witness is not applicable; use cohomology_witness.
     """
     if res.variance != CONTRA or N.variance != CONTRA:
         raise VarianceMismatch("Ext needs both modules contravariant")
-    ring = res.ring
-    anns = []
-    for k in range(res.length + 1):
-        level = []
-        for c in res.levels[k].summands:
-            level.extend(N.anns[c])
-        anns.append(level)
-    offsets = []
-    for k in range(res.length + 1):
-        offs = []
-        total = 0
-        for c in res.levels[k].summands:
-            offs.append(total)
-            total += N.rank(c)
-        offsets.append(offs)
-    deltas = []
-    for k in range(1, res.length + 1):
-        rows = len(anns[k])
-        cols = len(anns[k - 1])
-        m = Matrix.zeros(ring, rows, cols)
-        row0 = 0
-        for i, c in enumerate(res.levels[k].summands):
-            for (j, psi), coeff in res.gen_images[k][i].items():
-                blk = N.act(psi)  # psi: c -> c_j, contra N: N(c_j) -> N(c)
-                c0 = offsets[k - 1][j]
-                for r in range(blk.rows):
-                    for s in range(blk.cols):
-                        v = ring.mul(coeff, blk.data[r][s])
-                        if v != ring.zero:
-                            m.data[row0 + r][c0 + s] = ring.add(
-                                m.data[row0 + r][c0 + s], v
-                            )
-            row0 += N.rank(c)
-        deltas.append(m)
-    return PresentedComplex(ring, anns, deltas)
+    return _collapse(res, N, cochain=True)
 
 
 def cohomology_witness(cx: PresentedComplex, q: int) -> Subquotient:
@@ -431,21 +399,12 @@ def horseshoe(iota: dict[str, Matrix], pi: dict[str, Matrix],
                 mat = iota[obj] @ resA.eval_aug(obj)
                 hvec = solve_mod(mat, middle.anns[obj], rhs)
             else:
-                rhs = [ring.zero] * resA.levels[k - 2].rank(obj)
-                FA2 = resA.levels[k - 2]
-                idx = FA2.basis_index(obj)
-                for (j, psi), coeff in dC.items():
-                    moved = FA2.transport(psi, h_prev[j])
-                    for key, c in moved.items():
-                        rhs[idx[key]] = ring.add(rhs[idx[key]], ring.mul(coeff, c))
+                rhs = resA.levels[k - 2].push(obj, dC, h_prev)
                 rhs = [ring.neg(x) for x in rhs]
                 hvec = ColumnOps(resA.eval_diff(k - 1, obj)).solve(rhs)
             if hvec is None:
                 raise LiftFailed(f"horseshoe: no correction at level {k}")
-            basis = FAprev.basis(obj)
-            hsparse = {
-                basis[t]: hvec[t] for t in range(len(hvec)) if hvec[t] != ring.zero
-            }
+            hsparse = FAprev.to_sparse(obj, hvec)
             h_this.append(hsparse)
             combined: dict = dict(hsparse)
             for (j, psi), coeff in dC.items():
@@ -534,38 +493,20 @@ def assembly_tor(F: Functor, N: CatModule, n_max: int) -> AssemblyResult:
     FP = induce_free(F, P)
 
     # lift rho: F_* P -> P' over the counit F_* const_B -> const_C
-    rho: list[list[list]] = []  # per level, per generator: vector in P'_k(obj)
+    rho: list[list[dict]] = []  # per level, per generator: sparse over P'_k(obj)
     for k in range(n_max + 2):
         level_vecs = []
         for i, obj in enumerate(FP.levels[k].summands):
             if k == 0:
                 target = P.aug_images[i]  # scalar vector of length 1
-                solver = ColumnOps(Pp.eval_aug(obj))
-                v = solver.solve(list(target))
+                v = ColumnOps(Pp.eval_aug(obj)).solve(list(target))
             else:
                 # rhs = rho_{k-1}(d(gen i)) inside P'_{k-1}(obj)
-                prev = Pp.levels[k - 1]
-                rhs = [ring.zero] * prev.rank(obj)
-                prev_index = prev.basis_index(obj)
-                for (j, psi), coeff in FP.gen_images[k][i].items():
-                    wj = rho[k - 1][j]
-                    # transport wj along psi: obj -> summand_j object
-                    src_basis = prev.basis(FP.levels[k - 1].summands[j])
-                    sparse = {
-                        src_basis[t]: wj[t]
-                        for t in range(len(wj))
-                        if wj[t] != ring.zero
-                    }
-                    moved = prev.transport(psi, sparse)
-                    for key, cf in moved.items():
-                        rhs[prev_index[key]] = ring.add(
-                            rhs[prev_index[key]], ring.mul(coeff, cf)
-                        )
-                solver = ColumnOps(Pp.eval_diff(k, obj))
-                v = solver.solve(rhs)
+                rhs = Pp.levels[k - 1].push(obj, FP.gen_images[k][i], rho[k - 1])
+                v = ColumnOps(Pp.eval_diff(k, obj)).solve(rhs)
             if v is None:
                 raise LiftFailed(f"no lift at level {k} generator {i}")
-            level_vecs.append(v)
+            level_vecs.append(Pp.levels[k].to_sparse(obj, v))
         rho.append(level_vecs)
 
     src_cx = tensor_complex(FP, N)  # equals P (x)_B F^* N by adjunction
@@ -576,36 +517,9 @@ def assembly_tor(F: Functor, N: CatModule, n_max: int) -> AssemblyResult:
     targets = []
     isos = []
     for q in range(n_max + 1):
-        rows = len(dst_cx.anns[q])
-        cols = len(src_cx.anns[q])
-        m = Matrix.zeros(ring, rows, cols)
-        col0 = 0
-        offs = []
-        total = 0
-        for c in Pp.levels[q].summands:
-            offs.append(total)
-            total += N.rank(c)
-        for i, obj in enumerate(FP.levels[q].summands):
-            basis = Pp.levels[q].basis(obj)
-            v = rho[q][i]
-            for t, (j, psi) in enumerate(basis):
-                coeff = v[t]
-                if coeff == ring.zero:
-                    continue
-                blk = N.act(psi)
-                r0 = offs[j]
-                for r in range(blk.rows):
-                    for s in range(blk.cols):
-                        val = ring.mul(coeff, blk.data[r][s])
-                        if val != ring.zero:
-                            m.data[r0 + r][col0 + s] = ring.add(
-                                m.data[r0 + r][col0 + s], val
-                            )
-            col0 += N.rank(obj)
+        m = yoneda_matrix(N, FP.levels[q].summands, Pp.levels[q].summands, rho[q])
         src_h = src_cx.homology_witness(q)
         dst_h = dst_cx.homology_witness(q)
-        from .fpmod import induced_map
-
         hmap = induced_map(src_h, dst_h, m)
         maps.append(hmap)
         sources.append(src_h.module)

@@ -45,9 +45,6 @@ class Ring:
     def is_zero(self, a) -> bool:
         return a == self.zero
 
-    def is_unit(self, a) -> bool:
-        raise NotImplementedError
-
     def inv(self, a):
         raise NotImplementedError
 
@@ -97,9 +94,6 @@ class IntegerRing(Ring):
             raise TypeError(f"not an integer: {x!r}")
         return x
 
-    def is_unit(self, a) -> bool:
-        return a in (1, -1)
-
     def inv(self, a):
         if a in (1, -1):
             return a
@@ -131,9 +125,6 @@ class RationalRing(Ring):
         if isinstance(x, str):
             return Fraction(x)
         raise TypeError(f"not a rational: {x!r}")
-
-    def is_unit(self, a) -> bool:
-        return a != 0
 
     def inv(self, a):
         return 1 / a
@@ -177,9 +168,6 @@ class PrimeField(Ring):
 
     def mul(self, a, b):
         return (a * b) % self.p
-
-    def is_unit(self, a) -> bool:
-        return a % self.p != 0
 
     def inv(self, a):
         a %= self.p

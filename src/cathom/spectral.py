@@ -54,6 +54,7 @@ from .fpmod import (
     Subquotient,
     _ann_columns,
     _ann_rows,
+    induced_map,
     presented_homology,
 )
 from .intlin import StairBasis, preimage_basis
@@ -104,13 +105,10 @@ class NerveBimoduleComplex:
         return m
 
     def diff_matrix(self, p: int, s: str, t: str) -> Matrix:
-        out = Matrix.zeros(self.ring, self.rank(p - 1, s, t), self.rank(p, s, t))
-        sign = self.ring.one
-        for i in range(p + 1):
-            f = self.face_matrix(p, i, s, t)
-            out = out + f.scale(sign)
-            sign = self.ring.neg(sign)
-        return out
+        return alternating_sum(
+            self.ring, self.rank(p - 1, s, t), self.rank(p, s, t),
+            (self.face_matrix(p, i, s, t) for i in range(p + 1)),
+        )
 
     def validate(self) -> list[str]:
         out = []
@@ -122,6 +120,17 @@ class NerveBimoduleComplex:
                     if not (d0 @ d1).is_zero():
                         out.append(f"d.d != 0 at p={p}, ({s},{t})")
         return out
+
+
+def alternating_sum(ring: Ring, rows: int, cols: int, faces) -> Matrix:
+    """sum_i (-1)^i faces[i], a rows x cols matrix: the face-map
+    differential of a simplicial object."""
+    out = Matrix.zeros(ring, rows, cols)
+    sign = ring.one
+    for f in faces:
+        out = out + f.scale(sign)
+        sign = ring.neg(sign)
+    return out
 
 
 def build_nerve_complex(cat: FiniteCategory, p_max: int | None = None) -> NerveBimoduleComplex:
@@ -249,11 +258,12 @@ class TotalComplex:
         ofs_dst = self.offsets(n - s)
         for (p, q) in self.blocks(n):
             c0 = ofs_src[(p, q)]
+            # the blocks never overlap, so adding them places them
             if (p - s, q) in ofs_dst:
-                _paste(out, ofs_dst[(p - s, q)], c0, self.horizontal(p, q))
+                out.add_block(ofs_dst[(p - s, q)], c0, self.horizontal(p, q))
             if (p, q - s) in ofs_dst:
                 sign = ring.one if p % 2 == 0 else ring.neg(ring.one)
-                _paste(out, ofs_dst[(p, q - s)], c0, self.vertical(p, q), sign)
+                out.add_block(ofs_dst[(p, q - s)], c0, self.vertical(p, q), sign)
         self._total_cache[n] = out
         return out
 
@@ -276,16 +286,6 @@ class TotalComplex:
     def certified_band(self) -> int:
         """Total degrees for which pages and homology are trusted."""
         return self.q_max - 1
-
-
-def _paste(out: Matrix, r0: int, c0: int, blk: Matrix, sign=None) -> None:
-    """Write the nonzero entries of blk (times sign) into out at (r0, c0)."""
-    z = out.ring.zero
-    for r, brow in enumerate(blk.data):
-        row = out.data[r0 + r]
-        for c, x in enumerate(brow):
-            if x != z:
-                row[c0 + c] = x if sign is None else out.ring.mul(sign, x)
 
 
 # -- the filtered double complex -------------------------------------------
@@ -414,6 +414,11 @@ class Cell:
 
         return self.map_to(dst, raw_fn)
 
+    def boundary(self, dst: "Cell") -> Matrix:
+        """The nerve differential onto dst: sum_i (-1)^i face_map(dst, i)."""
+        return alternating_sum(self.ring, dst.dim, self.dim,
+                               (self.face_map(dst, i) for i in range(self.p + 1)))
+
     def precompose_map(self, dst: "Cell", images: list[dict]) -> Matrix:
         """Precompose the alpha leg: summand i goes to the sum of
         coeff * (alpha . psi) over ((i2, psi), coeff) in images[i], where
@@ -471,12 +476,6 @@ class FilteredComplex(TotalComplex):
             for p in range(self.p_max + 1)
         }
         cells = self.cells
-        self._face_mats: dict[tuple[int, int, int], Matrix] = {
-            (p, q, i): cells[(p, q)].face_map(cells[(p - 1, q)], i)
-            for q in range(q_max + 1)
-            for p in range(1, self.p_max + 1)
-            for i in range(p + 1)
-        }
         # psi: b_{i2} -> b (covariant basis) in the resolution differential
         self._vert_mats: dict[tuple[int, int], Matrix] = {
             (p, q): cells[(p, q)].precompose_map(cells[(p, q - 1)], self.Q.gen_images[q])
@@ -488,12 +487,7 @@ class FilteredComplex(TotalComplex):
 
     def horizontal(self, p: int, q: int) -> Matrix:
         if (p, q) not in self._horiz_cache:
-            out = Matrix.zeros(self.ring, self.cells[(p - 1, q)].dim, self.cells[(p, q)].dim)
-            sign = self.ring.one
-            for i in range(p + 1):
-                out = out + self._face_mats[(p, q, i)].scale(sign)
-                sign = self.ring.neg(sign)
-            self._horiz_cache[(p, q)] = out
+            self._horiz_cache[(p, q)] = self.cells[(p, q)].boundary(self.cells[(p - 1, q)])
         return self._horiz_cache[(p, q)]
 
     def vertical(self, p: int, q: int) -> Matrix:
@@ -661,12 +655,7 @@ def spectral_pages(fc: TotalComplex, r_max: int | None = None) -> list[Page]:
             dst = page.entries[tgt].witnesses
             if dst.module.n_gens == 0:
                 continue
-            D = fc.total_diff(p + q)
-            cols = []
-            for j in range(src.module.n_gens):
-                x = src.lift(j)
-                cols.append(dst.project(D.apply(x)))
-            page.diffs[(p, q)] = Matrix.from_columns(ring, cols, nrows=dst.module.n_gens)
+            page.diffs[(p, q)] = induced_map(src, dst, fc.total_diff(p + q))
         pages.append(page)
     return pages
 

@@ -248,12 +248,12 @@ class TestCLI:
             assert (json.dumps(part["convergence"], sort_keys=True, indent=2)
                     == json.dumps(full["convergence"], sort_keys=True, indent=2))
 
-    @pytest.mark.parametrize("command", ["ss", "ext"])
+    @pytest.mark.parametrize("command", ["ss", "ext", "tor"])
     @pytest.mark.parametrize("flags", [["--rmax", "-2", "--format", "table"],
                                        ["--rmax", "-2"], ["--nmax", "-1"],
                                        ["--pmax", "-1"], ["--qmax", "-1"]])
     def test_negative_bounds_exit_4(self, orz2_bundle, command, flags, tmp_path, capsys):
-        n = "Nconst" if command == "ss" else "Mconst"
+        n = "Mconst" if command == "ext" else "Nconst"
         out = tmp_path / "o.json"
         rc = main([command, orz2_bundle, "-M", "Malt", "-N", n, *flags, "--out", str(out)])
         assert rc == 4
@@ -316,6 +316,25 @@ class TestCLI:
         # the unique maximal member of ALL is S3 itself, so M and NM hold
         assert doc["M"] is True and doc["NM"] is True
         assert doc["reduced"]["subgroups"] == [list(range(6))]
+
+    def test_family_assembly_negative_nmax_exit_4(self, orz2_bundle, tmp_path, capsys):
+        out = tmp_path / "fam.json"
+        rc = main(["family", orz2_bundle, "--family", "all", "--assembly",
+                   "--nmax", "-1", "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("INPUT ERROR: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_assembly_negative_nmax_exit_4(self, orz2_bundle, tmp_path, capsys):
+        cat = fixture_category("OrZ2")
+        out = tmp_path / "asm.json"
+        rc = main(["assembly", orz2_bundle, "-N", "Nconst", "--objects", cat.objects[0],
+                   "--nmax", "-1", "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("INPUT ERROR: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_assembly_command(self, orz2_bundle, tmp_path):
         cat = fixture_category("OrZ2")

@@ -135,6 +135,61 @@ class TestVerifyE1:
                 assert row["engine"] == "0"
 
 
+class TestColumnHomologyOnce:
+    """Each chain column computes the homology of a degree once, however
+    often verify_e1 and the d^1 helpers ask for it."""
+
+    @pytest.fixture
+    def column_homology_calls(self, monkeypatch):
+        import cathom.e1data as e1data
+        import cathom.fpmod as fpmod
+        import cathom.resolve as resolve
+
+        calls = []
+        in_group_tor = []
+        real_homology = fpmod.presented_homology
+        real_group_tor = e1data.group_tor
+
+        def counting(*args, **kwargs):
+            if not in_group_tor:  # the bar complexes of the group-level side
+                calls.append(1)
+            return real_homology(*args, **kwargs)
+
+        def flagged(*args, **kwargs):
+            in_group_tor.append(1)
+            try:
+                return real_group_tor(*args, **kwargs)
+            finally:
+                in_group_tor.pop()
+
+        for mod in (e1data, resolve):
+            monkeypatch.setattr(mod, "presented_homology", counting, raising=False)
+        monkeypatch.setattr(e1data, "group_tor", flagged)
+        return calls
+
+    def test_verify_e1(self, column_homology_calls):
+        cat = fixture_category("OrZ4")
+        Ms, Ns = fixture_modules(cat, ZZ)
+        fc = build_filtered_complex(Ms["const"], Ns["const"], q_max=3)
+        rep = verify_e1(Ms["const"], Ns["const"], 2, fc=fc)
+        assert rep.all_match
+        distinct = sum(len(fc.chains[p]) for p in fc.chains) * (rep.band + 1)
+        assert len(column_homology_calls) == distinct
+
+    def test_d1_helpers(self, column_homology_calls):
+        cat = fixture_category("OrV4")
+        Ms, Ns = fixture_modules(cat, ZZ)
+        fc = build_filtered_complex(Ms["const"], Ns["aug"], q_max=3)
+        tables = TransportTables(fc)
+        cols = {}
+        for p in sorted(fc.chains):
+            for chain in fc.chains[p] if p >= 1 else []:
+                for q in (0, 1):
+                    for comp in d1_components(fc, p, chain, q, tables, cols):
+                        d1_face_block(fc, p, chain, comp["i"], q, cols)
+        assert len(column_homology_calls) == 2 * len(cols)
+
+
 class TestD1Components:
     def test_or_z2_alternating_sum_is_d1(self):
         cat = fixture_category("OrZ2")
