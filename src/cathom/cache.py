@@ -59,9 +59,14 @@ def resolution_to_json(res: Resolution) -> dict:
                 [[j, psi, res.ring.entry_to_json(c)] for (j, psi), c in sorted(sparse.items())]
             )
         gen_images.append(level)
+    z = res.ring.zero
+    aug = [
+        [res.ring.entry_to_json(v.get(i, z)) for i in range(res.M.rank(c))]
+        for c, v in zip(res.levels[0].summands, res.aug_images)
+    ]
     return {
         "levels": [list(lvl.summands) for lvl in res.levels],
-        "aug": [[res.ring.entry_to_json(x) for x in v] for v in res.aug_images],
+        "aug": aug,
         "gen_images": gen_images,
     }
 
@@ -74,7 +79,9 @@ def resolution_from_json(M: CatModule, d: dict) -> Resolution:
     res.levels = [
         FreeCatModule(M.cat, ring, M.variance, summands) for summands in d["levels"]
     ]
-    res.aug_images = [[ring.entry_from_json(x) for x in v] for v in d["aug"]]
+    res.aug_images = [
+        {i: x for i, x in enumerate(map(ring.entry_from_json, v)) if x} for v in d["aug"]
+    ]
     res.gen_images = [[]]
     for level in d["gen_images"]:
         out = []

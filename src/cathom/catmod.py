@@ -14,8 +14,8 @@ restriction/induction along a functor.
 from __future__ import annotations
 
 from .fincat import FiniteCategory
-from .fpmod import CanonicalQuotient, FPModule, _ann_rows, induced_map
-from .matrix import Matrix
+from .fpmod import CanonicalQuotient, FPModule, _ann_columns, induced_map
+from .matrix import Matrix, _axpy
 from .rings import Ring
 
 
@@ -41,28 +41,30 @@ CO = "co"
 
 def _reduce_mod_anns(mat: Matrix, anns: list) -> Matrix:
     """Normalize entries of a matrix into canonical range mod target anns."""
-    ring = mat.ring
-    if ring.is_field:
+    if mat.ring.is_field:
         return mat
-    data = []
-    for i, row in enumerate(mat.data):
-        d = anns[i]
-        data.append([x % d if d else x for x in row])
-    return Matrix(ring, data, copy=False, cols=mat.cols)
+    cols = []
+    for vec in mat.vecs:
+        out = {}
+        for i, x in vec.items():
+            if anns[i]:
+                x %= anns[i]
+            if x:
+                out[i] = x
+        cols.append(out)
+    return Matrix.from_columns(mat.ring, cols, mat.rows)
 
 
 def mats_equal_mod(A: Matrix, B: Matrix, anns: list) -> bool:
     if (A.rows, A.cols) != (B.rows, B.cols):
         return False
     ring = A.ring
-    for i in range(A.rows):
-        d = anns[i] if not ring.is_field else ring.zero
-        for j in range(A.cols):
-            diff = ring.sub(A.data[i][j], B.data[i][j])
-            if d:
-                if diff % d != 0:
-                    return False
-            elif diff != ring.zero:
+    z = ring.zero
+    for a, b in zip(A.vecs, B.vecs):
+        for i in a.keys() | b.keys():
+            diff = ring.sub(a.get(i, z), b.get(i, z))
+            d = anns[i] if not ring.is_field else z
+            if diff % d if d else diff:
                 return False
     return True
 
@@ -129,8 +131,9 @@ class CatModule:
                 for j, d in enumerate(self.anns[src]):
                     if not d:
                         continue
-                    for i, e in enumerate(self.anns[tgt]):
-                        v = d * mat.data[i][j]
+                    for i, x in mat.vecs[j].items():
+                        v = d * x
+                        e = self.anns[tgt][i]
                         if (v % e if e else v) != 0:
                             out.append(f"action of {f!r} not defined on relations")
                             break
@@ -178,14 +181,14 @@ class CatModule:
     ) -> "CatModule":
         """Canonicalize per-object presentations and transport the actions.
 
-        values[obj] = (rank, relation rows); raw_action is given on the raw
-        generators with the variance-appropriate direction.
+        values[obj] = (rank, dense relation rows); raw_action is given on the
+        raw generators with the variance-appropriate direction.
         """
         quots = {}
         for c in cat.objects:
             rank, rel_rows = values[c]
             quots[c] = CanonicalQuotient(ring, rank, [
-                [ring.coerce(x) for x in row] for row in rel_rows
+                {i: x for i, x in enumerate(map(ring.coerce, row)) if x} for row in rel_rows
             ])
         anns = {c: quots[c].module.anns() for c in cat.objects}
         action = {}
@@ -249,47 +252,40 @@ class FreeCatModule:
             out[key] = self.ring.add(out.get(key, self.ring.zero), coeff)
         return out
 
-    def to_sparse(self, obj: str, vec: list) -> dict:
-        """The dense vector vec over basis(obj) as {(i, psi): coeff}, its
-        nonzero entries in basis order."""
-        z = self.ring.zero
-        return {key: x for key, x in zip(self.basis(obj), vec) if x != z}
+    def to_keys(self, obj: str, vec: dict) -> dict:
+        """The vector {k: coeff} over basis(obj) as {basis(obj)[k]: coeff}."""
+        basis = self.basis(obj)
+        return {basis[k]: x for k, x in vec.items()}
 
-    def to_dense(self, obj: str, sparse: dict) -> list:
-        """The sparse vector {(i, psi): coeff} as a list over basis(obj)."""
+    def to_coords(self, obj: str, keyed: dict) -> dict:
+        """The vector {(i, psi): coeff} as a zero-free vector over the
+        positions of basis(obj)."""
         idx = self.basis_index(obj)
-        out = [self.ring.zero] * len(idx)
-        for key, coeff in sparse.items():
-            out[idx[key]] = coeff
-        return out
+        return {idx[key]: coeff for key, coeff in keyed.items() if coeff}
 
-    def push(self, obj: str, image: dict, vecs: list[dict]) -> list:
+    def push(self, obj: str, image: dict, vecs: list[dict]) -> dict:
         """sum of coeff * transport(psi, vecs[j]) over the terms
-        ((j, psi), coeff) of image, as a list over basis(obj)."""
+        ((j, psi), coeff) of image, as a vector over basis(obj)."""
         ring = self.ring
         acc: dict = {}
         for (j, psi), coeff in image.items():
             for key, c in self.transport(psi, vecs[j]).items():
                 acc[key] = ring.add(acc.get(key, ring.zero), ring.mul(coeff, c))
-        return self.to_dense(obj, acc)
+        return self.to_coords(obj, acc)
 
     def action_matrix(self, f: str) -> Matrix:
         cat = self.cat
         a, b = cat.morphisms[f]
         src = b if self.variance == CONTRA else a
         tgt = a if self.variance == CONTRA else b
-        src_basis = self.basis(src)
         tgt_index = self.basis_index(tgt)
-        m = Matrix.zeros(self.ring, len(tgt_index), len(src_basis))
         one = self.ring.one
-        for col, (i, psi) in enumerate(src_basis):
-            key = (
-                (i, cat.compose(psi, f))
-                if self.variance == CONTRA
-                else (i, cat.compose(f, psi))
-            )
-            m.data[tgt_index[key]][col] = one
-        return m
+        cols = [
+            {tgt_index[(i, cat.compose(psi, f) if self.variance == CONTRA
+                        else cat.compose(f, psi))]: one}
+            for (i, psi) in self.basis(src)
+        ]
+        return Matrix.from_columns(self.ring, cols, len(tgt_index))
 
     def as_catmodule(self) -> CatModule:
         anns = {c: [self.ring.zero] * self.rank(c) for c in self.cat.objects}
@@ -328,9 +324,8 @@ class TensorResult:
         def gid(c, j, k):
             return offset[c] + j * N.rank(c) + k
 
-        rows = _ann_rows(ring, [M.anns[c][j] for (c, j, k) in self.raw_gens])
-        rows += _ann_rows(ring, [N.anns[c][k] for (c, j, k) in self.raw_gens])
-        z = ring.zero
+        rows = _ann_columns(ring, [M.anns[c][j] for (c, j, k) in self.raw_gens]).vecs
+        rows += _ann_columns(ring, [N.anns[c][k] for (c, j, k) in self.raw_gens]).vecs
         for f, (a, b) in cat.morphisms.items():
             if f == cat.id_of(a) and a == b:
                 continue
@@ -339,15 +334,9 @@ class TensorResult:
             for j in range(M.rank(b)):
                 for k in range(N.rank(a)):
                     # (x phi) (x) y - x (x) (phi y)
-                    row = [z] * n
-                    for a_i in range(M.rank(a)):
-                        coeff = Mf.data[a_i][j]
-                        if coeff != z:
-                            row[gid(a, a_i, k)] = ring.add(row[gid(a, a_i, k)], coeff)
-                    for b_i in range(N.rank(b)):
-                        coeff = Nf.data[b_i][k]
-                        if coeff != z:
-                            row[gid(b, j, b_i)] = ring.sub(row[gid(b, j, b_i)], coeff)
+                    row = {gid(a, a_i, k): c for a_i, c in Mf.vecs[j].items()}
+                    _axpy(ring, row, {gid(b, j, b_i): c for b_i, c in Nf.vecs[k].items()},
+                          ring.neg(ring.one))
                     rows.append(row)
         self.quot = CanonicalQuotient(ring, n, rows)
         self.module = self.quot.module
@@ -465,9 +454,9 @@ class InducedModule:
                     for phi in homs:
                         gens.append((b, j, phi))
             index = {g: i for i, g in enumerate(gens)}
-            z = ring.zero
             n = len(gens)
-            rows = _ann_rows(ring, [X.anns[b][j] for (b, j, phi) in gens])
+            one = ring.one
+            rows = _ann_columns(ring, [X.anns[b][j] for (b, j, phi) in gens]).vecs
             for f, (b1, b2) in B.morphisms.items():
                 if f == B.id_of(b1) and b1 == b2:
                     continue
@@ -477,28 +466,17 @@ class InducedModule:
                     # (X(f) x) (x) phi ~ x (x) (F(f) o phi), x in X(b2), phi: d -> F(b1)
                     for j in range(X.rank(b2)):
                         for phi in cat.hom[(d, F.obj_map[b1])]:
-                            row = [z] * n
-                            for i in range(X.rank(b1)):
-                                c = Xf.data[i][j]
-                                if c != z:
-                                    row[index[(b1, i, phi)]] = ring.add(
-                                        row[index[(b1, i, phi)]], c
-                                    )
-                            tgt = (b2, j, cat.compose(Ff, phi))
-                            row[index[tgt]] = ring.sub(row[index[tgt]], ring.one)
+                            row = {index[(b1, i, phi)]: c for i, c in Xf.vecs[j].items()}
+                            _axpy(ring, row, {index[(b2, j, cat.compose(Ff, phi))]: one},
+                                  ring.neg(one))
                             rows.append(row)
                 else:
                     # (psi o F(f)) (x) x ~ psi (x) (X(f) x), x in X(b1), psi: F(b2) -> d
                     for j in range(X.rank(b1)):
                         for psi in cat.hom[(F.obj_map[b2], d)]:
-                            row = [z] * n
-                            row[index[(b1, j, cat.compose(psi, Ff))]] = ring.one
-                            for i in range(X.rank(b2)):
-                                c = Xf.data[i][j]
-                                if c != z:
-                                    row[index[(b2, i, psi)]] = ring.sub(
-                                        row[index[(b2, i, psi)]], c
-                                    )
+                            row = {index[(b1, j, cat.compose(psi, Ff))]: one}
+                            _axpy(ring, row, {index[(b2, i, psi)]: c
+                                              for i, c in Xf.vecs[j].items()}, ring.neg(one))
                             rows.append(row)
             self.raw_gens[d] = gens
             self.quots[d] = CanonicalQuotient(ring, n, rows)
@@ -508,22 +486,13 @@ class InducedModule:
             src = d2 if contra else d1
             tgt = d1 if contra else d2
             tgt_index = {gg: i for i, gg in enumerate(self.raw_gens[tgt])}
-            cols = []
-            for col in range(self.quots[src].module.n_gens):
-                v = self.quots[src].lift(col)
-                w = [ring.zero] * len(self.raw_gens[tgt])
-                for i, (b, j, phi) in enumerate(self.raw_gens[src]):
-                    c = v[i]
-                    if c == ring.zero:
-                        continue
-                    key = (
-                        (b, j, cat.compose(phi, g)) if contra else (b, j, cat.compose(g, phi))
-                    )
-                    w[tgt_index[key]] = ring.add(w[tgt_index[key]], c)
-                cols.append(self.quots[tgt].project(w))
-            action[g] = Matrix.from_columns(
-                ring, cols, nrows=self.quots[tgt].module.n_gens
-            )
+            moved = []
+            for b, j, phi in self.raw_gens[src]:
+                key = (b, j, cat.compose(phi, g)) if contra else (b, j, cat.compose(g, phi))
+                moved.append({tgt_index[key]: one})
+            # the raw generators move one to one, so this is their matrix
+            T = Matrix.from_columns(ring, moved, len(self.raw_gens[tgt]))
+            action[g] = induced_map(self.quots[src], self.quots[tgt], T)
         self.module = CatModule(cat, X.variance, ring, anns, action, check=False)
 
 

@@ -83,6 +83,11 @@ def cmd_validate(args) -> int:
 
 def cmd_chains(args) -> int:
     try:
+        _check_bounds(args)
+    except ParseError as e:
+        print(f"INPUT ERROR: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
         ws = load_bundle(args.bundle)
     except ParseError as e:
         print(f"PARSE ERROR: {e}", file=sys.stderr)

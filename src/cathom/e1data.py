@@ -25,12 +25,12 @@ from .fpmod import (
     CanonicalQuotient,
     FPModule,
     Subquotient,
-    _ann_rows,
+    _ann_columns,
     induced_map,
 )
 from .groupbar import GroupModule, group_tor
 from .groups import group_from_aut
-from .matrix import Matrix
+from .matrix import Matrix, _axpy
 from .resolve import PresentedComplex
 from .spectral import Cell, FilteredComplex, build_filtered_complex, spectral_pages
 
@@ -87,7 +87,7 @@ class ChainGroupData:
         p = chain.p
         if p == 0:
             n = M.rank(c0)
-            quot = CanonicalQuotient(ring, n, _ann_rows(ring, M.anns[c0]))
+            quot = CanonicalQuotient(ring, n, _ann_columns(ring, M.anns[c0]).vecs)
             # right action x.a = M(a)(x)
             act = [induced_map(quot, quot, M.act(a)) for a in self.elems0]
             self.A = GroupModule(ring, self.G0, quot.module.anns(), act, "right")
@@ -97,38 +97,25 @@ class ChainGroupData:
             S = self.biset
             gens = [(j, k) for j in range(M.rank(cp)) for k in range(S.size())]
             index = {g: i for i, g in enumerate(gens)}
-            rows = _ann_rows(ring, [M.anns[cp][j] for (j, k) in gens])
-            z = ring.zero
+            rows = _ann_columns(ring, [M.anns[cp][j] for (j, k) in gens]).vecs
+            one = ring.one
             for a in cat.aut(cp):
                 if a == cat.id_of(cp):
                     continue
                 Ma = M.act(a)
                 for (j, k) in gens:
                     # (x.a) (x) s - x (x) (a.s)
-                    row: dict = {}
-                    for i in range(M.rank(cp)):
-                        c = Ma.data[i][j]
-                        if c != z:
-                            u = index[(i, k)]
-                            row[u] = ring.add(row.get(u, z), c)
-                    v = index[(j, S.left_act(a, k))]
-                    row[v] = ring.sub(row.get(v, z), ring.one)
+                    row = {index[(i, k)]: c for i, c in Ma.vecs[j].items()}
+                    _axpy(ring, row, {index[(j, S.left_act(a, k))]: one}, ring.neg(one))
                     if row:
                         rows.append(row)
             quot = CanonicalQuotient(ring, len(gens), rows)
-            act = []
-            for a in self.elems0:
-                cols = []
-                for t in range(quot.module.n_gens):
-                    vec = quot.lift(t)
-                    out = [z] * len(gens)
-                    for i, (j, k) in enumerate(gens):
-                        c = vec[i]
-                        if c != z:
-                            u = index[(j, S.right_act(k, a))]
-                            out[u] = ring.add(out[u], c)
-                    cols.append(quot.project(out))
-                act.append(Matrix.from_columns(ring, cols, nrows=quot.module.n_gens))
+            # right action of a on the raw generators: (j, k) -> (j, k.a)
+            act = [
+                induced_map(quot, quot, Matrix.from_columns(
+                    ring, [{index[(j, S.right_act(k, a))]: one} for (j, k) in gens], len(gens)))
+                for a in self.elems0
+            ]
             self.A = GroupModule(ring, self.G0, quot.module.anns(), act, "right")
         # N(c_0) as left module
         bact = [N.act(a) for a in self.elems0]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .catmod import CONTRA, CatModule, VarianceMismatch, full_subcategory
 from .fincat import NerveCache, PChain, chain_bound, enumerate_chains
-from .fpmod import CanonicalQuotient, FPModule, Subquotient, _ann_columns, _ann_rows, induced_map
+from .fpmod import CanonicalQuotient, FPModule, Subquotient, _ann_columns, induced_map
 from .intlin import preimage_basis
 from .matrix import Matrix
 from .resolve import Resolution, ext, free_resolution, hom_complex, horseshoe, yoneda_matrix
@@ -127,15 +127,11 @@ class ExtFilteredComplex(TotalComplex):
                 }
             Z_mod, Z_subs = _sub_catmodule(cat, ring, Wp, ker)
             # H = Z / B with B expressed inside Z
-            bincl = {}
-            for s in cat.objects:
-                cols = []
-                for j in range(B_mods[p].rank(s)):
-                    cols.append(Z_subs[s].project(B_subs[p][s].lift(j)))
-                bincl[s] = Matrix.from_columns(ring, cols, nrows=Z_mod.rank(s))
+            bincl = {s: induced_map(B_subs[p][s], Z_subs[s], Matrix.identity(ring, Wp.rank(s)))
+                     for s in cat.objects}
             hquots = {
                 s: CanonicalQuotient(ring, Z_mod.rank(s),
-                                     _ann_rows(ring, Z_mod.anns[s]) + bincl[s].columns())
+                                     _ann_columns(ring, Z_mod.anns[s]).vecs + bincl[s].vecs)
                 for s in cat.objects
             }
             h_anns = {s: hquots[s].module.anns() for s in cat.objects}
@@ -146,7 +142,7 @@ class ExtFilteredComplex(TotalComplex):
             hproj = {
                 s: Matrix.from_columns(
                     ring,
-                    [hquots[s].project(e) for e in Matrix.identity(ring, Z_mod.rank(s)).columns()],
+                    [hquots[s].project({i: ring.one}) for i in range(Z_mod.rank(s))],
                     nrows=hquots[s].module.n_gens,
                 )
                 for s in cat.objects
@@ -156,7 +152,7 @@ class ExtFilteredComplex(TotalComplex):
             if p >= 1:
                 wproj = {
                     s: Matrix.from_columns(
-                        ring, [B_subs[p - 1][s].project(v) for v in self.dh[p][s].columns()],
+                        ring, [B_subs[p - 1][s].project(v) for v in self.dh[p][s].vecs],
                         nrows=B_mods[p - 1].rank(s),
                     )
                     for s in cat.objects

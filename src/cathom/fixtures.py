@@ -80,11 +80,8 @@ def support_module(cat: FiniteCategory, ring: Ring, variance: str,
         src = b if variance == CONTRA else a
         tgt = a if variance == CONTRA else b
         rows = len(anns[tgt])
-        cols = len(anns[src])
-        m = Matrix.zeros(ring, rows, cols)
-        if rows and cols:
-            m.data[0][0] = ring.one
-        action[f] = m
+        cols = [{0: ring.one} if rows else {} for _ in anns[src]]
+        action[f] = Matrix.from_columns(ring, cols, rows)
     return CatModule(cat, variance, ring, anns, action)
 
 

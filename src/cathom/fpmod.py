@@ -3,13 +3,15 @@
 An FPModule value is the canonical form (free rank, invariant factors > 1).
 CanonicalQuotient and Subquotient carry the witness data (projection and
 lifts) needed to push maps through quotients, which is what the homology
-and spectral-page machinery is built on.
+and spectral-page machinery is built on.  Vectors in and out of them are
+the zero-free {index: value} dicts of ``matrix``, relations included, and
+generator sets are matrix columns.
 """
 
 from __future__ import annotations
 
 from .intlin import ColumnOps, StairBasis, kernel_basis, preimage_basis, smith_normal_form
-from .matrix import DimensionMismatch, Matrix
+from .matrix import DimensionMismatch, Matrix, _axpy
 from .rings import Ring
 
 
@@ -110,21 +112,17 @@ def _divisibility_chain(factors: list[int]) -> list[int]:
 
 
 class CanonicalQuotient:
-    """Z^n modulo a row lattice, with projection and generator lifts."""
+    """R^n modulo a lattice of relation vectors, with projection and
+    generator lifts."""
 
-    def __init__(self, ring: Ring, ambient: int, relation_rows: list):
-        # rows may be dense lists or sparse {index: value} dicts
+    def __init__(self, ring: Ring, ambient: int, relations: list[dict]):
         self.ring = ring
         self.ambient = ambient
         basis = StairBasis(ring, ambient)
-        for row in relation_rows:
-            basis.add(row)
-        B = Matrix(ring, basis.basis_rows() or [], copy=False)
-        if B.rows == 0:
-            B = Matrix.zeros(ring, 0, ambient)
-        snf = smith_normal_form(B.transpose())  # relations as columns of B^T
-        self._U = snf.U
-        self._Uinv = snf.Uinv
+        for vec in relations:
+            basis.add(vec)
+        # the relations' staircase basis as the columns SNF diagonalizes
+        snf = smith_normal_form(Matrix.from_columns(ring, basis.basis(), ambient))
         diag = snf.diagonal()
         n = ambient
         k = len(diag)
@@ -142,23 +140,33 @@ class CanonicalQuotient:
         self._kept = free_idx + tors_idx
         torsion = tuple(int(anns[i]) for i in tors_idx)
         self.module = FPModule(ring, len(free_idx), torsion)
+        self._anns = self.module.anns()
+        # the kept rows of U, renumbered as canonical coordinates
+        pos = {i: t for t, i in enumerate(self._kept)}
+        self._proj = Matrix.from_columns(
+            ring,
+            [{pos[i]: x for i, x in col.items() if i in pos} for col in snf.U.vecs],
+            len(self._kept),
+        )
+        self._Uinv = snf.Uinv
 
-    def project(self, vec: list) -> list:
+    def project(self, vec: dict) -> dict:
         """Canonical coordinates of the class of an ambient vector."""
-        w = self._U.apply(vec)
-        out = []
-        anns = self.module.anns()
-        for pos, i in enumerate(self._kept):
-            x = w[i]
-            d = anns[pos]
-            if d:
-                x = x % d
-            out.append(x)
-        return out
+        w = self._proj.apply(vec)
+        if self.module.torsion:
+            anns = self._anns
+            for t in [t for t in w if anns[t]]:
+                x = w[t] % anns[t]
+                if x:
+                    w[t] = x
+                else:
+                    del w[t]
+        return w
 
-    def lift(self, j: int) -> list:
-        """An ambient representative of canonical generator j."""
-        return self._Uinv.column(self._kept[j])
+    def lift(self, j: int) -> dict:
+        """An ambient representative of canonical generator j (shared:
+        callers must not change it)."""
+        return self._Uinv.vecs[self._kept[j]]
 
 
 class Subquotient:
@@ -176,38 +184,31 @@ class Subquotient:
         self.ring = ring
         self.ambient = ambient
         zbasis = StairBasis(ring, ambient)
-        for j in range(gens_Z.cols):
-            zbasis.add(gens_Z.column(j))
+        for vec in gens_Z.vecs:
+            zbasis.add(vec)
         self._zbasis = zbasis
         self._zcols = zbasis.pivot_cols()
-        h = zbasis.rank
-        rel_rows = []
-        for j in range(gens_B.cols):
-            coeffs = zbasis.express(gens_B.column(j))
+        self._zpos = {c: t for t, c in enumerate(self._zcols)}
+        rels = []
+        for j, vec in enumerate(gens_B.vecs):
+            coeffs = zbasis.express(vec)
             if coeffs is None:
                 raise NotASubmodule(f"B-generator {j} is not in the Z-span")
-            rel_rows.append([coeffs.get(c, ring.zero) for c in self._zcols])
-        self._quot = CanonicalQuotient(ring, h, rel_rows)
+            rels.append({self._zpos[c]: x for c, x in coeffs.items()})
+        self._quot = CanonicalQuotient(ring, zbasis.rank, rels)
         self.module = self._quot.module
 
-    def project(self, vec: list) -> list:
+    def project(self, vec: dict) -> dict:
         coeffs = self._zbasis.express(vec)
         if coeffs is None:
             raise NotASubmodule("vector is not in the Z-span")
-        y = [coeffs.get(c, self.ring.zero) for c in self._zcols]
-        return self._quot.project(y)
+        zpos = self._zpos
+        return self._quot.project({zpos[c]: x for c, x in coeffs.items()})
 
-    def lift(self, j: int) -> list:
-        y = self._quot.lift(j)
-        ring = self.ring
-        z = ring.zero
-        out = [z] * self.ambient
-        for c, coeff in zip(self._zcols, y):
-            if coeff == z:
-                continue
-            piv = self._zbasis.pivots[c]
-            for i, v in piv.items():
-                out[i] = ring.add(out[i], ring.mul(coeff, v))
+    def lift(self, j: int) -> dict:
+        out: dict = {}
+        for t, coeff in self._quot.lift(j).items():
+            _axpy(self.ring, out, self._zbasis.pivots[self._zcols[t]], coeff)
         return out
 
     def lifts(self) -> Matrix:
@@ -237,22 +238,10 @@ def homology_at(d_out: Matrix, d_in: Matrix) -> FPModule:
     return Subquotient(d_out.ring, d_out.cols, ker, d_in).module
 
 
-def _ann_rows(ring: Ring, anns: list) -> list[list]:
-    """The relation vectors d e_i of a diagonal presentation, for each
-    nonzero annihilator d, in order."""
-    n = len(anns)
-    z = ring.zero
-    out = []
-    for i, d in enumerate(anns):
-        if d != z:
-            row = [z] * n
-            row[i] = d
-            out.append(row)
-    return out
-
-
 def _ann_columns(ring: Ring, anns: list) -> Matrix:
-    return Matrix.from_columns(ring, _ann_rows(ring, anns), nrows=len(anns))
+    """The relation vectors d e_i of a diagonal presentation, one column
+    for each nonzero annihilator d, in order."""
+    return Matrix.from_columns(ring, [{i: d} for i, d in enumerate(anns) if d], len(anns))
 
 
 def presented_homology(
@@ -284,11 +273,10 @@ def induced_map(src: Subquotient | CanonicalQuotient,
     return Matrix.from_columns(src.ring, cols, nrows=dst.module.n_gens)
 
 
-def solve_mod(A: Matrix, anns_target: list, b: list) -> list | None:
+def solve_mod(A: Matrix, anns_target: list, b: dict) -> dict | None:
     """Some x with A x = b modulo the diagonal annihilator lattice."""
     aug = A.hstack(_ann_columns(A.ring, anns_target))
     sol = ColumnOps(aug).solve(b)
     if sol is None:
         return None
-    return sol[: A.cols]
-
+    return {i: x for i, x in sol.items() if i < A.cols}

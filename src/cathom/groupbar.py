@@ -91,17 +91,14 @@ def bar_complex(A: GroupModule, B: GroupModule, top: int) -> PresentedComplex:
     diffs = []
     z = ring.zero
     for q in range(1, top + 1):
-        src = gens_per_level[q]
         tgt_index = {g: k for k, g in enumerate(gens_per_level[q - 1])}
-        m = Matrix.zeros(ring, len(gens_per_level[q - 1]), len(src))
-        for col, (i, t, j) in enumerate(src):
+        cols = []
+        for (i, t, j) in gens_per_level[q]:
+            col: dict = {}
             # a.g1 (x) rest
-            mat = A.act[t[0]]
-            for r in range(A.rank):
-                c = mat.data[r][i]
-                if c != z:
-                    row = tgt_index[(r, t[1:], j)]
-                    m.data[row][col] = ring.add(m.data[row][col], c)
+            for r, c in A.act[t[0]].vecs[i].items():
+                row = tgt_index[(r, t[1:], j)]
+                col[row] = ring.add(col.get(row, z), c)
             # interior multiplications
             sign = ring.one
             for k in range(q - 1):
@@ -111,16 +108,14 @@ def bar_complex(A: GroupModule, B: GroupModule, top: int) -> PresentedComplex:
                     continue  # a degenerate face, zero in the normalized complex
                 merged = t[:k] + (g,) + t[k + 2 :]
                 row = tgt_index[(i, merged, j)]
-                m.data[row][col] = ring.add(m.data[row][col], sign)
+                col[row] = ring.add(col.get(row, z), sign)
             # last (x) g_q . b
             sign = ring.neg(sign)
-            mat = B.act[t[-1]]
-            for r in range(B.rank):
-                c = mat.data[r][j]
-                if c != z:
-                    row = tgt_index[(i, t[:-1], r)]
-                    m.data[row][col] = ring.add(m.data[row][col], ring.mul(sign, c))
-        diffs.append(m)
+            for r, c in B.act[t[-1]].vecs[j].items():
+                row = tgt_index[(i, t[:-1], r)]
+                col[row] = ring.add(col.get(row, z), ring.mul(sign, c))
+            cols.append({row: x for row, x in col.items() if x})
+        diffs.append(Matrix.from_columns(ring, cols, len(gens_per_level[q - 1])))
     return PresentedComplex(ring, anns, diffs)
 
 

@@ -6,13 +6,14 @@ pivot combination, which gives bases, membership tests with exact
 divisibility, saturated kernels and integral solving.  Over the fields the
 same code degenerates to Gaussian elimination.
 
-Rows are stored sparsely as {column: value} dicts; the public interface
-speaks dense lists.
+Vectors are the zero-free {index: value} dicts of ``matrix``, and matrices
+are read and built through their column dicts; only ``det_int``, the
+independent determinant used by the tests, works on a dense copy.
 """
 
 from __future__ import annotations
 
-from .matrix import DimensionMismatch, Matrix
+from .matrix import DimensionMismatch, Matrix, _axpy
 from .rings import Ring
 
 
@@ -29,23 +30,22 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _to_sparse(vec: list, zero) -> dict:
-    return {j: x for j, x in enumerate(vec) if x != zero}
-
-
-def _to_dense(row: dict, ncols: int, zero) -> list:
-    out = [zero] * ncols
-    for j, x in row.items():
-        out[j] = x
+def _transpose(vecs: list[dict], n: int) -> list[dict]:
+    """The n dicts of the other direction: column dicts to row dicts or back."""
+    out: list[dict] = [{} for _ in range(n)]
+    for j, vec in enumerate(vecs):
+        for i, x in vec.items():
+            out[i][j] = x
     return out
 
 
 class StairBasis:
     """Row lattice (or subspace) kept in staircase form under insertion.
 
-    Pivot rows have zeros strictly left of their pivot column.  Over Z the
-    rows form a basis of the generated lattice; over a field, of the
-    spanned subspace.
+    Vectors are zero-free {column: value} dicts; an inserted or reduced
+    vector is copied once and the copy is worked on in place.  Pivot rows have zeros strictly left
+    of their pivot column.  Over Z the rows form a basis of the generated
+    lattice; over a field, of the spanned subspace.
     """
 
     def __init__(self, ring: Ring, ncols: int):
@@ -57,24 +57,10 @@ class StairBasis:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _combine(self, row: dict, other: dict, c) -> dict:
-        """row + c*other, sparsely."""
-        ring = self.ring
-        z = ring.zero
-        out = dict(row)
-        for j, x in other.items():
-            v = ring.add(out.get(j, z), ring.mul(c, x))
-            if v == z:
-                out.pop(j, None)
-            else:
-                out[j] = v
-        return out
-
-    def add(self, vec: list | dict) -> bool:
+    def add(self, vec: dict) -> bool:
         """Insert a vector; returns True when the lattice grew."""
         ring = self.ring
-        z = ring.zero
-        row = dict(vec) if isinstance(vec, dict) else _to_sparse(vec, z)
+        row = dict(vec)
         grew = False
         while row:
             c = min(row)
@@ -91,11 +77,11 @@ class StairBasis:
                 return True
             a = piv[c]
             if ring.is_field:
-                row = self._combine(row, piv, ring.neg(ring.mul(lead, ring.inv(a))))
+                _axpy(ring, row, piv, ring.neg(ring.mul(lead, ring.inv(a))))
                 continue
             q, r = divmod(lead, a)
             if r == 0:
-                row = self._combine(row, piv, -q)
+                _axpy(ring, row, piv, -q)
                 continue
             # genuine gcd step: replace pivot, keep reducing the remainder
             g, x, y = _xgcd(a, lead)
@@ -116,7 +102,7 @@ class StairBasis:
             grew = True  # pivot changed: lattice strictly grew
         return grew
 
-    def reduce(self, vec: list | dict, record: dict | None = None):
+    def reduce(self, vec: dict, record: dict | None = None) -> dict:
         """Reduce vec by the current pivots (no insertion).
 
         Over Z only exact-division reductions are applied, so the residual
@@ -126,7 +112,7 @@ class StairBasis:
         """
         ring = self.ring
         z = ring.zero
-        row = dict(vec) if isinstance(vec, dict) else _to_sparse(vec, z)
+        row = dict(vec)
         stuck: set[int] = set()
         while True:
             cands = [c for c in row if c not in stuck]
@@ -146,29 +132,27 @@ class StairBasis:
                 if r != 0:
                     stuck.add(c)
                     continue
-            row = self._combine(row, piv, ring.neg(q))
+            _axpy(ring, row, piv, ring.neg(q))
             if record is not None:
                 record[c] = ring.add(record.get(c, z), q)
         return row
 
-    def contains(self, vec: list | dict) -> bool:
+    def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
-    def express(self, vec: list | dict) -> dict | None:
+    def express(self, vec: dict) -> dict | None:
         """Coefficients {pivot_col: c} with vec = sum c * pivot_row, else None."""
         rec: dict = {}
         if self.reduce(vec, rec):
             return None
         return rec
 
-    def basis_rows(self) -> list[list]:
-        z = self.ring.zero
-        return [
-            _to_dense(self.pivots[c], self.ncols, z) for c in sorted(self.pivots)
-        ]
-
     def pivot_cols(self) -> list[int]:
         return sorted(self.pivots)
+
+    def basis(self) -> list[dict]:
+        """The pivot rows in pivot-column order (shared, not copies)."""
+        return [self.pivots[c] for c in sorted(self.pivots)]
 
 
 class ColumnOps:
@@ -186,11 +170,9 @@ class ColumnOps:
         m, n = A.rows, A.cols
         self.m, self.n = m, n
         basis = StairBasis(self.ring, m + n)
-        z = self.ring.zero
-        for j in range(n):
-            row = {i: A.data[i][j] for i in range(m) if A.data[i][j] != z}
-            row[m + j] = self.ring.one
-            basis.add(row)
+        one = self.ring.one
+        for j, col in enumerate(A.vecs):
+            basis.add({**col, m + j: one})
         self._basis = basis
         self._kernel_rows: list[dict] = []
         self._span_cols: list[int] = []
@@ -202,34 +184,26 @@ class ColumnOps:
 
     def kernel_basis(self) -> Matrix:
         """Columns form a basis of {x : A x = 0} (saturated over Z)."""
-        z = self.ring.zero
-        cols = [
-            _to_dense({j - self.m: v for j, v in row.items()}, self.n, z)
-            for row in self._kernel_rows
-        ]
-        return Matrix.from_columns(self.ring, cols, nrows=self.n)
+        m = self.m
+        cols = [{j - m: v for j, v in row.items()} for row in self._kernel_rows]
+        return Matrix.from_columns(self.ring, cols, self.n)
 
     def rank(self) -> int:
         return len(self._span_cols)
 
-    def solve(self, b: list) -> list | None:
+    def solve(self, b: dict) -> dict | None:
         """Some x with A x = b, or None (exact over Z)."""
         ring = self.ring
-        z = ring.zero
-        if len(b) != self.m:
-            raise DimensionMismatch("rhs length mismatch")
-        row = {i: x for i, x in enumerate(b) if x != z}
-        res = self._basis.reduce(row)
+        if b and max(b) >= self.m:
+            raise DimensionMismatch("rhs index out of range")
+        res = self._basis.reduce(b)
         if any(j < self.m for j in res):
             return None
         # every basis row satisfies left = A * right, so the residual of
         # (b, 0) is (0, -x) for a solution x
-        x = [z] * self.n
-        for j, v in res.items():
-            x[j - self.m] = ring.neg(v)
-        return x
+        return {j - self.m: ring.neg(v) for j, v in res.items()}
 
-    def contains(self, b: list) -> bool:
+    def contains(self, b: dict) -> bool:
         return self.solve(b) is not None
 
 
@@ -247,10 +221,11 @@ def preimage_basis(A: Matrix, L_cols: Matrix) -> Matrix:
     aug = A.hstack(L_cols)
     K = ColumnOps(aug).kernel_basis()
     # project kernel vectors to the A-block; staircase-reduce to a basis
-    basis = StairBasis(A.ring, A.cols)
-    for j in range(K.cols):
-        basis.add([K.data[i][j] for i in range(A.cols)])
-    return Matrix.from_columns(A.ring, [list(r) for r in basis.basis_rows()], nrows=A.cols)
+    n = A.cols
+    basis = StairBasis(A.ring, n)
+    for v in K.vecs:
+        basis.add({i: x for i, x in v.items() if i < n})
+    return Matrix.from_columns(A.ring, basis.basis(), n)
 
 
 class SNFResult:
@@ -263,7 +238,8 @@ class SNFResult:
 
     def diagonal(self) -> list:
         S = self.S
-        return [S.data[i][i] for i in range(min(S.rows, S.cols))]
+        z = S.ring.zero
+        return [S.vecs[i].get(i, z) for i in range(min(S.rows, S.cols))]
 
 
 def smith_normal_form(A: Matrix) -> SNFResult:
@@ -273,80 +249,80 @@ def smith_normal_form(A: Matrix) -> SNFResult:
     pivot rule is smallest absolute value, then lowest row, then lowest
     column.  Over a field the diagonal is normalized to ones.  Inverses of
     U and V are tracked alongside.
+
+    Every working array is sparse and held in the direction its elementary
+    operations run: S, U and Vinv by rows, Uinv and V by columns.  When
+    pivot k is being cleared, the rows above k hold only their diagonal
+    entry, so column operations need only look at rows k and below.
     """
     ring = A.ring
     m, n = A.rows, A.cols
-    S = [list(r) for r in A.data]
-    U = Matrix.identity(ring, m).data
-    Uinv = Matrix.identity(ring, m).data
-    V = Matrix.identity(ring, n).data
-    Vinv = Matrix.identity(ring, n).data
-    z = ring.zero
+    z, one = ring.zero, ring.one
+    field = ring.is_field
+    S = _transpose(A.vecs, m)
+    U = [{i: one} for i in range(m)]
+    Uinv = [{i: one} for i in range(m)]
+    V = [{i: one} for i in range(n)]
+    Vinv = [{i: one} for i in range(n)]
+    k = 0
 
     def row_swap(i, j):
         S[i], S[j] = S[j], S[i]
         U[i], U[j] = U[j], U[i]
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
+        Uinv[i], Uinv[j] = Uinv[j], Uinv[i]
 
     def col_swap(i, j):
-        for r in S:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
+        for r in range(k, m):
+            row = S[r]
+            a, b = row.pop(i, None), row.pop(j, None)
+            if a is not None:
+                row[j] = a
+            if b is not None:
+                row[i] = b
+        V[i], V[j] = V[j], V[i]
         Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def row_addmul(i, j, c):
         # row_i += c * row_j ; U likewise; Uinv col_j -= c * col_i
-        Si, Sj = S[i], S[j]
-        for k in range(n):
-            if Sj[k] != z:
-                Si[k] = ring.add(Si[k], ring.mul(c, Sj[k]))
-        Ui, Uj = U[i], U[j]
-        for k in range(m):
-            if Uj[k] != z:
-                Ui[k] = ring.add(Ui[k], ring.mul(c, Uj[k]))
-        nc = ring.neg(c)
-        for r in Uinv:
-            if r[i] != z:
-                r[j] = ring.add(r[j], ring.mul(nc, r[i]))
+        _axpy(ring, S[i], S[j], c)
+        _axpy(ring, U[i], U[j], c)
+        _axpy(ring, Uinv[j], Uinv[i], ring.neg(c))
 
     def col_addmul(i, j, c):
         # col_i += c * col_j ; V likewise; Vinv row_j -= c * row_i
-        for r in S:
-            if r[j] != z:
-                r[i] = ring.add(r[i], ring.mul(c, r[j]))
-        for r in V:
-            if r[j] != z:
-                r[i] = ring.add(r[i], ring.mul(c, r[j]))
-        nc = ring.neg(c)
-        Vi, Vj = Vinv[i], Vinv[j]
-        for k in range(n):
-            if Vi[k] != z:
-                Vj[k] = ring.add(Vj[k], ring.mul(nc, Vi[k]))
+        for r in range(k, m):
+            row = S[r]
+            x = row.get(j)
+            if x is not None:
+                v = ring.add(row.get(i, z), ring.mul(c, x))
+                if v:
+                    row[i] = v
+                else:
+                    row.pop(i, None)
+        _axpy(ring, V[i], V[j], c)
+        _axpy(ring, Vinv[j], Vinv[i], ring.neg(c))
 
     def row_scale(i, u):
-        S[i] = [ring.mul(u, x) for x in S[i]]
-        U[i] = [ring.mul(u, x) for x in U[i]]
+        S[i] = {j: ring.mul(u, x) for j, x in S[i].items()}
+        U[i] = {j: ring.mul(u, x) for j, x in U[i].items()}
         uinv = ring.inv(u)
-        for r in Uinv:
-            r[i] = ring.mul(r[i], uinv)
+        Uinv[i] = {j: ring.mul(x, uinv) for j, x in Uinv[i].items()}
 
     def find_pivot(k):
+        # rows k and below have no entries left of column k
         best = None
         for i in range(k, m):
             row = S[i]
-            for j in range(k, n):
-                x = row[j]
-                if x == z:
-                    continue
-                if ring.is_field:
-                    return (i, j)
-                ax = abs(x)
-                if best is None or ax < best[0]:
-                    best = (ax, i, j)
-                    if ax == 1:
-                        return (i, j)
+            if not row:
+                continue
+            if field:
+                return (i, min(row))
+            for j, x in row.items():
+                cand = (abs(x), i, j)
+                if best is None or cand < best:
+                    best = cand
+            if best[0] == 1:
+                return (i, best[2])
         if best is None:
             return None
         return (best[1], best[2])
@@ -355,76 +331,64 @@ def smith_normal_form(A: Matrix) -> SNFResult:
         # quotient with remainder in (-a/2, a/2], a > 0
         return (2 * x + a) // (2 * a)
 
-    k = 0
     while k < min(m, n):
         if find_pivot(k) is None:
             break
         while True:
-            piv = find_pivot(k)
-            i0, j0 = piv
+            i0, j0 = find_pivot(k)
             if i0 != k:
                 row_swap(k, i0)
             if j0 != k:
                 col_swap(k, j0)
-            if not ring.is_field and S[k][k] < 0:
+            if not field and S[k][k] < 0:
                 row_scale(k, -1)
             a = S[k][k]
-            # one reduction sweep against the current global-minimum pivot
+            # one reduction sweep against the current global-minimum pivot;
+            # each operation changes only the row (column) it targets
             clear = True
-            for i in range(k + 1, m):
+            for i in [i for i in range(k + 1, m) if k in S[i]]:
                 x = S[i][k]
-                if x == z:
-                    continue
-                q = ring.exact_div(x, a) if ring.is_field else balanced_div(x, a)
+                q = ring.exact_div(x, a) if field else balanced_div(x, a)
                 if q != z:
                     row_addmul(i, k, ring.neg(q))
-                if S[i][k] != z:
+                if k in S[i]:
                     clear = False
-            for j in range(k + 1, n):
+            for j in sorted(j for j in S[k] if j > k):
                 x = S[k][j]
-                if x == z:
-                    continue
-                q = ring.exact_div(x, a) if ring.is_field else balanced_div(x, a)
+                q = ring.exact_div(x, a) if field else balanced_div(x, a)
                 if q != z:
                     col_addmul(j, k, ring.neg(q))
-                if S[k][j] != z:
+                if j in S[k]:
                     clear = False
             if not clear:
                 continue
-            if not ring.is_field:
+            if not field:
                 # pivot must divide the remaining submatrix
-                a = S[k][k]
-                offender = None
-                for i in range(k + 1, m):
-                    row = S[i]
-                    for j in range(k + 1, n):
-                        if row[j] % a != 0:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
+                offender = next(
+                    (i for i in range(k + 1, m) if any(x % a for x in S[i].values())), None
+                )
                 if offender is not None:
-                    row_addmul(k, offender, ring.one)
+                    row_addmul(k, offender, one)
                     continue
             break
         k += 1
 
     # normalize the diagonal: positive over Z, ones over fields
     for i in range(min(m, n)):
-        x = S[i][i]
-        if x == z:
+        x = S[i].get(i)
+        if x is None:
             continue
-        if ring.is_field:
+        if field:
             row_scale(i, ring.inv(x))
         elif x < 0:
             row_scale(i, -1)
 
     return SNFResult(
-        Matrix(ring, U, copy=False),
-        Matrix(ring, S, copy=False),
-        Matrix(ring, V, copy=False),
-        Matrix(ring, Uinv, copy=False),
-        Matrix(ring, Vinv, copy=False),
+        Matrix.from_columns(ring, _transpose(U, m), m),
+        Matrix.from_columns(ring, _transpose(S, n), m),
+        Matrix.from_columns(ring, V, n),
+        Matrix.from_columns(ring, Uinv, m),
+        Matrix.from_columns(ring, _transpose(Vinv, n), n),
     )
 
 

@@ -1,11 +1,15 @@
-"""Dense exact matrices over a coefficient ring.
+"""Exact sparse matrices over a coefficient ring.
 
-Vectors are plain lists; matrices act on column vectors from the left.
-Entries are kept in the ring's canonical representation (ints, Fractions,
-or ints reduced into [0, p)).  Entries are coerced only where data comes in
-from outside: ``Matrix(ring, data)`` with the default ``copy=True`` and
-``matrix_from_json``.  Every other constructor trusts its entries to be
-canonical already.
+A vector is a zero-free ``{index: value}`` dict, and a matrix stores one
+such dict per column (``vecs``, keyed by row); that is its only stored
+form.  Matrices act on column vectors from the left.  Entries are kept in
+the ring's canonical representation (ints, Fractions, or ints reduced into
+[0, p)).  Entries are coerced only where data comes in from outside:
+``Matrix(ring, rows)`` and ``matrix_from_json``.  Every other constructor
+takes column dicts that are canonical and zero-free already.  Column dicts
+may be shared between matrices and the exact kernel, so nothing mutates
+one it did not build.  ``data`` is a dense list-of-rows copy for the
+renderers and the tests.
 """
 
 from __future__ import annotations
@@ -17,179 +21,124 @@ class DimensionMismatch(ValueError):
     pass
 
 
-class Matrix:
-    __slots__ = ("ring", "rows", "cols", "data")
+def _axpy(ring: Ring, dst: dict, src: dict, c) -> None:
+    """dst += c * src in place, keeping dst zero-free."""
+    z = ring.zero
+    for k, x in src.items():
+        v = ring.add(dst.get(k, z), ring.mul(c, x))
+        if v:
+            dst[k] = v
+        else:
+            dst.pop(k, None)
 
-    def __init__(self, ring: Ring, data: list[list], copy: bool = True, cols: int | None = None):
+
+class Matrix:
+    __slots__ = ("ring", "rows", "cols", "vecs")
+
+    def __init__(self, ring: Ring, data: list[list], cols: int | None = None):
+        """The matrix with the given dense rows, entries coerced into ring."""
         self.ring = ring
-        if copy:
-            data = [[ring.coerce(x) for x in row] for row in data]
-        self.data = data
         self.rows = len(data)
         self.cols = len(data[0]) if data else (cols or 0)
-        for row in data:
+        vecs = [{} for _ in range(self.cols)]
+        for i, row in enumerate(data):
             if len(row) != self.cols:
                 raise DimensionMismatch("ragged rows")
+            for j, x in enumerate(row):
+                x = ring.coerce(x)
+                if x:
+                    vecs[j][i] = x
+        self.vecs = vecs
 
     @classmethod
-    def zeros(cls, ring: Ring, rows: int, cols: int) -> "Matrix":
-        z = ring.zero
-        return cls(ring, [[z] * cols for _ in range(rows)], copy=False, cols=cols)
-
-    @classmethod
-    def identity(cls, ring: Ring, n: int) -> "Matrix":
-        m = cls.zeros(ring, n, n)
-        for i in range(n):
-            m.data[i][i] = ring.one
+    def from_columns(cls, ring: Ring, vecs: list[dict], nrows: int) -> "Matrix":
+        """The nrows x len(vecs) matrix with the given column dicts, stored
+        as they are: they must be zero-free with canonical entries."""
+        m = cls.__new__(cls)
+        m.ring, m.rows, m.cols, m.vecs = ring, nrows, len(vecs), vecs
         return m
 
     @classmethod
-    def from_columns(cls, ring: Ring, columns: list[list], nrows: int | None = None) -> "Matrix":
-        """The matrix with the given columns.  Entries are not coerced:
-        columns must hold canonical entries of ``ring``."""
-        if not columns:
-            if nrows is None:
-                raise DimensionMismatch("need nrows for empty column list")
-            return cls.zeros(ring, nrows, 0)
-        n = len(columns[0])
-        return cls(
-            ring,
-            [[col[i] for col in columns] for i in range(n)],
-            copy=False,
-            cols=len(columns),
-        )
+    def zeros(cls, ring: Ring, rows: int, cols: int) -> "Matrix":
+        return cls.from_columns(ring, [{} for _ in range(cols)], rows)
 
-    def column(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
+    @classmethod
+    def identity(cls, ring: Ring, n: int) -> "Matrix":
+        return cls.from_columns(ring, [{i: ring.one} for i in range(n)], n)
 
-    def columns(self) -> list[list]:
-        return [self.column(j) for j in range(self.cols)]
-
-    def row(self, i: int) -> list:
-        return list(self.data[i])
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.ring, [list(r) for r in self.data], copy=False, cols=self.cols)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.ring,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            copy=False,
-            cols=self.rows,
-        )
+    @property
+    def data(self) -> list[list]:
+        """The dense rows, as a fresh copy."""
+        z = self.ring.zero
+        out = [[z] * self.cols for _ in range(self.rows)]
+        for j, vec in enumerate(self.vecs):
+            for i, x in vec.items():
+                out[i][j] = x
+        return out
 
     def is_zero(self) -> bool:
-        z = self.ring.zero
-        return all(x == z for row in self.data for x in row)
+        return not any(self.vecs)
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.ring == other.ring
-            and self.data == other.data
+            and (self.rows, self.cols) == (other.rows, other.cols)
+            and self.vecs == other.vecs
         )
-
-    def __hash__(self):
-        return hash((self.ring, tuple(tuple(r) for r in self.data)))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ring != other.ring:
             raise DimensionMismatch("ring mismatch")
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ring = self.ring
-        z = ring.zero
-        out = [[z] * other.cols for _ in range(self.rows)]
-        bt = other.transpose().data
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out[i]
-            for j in range(other.cols):
-                brow = bt[j]
-                acc = z
-                for k in range(self.cols):
-                    a = arow[k]
-                    if a != z:
-                        acc = ring.add(acc, ring.mul(a, brow[k]))
-                orow[j] = acc
-        return Matrix(ring, out, copy=False, cols=other.cols)
+        return Matrix.from_columns(self.ring, [self.apply(v) for v in other.vecs], self.rows)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in +")
-        ring = self.ring
-        return Matrix(
-            ring,
-            [
-                [ring.add(self.data[i][j], other.data[i][j]) for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-            copy=False,
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(self.ring.neg(self.ring.one))
-
-    def scale(self, c) -> "Matrix":
-        ring = self.ring
-        c = ring.coerce(c)
-        return Matrix(
-            ring,
-            [[ring.mul(c, x) for x in row] for row in self.data],
-            copy=False,
-        )
-
-    def apply(self, vec: list) -> list:
+    def apply(self, vec: dict) -> dict:
         """The product with a column vector, summed over the vector's
-        nonzero entries only.  The result is canonical: sums start from
+        nonzero entries (vec may hold zeros; apply is where a vector with
+        cancelled entries becomes zero-free again).  The result is
+        zero-free and canonical: sums start from
         ``ring.zero`` (a Fraction over Q) and are reduced mod p once, at
         the end, over F_p."""
-        if len(vec) != self.cols:
-            raise DimensionMismatch(f"matrix {self.rows}x{self.cols} applied to len-{len(vec)} vector")
-        ring = self.ring
-        z = ring.zero
-        nz = [(k, x) for k, x in enumerate(vec) if x]
-        out = []
-        for row in self.data:
-            acc = z
-            for k, x in nz:
-                a = row[k]
-                if a:
-                    acc += a * x
-            out.append(acc)
-        if ring.kind == "Fp":
-            p = ring.p
-            out = [a % p for a in out]
-        return out
+        z = self.ring.zero
+        vecs = self.vecs
+        acc: dict = {}
+        try:
+            for k, x in vec.items():
+                if x:
+                    for i, a in vecs[k].items():
+                        acc[i] = acc.get(i, z) + a * x
+        except IndexError:
+            raise DimensionMismatch(
+                f"matrix {self.rows}x{self.cols} applied to a vector with index {k}"
+            ) from None
+        if self.ring.kind == "Fp":
+            p = self.ring.p
+            return {i: v for i, v in ((i, v % p) for i, v in acc.items()) if v}
+        return {i: v for i, v in acc.items() if v}
 
     def add_block(self, r0: int, c0: int, blk: "Matrix", coeff=None) -> None:
         """Add coeff * blk (blk itself when coeff is None) into this matrix
-        in place, with blk's top-left entry at (r0, c0)."""
+        in place, with blk's top-left entry at (r0, c0).  The target's
+        columns must be its own."""
         ring = self.ring
         z = ring.zero
-        for r, brow in enumerate(blk.data):
-            row = self.data[r0 + r]
-            for c, x in enumerate(brow):
-                if x != z:
-                    if coeff is not None:
-                        x = ring.mul(coeff, x)
-                    row[c0 + c] = ring.add(row[c0 + c], x)
+        for c, bvec in enumerate(blk.vecs):
+            col = self.vecs[c0 + c]
+            for r, x in bvec.items():
+                if coeff is not None:
+                    x = ring.mul(coeff, x)
+                v = ring.add(col.get(r0 + r, z), x)
+                if v:
+                    col[r0 + r] = v
+                else:
+                    col.pop(r0 + r, None)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
-        return Matrix(
-            self.ring,
-            [self.data[i] + other.data[i] for i in range(self.rows)],
-            copy=False,
-            cols=self.cols + other.cols,
-        )
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise DimensionMismatch("vstack col mismatch")
-        return Matrix(self.ring, [list(r) for r in self.data + other.data], copy=False, cols=self.cols)
+        return Matrix.from_columns(self.ring, self.vecs + other.vecs, self.rows)
 
     def to_json(self) -> dict:
         out = dict(self.ring.to_json())
@@ -212,5 +161,4 @@ def matrix_from_json(d: dict) -> Matrix:
     entries = d["entries"]
     if not entries:
         return Matrix.zeros(ring, d.get("rows", 0), d.get("cols", 0))
-    return Matrix(ring, [[ring.entry_from_json(x) for x in row] for row in entries], copy=False)
-
+    return Matrix(ring, entries)

@@ -12,7 +12,7 @@ built by the one block builder ``yoneda_matrix``: the Tor complex
 (F_* (x)_C N), the Ext complex Hom_C(F_*, N) (also the columns of
 ``extpages.ExtFilteredComplex`` and its horizontal blocks) and the chain
 map of the assembly.  Vectors over a free module's basis are moved and
-densified by ``FreeCatModule.to_sparse``/``to_dense``/``push``.
+renumbered by ``FreeCatModule.to_keys``/``to_coords``/``push``.
 
 The assembly map along a functor F: B -> C is computed by inducing a free
 resolution of the constant module over B (a symbol-level relabeling),
@@ -23,19 +23,26 @@ tensored complexes.
 
 from __future__ import annotations
 
-from .catmod import CO, CONTRA, CatModule, FreeCatModule, Functor, VarianceMismatch
+from .catmod import (
+    CO,
+    CONTRA,
+    CatModule,
+    FreeCatModule,
+    Functor,
+    VarianceMismatch,
+    mats_equal_mod,
+)
 from .fincat import FiniteCategory
 from .fpmod import (
     FPModule,
     Subquotient,
     _ann_columns,
-    _ann_rows,
     induced_map,
     presented_homology,
     solve_mod,
 )
 from .intlin import ColumnOps, StairBasis, kernel_basis, preimage_basis
-from .matrix import Matrix
+from .matrix import Matrix, _axpy
 from .rings import Ring
 
 
@@ -91,7 +98,7 @@ class Resolution:
         self.ring = M.ring
         self.variance = M.variance
         self.levels: list[FreeCatModule] = []
-        self.aug_images: list[list] = []  # per level-0 generator: vector in M(c)
+        self.aug_images: list[dict] = []  # per level-0 generator: vector in M(c)
         self.gen_images: list[list[dict]] = [[]]  # level k>=1: sparse over F_{k-1} basis
 
     @property
@@ -112,7 +119,7 @@ class Resolution:
         """The matrix F_k(obj) -> F_{k-1}(obj)."""
         Fprev = self.levels[k - 1]
         cols = [
-            Fprev.to_dense(obj, Fprev.transport(phi, self.gen_images[k][i]))
+            Fprev.to_coords(obj, Fprev.transport(phi, self.gen_images[k][i]))
             for (i, phi) in self.levels[k].basis(obj)
         ]
         return Matrix.from_columns(self.ring, cols, nrows=Fprev.rank(obj))
@@ -126,13 +133,9 @@ class Resolution:
             for k in range(1, self.length + 1):
                 d = self.eval_diff(k, obj)
                 if k == 1:
-                    comp = aug @ d
-                    for i in range(comp.rows):
-                        e = manns[i] if not self.ring.is_field else self.ring.zero
-                        for x in comp.data[i]:
-                            if (x % e if e else x) != (0 if not self.ring.is_field else self.ring.zero):
-                                out.append(f"aug . d1 != 0 at {obj}")
-                                break
+                    zero = Matrix.zeros(self.ring, aug.rows, d.cols)
+                    if not mats_equal_mod(aug @ d, zero, manns):
+                        out.append(f"aug . d1 != 0 at {obj}")
                 else:
                     if not (self.eval_diff(k - 1, obj) @ d).is_zero():
                         out.append(f"d{k-1} . d{k} != 0 at {obj}")
@@ -143,10 +146,10 @@ class Resolution:
                     ker = kernel_basis(self.eval_diff(k, obj))
                 img = self.eval_diff(k + 1, obj)
                 span = StairBasis(self.ring, ker.rows)
-                for j in range(img.cols):
-                    span.add(img.column(j))
-                for j in range(ker.cols):
-                    if not span.contains(ker.column(j)):
+                for vec in img.vecs:
+                    span.add(vec)
+                for vec in ker.vecs:
+                    if not span.contains(vec):
                         out.append(f"not exact at level {k}, object {obj}")
                         break
         return out
@@ -169,13 +172,12 @@ def free_resolution(M: CatModule, length: int, strategy: str = "greedy") -> Reso
     # level 0: cover the values of M
     spanned = {c: StairBasis(ring, M.rank(c)) for c in cat.objects}
     for c in cat.objects:
-        for row in _ann_rows(ring, M.anns[c]):
-            spanned[c].add(row)
+        for vec in _ann_columns(ring, M.anns[c]).vecs:
+            spanned[c].add(vec)
     summands: list[str] = []
     for c in order:
         for j in range(M.rank(c)):
-            e = [ring.zero] * M.rank(c)
-            e[j] = ring.one
+            e = {j: ring.one}
             if strategy != "full" and spanned[c].contains(e):
                 continue
             summands.append(c)
@@ -199,17 +201,15 @@ def free_resolution(M: CatModule, length: int, strategy: str = "greedy") -> Reso
         summands = []
         images: list[dict] = []
         for c in order:
-            K = kernels[c]
-            for j in range(K.cols):
-                v = K.column(j)
+            for v in kernels[c].vecs:
                 if strategy != "full" and spanned[c].contains(v):
                     continue
                 summands.append(c)
-                sparse = prev.to_sparse(c, v)
-                images.append(sparse)
+                keyed = prev.to_keys(c, v)
+                images.append(keyed)
                 for d in cat.objects:
                     for phi in reaches(d, c):
-                        spanned[d].add(prev.to_dense(d, prev.transport(phi, sparse)))
+                        spanned[d].add(prev.to_coords(d, prev.transport(phi, keyed)))
         res.levels.append(FreeCatModule(cat, ring, M.variance, summands))
         res.gen_images.append(images)
     return res
@@ -366,7 +366,7 @@ def horseshoe(iota: dict[str, Matrix], pi: dict[str, Matrix],
     # augmentation
     for i, obj in enumerate(resA.levels[0].summands):
         out.aug_images.append(iota[obj].apply(resA.aug_images[i]))
-    sigma0: list[list] = []
+    sigma0: list[dict] = []
     for i, obj in enumerate(resC.levels[0].summands):
         v = solve_mod(pi[obj], resC.M.anns[obj], resC.aug_images[i])
         if v is None:
@@ -374,13 +374,11 @@ def horseshoe(iota: dict[str, Matrix], pi: dict[str, Matrix],
         out.aug_images.append(v)
         sigma0.append(v)
 
-    def sigma_extend(obj, sparse):
+    def sigma_extend(obj, keyed):
         """Extend sigma_0 to F(C)_0(obj) by the middle module's action."""
-        val = [ring.zero] * middle.rank(obj)
-        for (j, psi), coeff in sparse.items():
-            moved = middle.act(psi).apply(sigma0[j])
-            for t in range(len(val)):
-                val[t] = ring.add(val[t], ring.mul(coeff, moved[t]))
+        val: dict = {}
+        for (j, psi), coeff in keyed.items():
+            _axpy(ring, val, middle.act(psi).apply(sigma0[j]), coeff)
         return val
 
     h_prev: list[dict] = []  # per C-generator of level k-1: sparse over F(A)_{k-1}
@@ -394,19 +392,18 @@ def horseshoe(iota: dict[str, Matrix], pi: dict[str, Matrix],
         for i, obj in enumerate(resC.levels[k].summands):
             dC = resC.gen_images[k][i]
             if k == 1:
-                rhs_val = sigma_extend(obj, dC)
-                rhs = [ring.neg(x) for x in rhs_val]
+                rhs = {t: ring.neg(x) for t, x in sigma_extend(obj, dC).items()}
                 mat = iota[obj] @ resA.eval_aug(obj)
                 hvec = solve_mod(mat, middle.anns[obj], rhs)
             else:
                 rhs = resA.levels[k - 2].push(obj, dC, h_prev)
-                rhs = [ring.neg(x) for x in rhs]
+                rhs = {t: ring.neg(x) for t, x in rhs.items()}
                 hvec = ColumnOps(resA.eval_diff(k - 1, obj)).solve(rhs)
             if hvec is None:
                 raise LiftFailed(f"horseshoe: no correction at level {k}")
-            hsparse = FAprev.to_sparse(obj, hvec)
-            h_this.append(hsparse)
-            combined: dict = dict(hsparse)
+            hkeyed = FAprev.to_keys(obj, hvec)
+            h_this.append(hkeyed)
+            combined: dict = dict(hkeyed)
             for (j, psi), coeff in dC.items():
                 combined[(j + lenA_prev, psi)] = coeff
             images.append(combined)
@@ -454,24 +451,17 @@ def _map_is_iso(mat: Matrix, src_anns: list, dst_anns: list) -> bool:
     ring = mat.ring
     # surjective: columns plus target relations span everything
     span = StairBasis(ring, len(dst_anns))
-    for row in _ann_rows(ring, dst_anns):
-        span.add(row)
-    for j in range(mat.cols):
-        span.add(mat.column(j))
+    for vec in _ann_columns(ring, dst_anns).vecs + mat.vecs:
+        span.add(vec)
     for i in range(len(dst_anns)):
-        e = [ring.zero] * len(dst_anns)
-        e[i] = ring.one
-        if not span.contains(e):
+        if not span.contains({i: ring.one}):
             return False
     # injective: preimage of target relations lies in source relations
     ker = preimage_basis(mat, _ann_columns(ring, dst_anns))
     src_rel = StairBasis(ring, len(src_anns))
-    for row in _ann_rows(ring, src_anns):
-        src_rel.add(row)
-    for j in range(ker.cols):
-        if not src_rel.contains(ker.column(j)):
-            return False
-    return True
+    for vec in _ann_columns(ring, src_anns).vecs:
+        src_rel.add(vec)
+    return all(src_rel.contains(vec) for vec in ker.vecs)
 
 
 def assembly_tor(F: Functor, N: CatModule, n_max: int) -> AssemblyResult:
@@ -498,15 +488,15 @@ def assembly_tor(F: Functor, N: CatModule, n_max: int) -> AssemblyResult:
         level_vecs = []
         for i, obj in enumerate(FP.levels[k].summands):
             if k == 0:
-                target = P.aug_images[i]  # scalar vector of length 1
-                v = ColumnOps(Pp.eval_aug(obj)).solve(list(target))
+                target = P.aug_images[i]  # a vector of length 1
+                v = ColumnOps(Pp.eval_aug(obj)).solve(target)
             else:
                 # rhs = rho_{k-1}(d(gen i)) inside P'_{k-1}(obj)
                 rhs = Pp.levels[k - 1].push(obj, FP.gen_images[k][i], rho[k - 1])
                 v = ColumnOps(Pp.eval_diff(k, obj)).solve(rhs)
             if v is None:
                 raise LiftFailed(f"no lift at level {k} generator {i}")
-            level_vecs.append(Pp.levels[k].to_sparse(obj, v))
+            level_vecs.append(Pp.levels[k].to_keys(obj, v))
         rho.append(level_vecs)
 
     src_cx = tensor_complex(FP, N)  # equals P (x)_B F^* N by adjunction

@@ -144,9 +144,7 @@ def module_from_json(cat: FiniteCategory, d: dict) -> CatModule:
             src = b if d["variance"] == "contra" else a
             tgt = a if d["variance"] == "contra" else b
             if rows:
-                raw_action[f] = Matrix(
-                    ring, [[ring.entry_from_json(x) for x in row] for row in rows]
-                )
+                raw_action[f] = Matrix(ring, rows)
             else:
                 raw_action[f] = Matrix.zeros(
                     ring, values[tgt][0], values[src][0]

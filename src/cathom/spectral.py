@@ -53,7 +53,6 @@ from .fpmod import (
     FPModule,
     Subquotient,
     _ann_columns,
-    _ann_rows,
     induced_map,
     presented_homology,
 )
@@ -97,12 +96,11 @@ class NerveBimoduleComplex:
     def face_matrix(self, p: int, i: int, s: str, t: str) -> Matrix:
         src = self.cells[(p, s, t)]
         tgt = self.cells[(p - 1, s, t)]
-        m = Matrix.zeros(self.ring, tgt.size(), src.size())
-        for col, diagram in enumerate(src.classes):
+        cols = []
+        for diagram in src.classes:
             fd = face(self.cat, diagram, i)
-            if fd is not None:
-                m.data[tgt.class_of(fd)][col] = self.ring.one
-        return m
+            cols.append({} if fd is None else {tgt.class_of(fd): self.ring.one})
+        return Matrix.from_columns(self.ring, cols, tgt.size())
 
     def diff_matrix(self, p: int, s: str, t: str) -> Matrix:
         return alternating_sum(
@@ -128,7 +126,7 @@ def alternating_sum(ring: Ring, rows: int, cols: int, faces) -> Matrix:
     out = Matrix.zeros(ring, rows, cols)
     sign = ring.one
     for f in faces:
-        out = out + f.scale(sign)
+        out.add_block(0, 0, f, sign)
         sign = ring.neg(sign)
     return out
 
@@ -185,22 +183,18 @@ class MergedQuotient:
         self.quot = CanonicalQuotient(ring, len(reps), merged_rows)
         self.module = self.quot.module
 
-    def project_raw(self, sparse: dict) -> list:
+    def project_raw(self, sparse: dict) -> dict:
         ring = self.ring
         z = ring.zero
-        merged = [z] * len(self._merged_index)
+        rep = self._rep_of_raw
+        merged: dict = {}
         for u, c in sparse.items():
-            m = self._rep_of_raw[u]
-            merged[m] = ring.add(merged[m], c)
+            merged[rep[u]] = ring.add(merged.get(rep[u], z), c)
         return self.quot.project(merged)
 
     def lift(self, j: int) -> dict:
-        """A sparse raw-coordinate representative of canonical generator j."""
-        merged = self.quot.lift(j)
-        z = self.ring.zero
-        return {
-            self._raw_rep[m]: c for m, c in enumerate(merged) if c != z
-        }
+        """A raw-coordinate representative of canonical generator j."""
+        return {self._raw_rep[m]: c for m, c in self.quot.lift(j).items()}
 
 
 # -- the total complex -------------------------------------------------------
@@ -334,11 +328,9 @@ class Cell:
                     cls2 = cell_dp.class_of((alpha, phis, cat.compose(f, beta)))
                     for j in range(M.rank(dprime)):
                         row: dict = {}
-                        for a in range(M.rank(d)):
-                            c = Mf.data[a][j]
-                            if c != z:
-                                u = index[(i, d, cls, a)]
-                                row[u] = ring.add(row.get(u, z), c)
+                        for a, c in Mf.vecs[j].items():
+                            u = index[(i, d, cls, a)]
+                            row[u] = ring.add(row.get(u, z), c)
                         v = index[(i, dprime, cls2, j)]
                         row[v] = ring.sub(row.get(v, z), ring.one)
                         if row:
@@ -574,35 +566,22 @@ def _cycle_basis(fc: TotalComplex, n: int, p: int, bound: int) -> Matrix:
             for k in range(fc.block_dim(pp, qq)):
                 out_rows.append(start + k)
                 out_anns.append(anns_next[start + k])
-    sub = Matrix(
+    # D restricted to the columns of F_p and the rows outside F_bound
+    row_pos = {r_: t for t, r_ in enumerate(out_rows)}
+    sub = Matrix.from_columns(
         ring,
-        [[D.data[r_][c] for c in cols] for r_ in out_rows],
-        copy=False,
-        cols=len(cols),
+        [{row_pos[r_]: x for r_, x in D.vecs[c].items() if r_ in row_pos} for c in cols],
+        len(out_rows),
     )
     K = preimage_basis(sub, _ann_columns(ring, out_anns))
     # embed back into T_n coordinates
-    total = fc.total_dim(n)
-    out_cols = []
-    for j in range(K.cols):
-        v = [ring.zero] * total
-        for k, c in enumerate(cols):
-            v[c] = K.data[k][j]
-        out_cols.append(v)
-    return Matrix.from_columns(ring, out_cols, nrows=total)
+    out_cols = [{cols[k]: x for k, x in vec.items()} for vec in K.vecs]
+    return Matrix.from_columns(ring, out_cols, fc.total_dim(n))
 
 
-def _ann_gen_cols(fc: TotalComplex, n: int, p: int) -> list[list]:
-    ring = fc.ring
+def _ann_gen_cols(fc: TotalComplex, n: int, p: int) -> list[dict]:
     anns = fc.anns_of_degree(n)
-    total = fc.total_dim(n)
-    cols = []
-    for c in fc.filtration_cols(n, p):
-        if anns[c]:
-            v = [ring.zero] * total
-            v[c] = anns[c]
-            cols.append(v)
-    return cols
+    return [{c: anns[c]} for c in fc.filtration_cols(n, p) if anns[c]]
 
 
 def spectral_pages(fc: TotalComplex, r_max: int | None = None) -> list[Page]:
@@ -636,13 +615,12 @@ def spectral_pages(fc: TotalComplex, r_max: int | None = None) -> list[Page]:
         for (p, q) in grid:
             n = p + q
             total = fc.total_dim(n)
-            b_cols = Z(max(r - 1, 0), p - s, q + s).columns()
+            b_cols = list(Z(max(r - 1, 0), p - s, q + s).vecs)
             if r >= 1:
                 zsrc = Z(r - 1, p + s * (r - 1), q - s * (r - 2))
                 if zsrc.cols:
                     Dsrc = fc.total_diff(n + s)
-                    for j in range(zsrc.cols):
-                        b_cols.append(Dsrc.apply(zsrc.column(j)))
+                    b_cols.extend(Dsrc.apply(vec) for vec in zsrc.vecs)
             b_cols.extend(_ann_gen_cols(fc, n, p))
             gens_B = Matrix.from_columns(ring, b_cols, nrows=total)
             sq = Subquotient(ring, total, Z(r, p, q), gens_B)
@@ -710,7 +688,7 @@ def _filtration_cells(fc: TotalComplex, m: int, h: Subquotient, einf: Page) -> l
     steps = {}
     for p in (empty, *range(fc.p_max + 1)):
         zcap = _cycle_basis(fc, m, p, empty)  # D x in relations
-        gens = [h.project(zcap.column(j)) for j in range(zcap.cols)]
+        gens = [h.project(vec) for vec in zcap.vecs]
         steps[p] = Matrix.from_columns(ring, gens, nrows=n_h).hstack(rels)
     cells = []
     for (p, q) in fc.blocks(m):
@@ -786,10 +764,8 @@ class LESReport:
 def _image_lattice(mat: Matrix, anns_target: list) -> StairBasis:
     ring = mat.ring
     out = StairBasis(ring, len(anns_target))
-    for j in range(mat.cols):
-        out.add(mat.column(j))
-    for row in _ann_rows(ring, anns_target):
-        out.add(row)
+    for vec in mat.vecs + _ann_columns(ring, anns_target).vecs:
+        out.add(vec)
     return out
 
 
@@ -797,16 +773,14 @@ def _kernel_lattice(mat: Matrix, anns_src: list, anns_target: list) -> StairBasi
     ring = mat.ring
     K = preimage_basis(mat, _ann_columns(ring, anns_target))
     out = StairBasis(ring, len(anns_src))
-    for j in range(K.cols):
-        out.add(K.column(j))
-    for row in _ann_rows(ring, anns_src):
-        out.add(row)
+    for vec in K.vecs + _ann_columns(ring, anns_src).vecs:
+        out.add(vec)
     return out
 
 
 def _lattices_equal(a: StairBasis, b: StairBasis) -> bool:
-    return all(b.contains(row) for row in a.basis_rows()) and all(
-        a.contains(row) for row in b.basis_rows()
+    return all(b.contains(row) for row in a.basis()) and all(
+        a.contains(row) for row in b.basis()
     )
 
 

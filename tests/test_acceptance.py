@@ -266,7 +266,7 @@ def test_criterion_10_linear_algebra():
         Z = Matrix(ZZ, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         factors = [rng.randint(1, 3) for _ in range(Z.cols)]
         B = Matrix.from_columns(
-            ZZ, [[x * factors[j] for x in Z.column(j)]
+            ZZ, [{i: x * factors[j] for i, x in Z.vecs[j].items()}
                  for j in range(Z.cols)], nrows=n)
         base = subquotient(n, Z, B).module
         U = Matrix.identity(ZZ, n)

@@ -132,6 +132,19 @@ class TestResolution:
         res = free_resolution(CatModule.constant(cat, ZZ, CO), 3)
         assert res.verify() == []
 
+    def test_corrupted_augmentation_reported_once(self):
+        # Z + sign + sign over BZ2; sending the trivial generator to e1 + e2
+        # breaks aug . d1 in two rows of the one object, and the changed
+        # augmentation is no longer exact at level 0
+        cat = group_category(FiniteGroup.cyclic(2))
+        act = {"g0": Matrix.identity(ZZ, 3), "g1": Matrix(ZZ, [[1, 0, 0], [0, -1, 0], [0, 0, -1]])}
+        M = CatModule(cat, CONTRA, ZZ, {"*": [0, 0, 0]}, act)
+        res = free_resolution(M, 2)
+        assert res.verify() == []
+        assert res.aug_images[0] == {0: 1}
+        res.aug_images[0] = {1: 1, 2: 1}
+        assert res.verify() == ["aug . d1 != 0 at *", "not exact at level 0, object *"]
+
 
 class TestTorOracle:
     def test_group_z2_homology(self):

@@ -185,6 +185,13 @@ class TestCLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["counts"] == {"0": 3, "1": 3, "2": 1}
 
+    def test_chains_negative_pmax_exit_4(self, orz2_bundle, tmp_path, capsys):
+        out = tmp_path / "chains.json"
+        assert main(["chains", orz2_bundle, "--pmax", "-1", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("INPUT ERROR: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_chains_unbounded_exit_3(self, tmp_path, capsys):
         from cathom.fixtures import idempotent_category
 

@@ -101,7 +101,7 @@ def _inverse(A):
     # A = Uinv S Vinv with S = I up to signs; invert through the factors
     Sinv = Matrix.identity(ZZ, n)
     for i in range(n):
-        Sinv.data[i][i] = r.S.data[i][i]  # entries are +-1
+        Sinv.vecs[i][i] = r.S.vecs[i][i]  # entries are +-1
     return r.V @ Sinv @ r.U
 
 
@@ -132,8 +132,7 @@ class TestSubquotient:
         for j in range(sq.module.n_gens):
             v = sq.lift(j)
             coords = sq.project(v)
-            expected = [0] * sq.module.n_gens
-            expected[j] = 1
+            expected = {j: 1}
             assert coords == expected
 
     def test_unimodular_invariance(self):
