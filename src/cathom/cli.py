@@ -83,7 +83,7 @@ def cmd_validate(args) -> int:
 
 def cmd_chains(args) -> int:
     try:
-        _check_bounds(args)
+        _check_flags(args)
     except ParseError as e:
         print(f"INPUT ERROR: {e}", file=sys.stderr)
         return EXIT_INPUT
@@ -118,12 +118,24 @@ def cmd_chains(args) -> int:
     return EXIT_OK
 
 
-def _check_bounds(args):
-    """Refuse a negative --nmax, --pmax, --qmax or --rmax."""
+def _check_flags(args):
+    """Refuse, before any work, a negative --nmax, --pmax, --qmax or
+    --rmax, a --ring that names no ring, and an --out that cannot be
+    written because it is a directory or its directory does not exist."""
     for flag in ("nmax", "pmax", "qmax", "rmax"):
         value = getattr(args, flag)
         if value is not None and value < 0:
             raise ParseError(f"--{flag} must be non-negative, got {value}")
+    if args.ring is not None:
+        try:
+            ring_from_tag(args.ring)
+        except ValueError as e:
+            raise ParseError(f"--ring {args.ring!r}: {e}") from None
+    if args.out is not None:
+        if os.path.isdir(args.out):
+            raise ParseError(f"--out {args.out!r} is a directory")
+        if not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ParseError(f"--out {args.out!r}: no such directory")
 
 
 def _load_mn(args, want_n_variance):
@@ -150,7 +162,7 @@ def _load_mn(args, want_n_variance):
 def _load_paged(args, want_n_variance):
     """(ws, M, N, q_max) for ss and ext, refusing the bounds under which
     the pages cannot certify the convergence band."""
-    _check_bounds(args)
+    _check_flags(args)
     ws, M, N = _load_mn(args, want_n_variance)
     q_max = args.qmax if args.qmax is not None else args.nmax + 1
     if q_max < args.nmax + 1:
@@ -237,7 +249,7 @@ def cmd_ext(args) -> int:
 
 def cmd_tor(args) -> int:
     try:
-        _check_bounds(args)
+        _check_flags(args)
         ws, M, N = _load_mn(args, CO)
     except ParseError as e:
         print(f"INPUT ERROR: {e}", file=sys.stderr)
@@ -258,7 +270,7 @@ def cmd_tor(args) -> int:
 
 def cmd_family(args) -> int:
     try:
-        _check_bounds(args)
+        _check_flags(args)
         ws = load_bundle(args.bundle)
         if args.family not in ws.families:
             raise ParseError(f"family {args.family!r} not in bundle")
@@ -315,7 +327,7 @@ def cmd_family(args) -> int:
 
 def cmd_assembly(args) -> int:
     try:
-        _check_bounds(args)
+        _check_flags(args)
         ws = load_bundle(args.bundle)
         if args.module_n not in ws.modules:
             raise ParseError(f"module {args.module_n!r} not in bundle")
@@ -368,33 +380,28 @@ def make_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("validate", help="validate bundles")
     pv.add_argument("bundle", nargs="+")
-    pv.set_defaults(fn=cmd_validate)
 
     pc = sub.add_parser("chains", help="list chains and biset sizes")
     pc.add_argument("bundle")
     common(pc)
-    pc.set_defaults(fn=cmd_chains)
 
     ps = sub.add_parser("ss", help="spectral sequence pages and convergence")
     ps.add_argument("bundle")
     ps.add_argument("-M", dest="module_m", required=True)
     ps.add_argument("-N", dest="module_n", required=True)
     common(ps)
-    ps.set_defaults(fn=cmd_ss)
 
     pe = sub.add_parser("ext", help="cohomology pages and convergence")
     pe.add_argument("bundle")
     pe.add_argument("-M", dest="module_m", required=True)
     pe.add_argument("-N", dest="module_n", required=True)
     common(pe)
-    pe.set_defaults(fn=cmd_ext)
 
     pt = sub.add_parser("tor", help="the Tor oracle")
     pt.add_argument("bundle")
     pt.add_argument("-M", dest="module_m", required=True)
     pt.add_argument("-N", dest="module_n", required=True)
     common(pt)
-    pt.set_defaults(fn=cmd_tor)
 
     pf = sub.add_parser("family", help="cofinality, reduction and (M)/(NM)")
     pf.add_argument("bundle")
@@ -402,7 +409,6 @@ def make_parser() -> argparse.ArgumentParser:
     pf.add_argument("--subfamily", default=None)
     pf.add_argument("--assembly", action="store_true")
     common(pf)
-    pf.set_defaults(fn=cmd_family)
 
     pa = sub.add_parser("assembly", help="assembly maps along a subcategory inclusion")
     pa.add_argument("bundle")
@@ -410,13 +416,18 @@ def make_parser() -> argparse.ArgumentParser:
     pa.add_argument("--objects", required=True,
                     help="comma-separated objects of the full subcategory")
     common(pa)
-    pa.set_defaults(fn=cmd_assembly)
     return ap
 
 
+_PARSER: list[argparse.ArgumentParser] = []  # built by the first main call
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
-    return args.fn(args)
+    if not _PARSER:
+        _PARSER.append(make_parser())
+    args = _PARSER[0].parse_args(argv)
+    # looked up per call, so a replaced cmd_<command> is the one that runs
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

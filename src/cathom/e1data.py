@@ -121,7 +121,7 @@ class ChainGroupData:
         bact = [N.act(a) for a in self.elems0]
         self.B = GroupModule(ring, self.G0, list(N.anns[c0]), bact, "left")
 
-    def tor(self, q_max: int) -> list[Subquotient]:
+    def tor(self, q_max: int) -> list[FPModule]:
         return group_tor(self.A, self.B, q_max)
 
 
@@ -137,7 +137,7 @@ def e1_direct(M: CatModule, N: CatModule, q_max: int = 3,
     for p in sorted(fc.chains):
         for chain in fc.chains[p]:
             data = ChainGroupData(fc, chain)
-            out[(p, chain)] = [w.module for w in data.tor(q_max)]
+            out[(p, chain)] = data.tor(q_max)
     return out
 
 
@@ -186,8 +186,8 @@ def verify_e1(M: CatModule, N: CatModule, q_max: int = 3,
                     "chain": repr(chain),
                     "q": q,
                     "engine": engine.pretty(),
-                    "group_tor": direct[q].module.pretty(),
-                    "match": engine == direct[q].module,
+                    "group_tor": direct[q].pretty(),
+                    "match": engine == direct[q],
                 })
         for q in range(band + 1):
             total = FPModule(ring, 0)

@@ -7,6 +7,14 @@ changes no homology, because they span an acyclic subcomplex.  Generators
 are ordered lexicographically in (A-generator, group tuple, B-generator),
 so all presentations are deterministic.  Rank (|G|-1)^q is the intended
 cost model for the small automorphism groups this is used on.
+
+Only the isomorphism type of each Tor group is computed.  Over a field,
+or over Z when the bar levels carry no annihilators, it comes from the
+ranks and invariant factors of the differentials
+(``PresentedComplex.homology``, through ``intlin.invariant_factors``),
+which shares no code with ``StairBasis``, ``Subquotient`` or
+``CanonicalQuotient``; levels with Z-torsion read it off a ``Subquotient``
+witness.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 from itertools import product
 from math import gcd
 
-from .fpmod import FPModule, Subquotient
+from .fpmod import FPModule
 from .groups import FiniteGroup
 from .matrix import Matrix
 from .rings import Ring
@@ -131,7 +139,7 @@ def _one_object_category(G: FiniteGroup):
     return FiniteCategory(["*"], mors, comp, {"*": "g0"}, name=f"B{G.name}")
 
 
-def _tor_by_resolution(A: GroupModule, B: GroupModule, q_max: int) -> list[Subquotient]:
+def _tor_by_resolution(A: GroupModule, B: GroupModule, q_max: int) -> list[FPModule]:
     from .catmod import CO, CONTRA, CatModule
     from .resolve import free_resolution, tensor_complex
 
@@ -142,11 +150,11 @@ def _tor_by_resolution(A: GroupModule, B: GroupModule, q_max: int) -> list[Subqu
                       {f"g{i}": B.act[i] for i in range(B.G.n)}, check=False)
     res = free_resolution(a_mod, q_max + 1)
     cx = tensor_complex(res, b_mod)
-    return [cx.homology_witness(q) for q in range(q_max + 1)]
+    return [cx.homology(q) for q in range(q_max + 1)]
 
 
-def group_tor(A: GroupModule, B: GroupModule, q_max: int) -> list[Subquotient]:
-    """Tor_q^{R[G]}(A, B) for q <= q_max, with witnesses.
+def group_tor(A: GroupModule, B: GroupModule, q_max: int) -> list[FPModule]:
+    """Tor_q^{R[G]}(A, B) for q <= q_max.
 
     The truncated two-sided bar complex is used whenever one argument is
     free over the coefficient ring (always over a field); it is not a
@@ -160,7 +168,7 @@ def group_tor(A: GroupModule, B: GroupModule, q_max: int) -> list[Subquotient]:
         or all(not d for d in B.anns)
     ):
         cx = bar_complex(A, B, q_max + 1)
-        return [cx.homology_witness(q) for q in range(q_max + 1)]
+        return [cx.homology(q) for q in range(q_max + 1)]
     return _tor_by_resolution(A, B, q_max)
 
 

@@ -14,6 +14,11 @@ built by the one block builder ``yoneda_matrix``: the Tor complex
 map of the assembly.  Vectors over a free module's basis are moved and
 renumbered by ``FreeCatModule.to_keys``/``to_coords``/``push``.
 
+The Tor and Ext oracles need only isomorphism types.
+``PresentedComplex.homology``/``cohomology`` read them off the ranks and
+invariant factors of the differentials when the levels involved carry no
+annihilators, and off a ``Subquotient`` witness otherwise.
+
 The assembly map along a functor F: B -> C is computed by inducing a free
 resolution of the constant module over B (a symbol-level relabeling),
 lifting its augmentation into a free resolution of the constant module
@@ -41,7 +46,7 @@ from .fpmod import (
     presented_homology,
     solve_mod,
 )
-from .intlin import ColumnOps, StairBasis, kernel_basis, preimage_basis
+from .intlin import ColumnOps, StairBasis, invariant_factors, kernel_basis, preimage_basis
 from .matrix import Matrix, _axpy
 from .rings import Ring
 
@@ -226,6 +231,7 @@ class PresentedComplex:
         self.ring = ring
         self.anns = anns
         self.diffs = diffs  # length len(anns) - 1, diffs[k-1] = d_k
+        self._factors: dict[int, list] = {}  # k -> invariant_factors(diffs[k])
 
     def d(self, k: int) -> Matrix:
         """d_k: C_k -> C_{k-1}; zero maps off the ends."""
@@ -252,7 +258,34 @@ class PresentedComplex:
         return presented_homology(d_out, d_in, self.anns[q], anns_next)
 
     def homology(self, q: int) -> FPModule:
-        return self.homology_witness(q).module
+        """H_q, from ranks and invariant factors when levels q and q - 1
+        carry no annihilators, else from the witness."""
+        if any(self.anns[q]) or (q >= 1 and any(self.anns[q - 1])):
+            return self.homology_witness(q).module
+        return self._free_type(q, q - 1, q)
+
+    def cohomology(self, q: int) -> FPModule:
+        """H^q of a cochain complex (see ``hom_complex``), from ranks and
+        invariant factors when levels q and q + 1 carry no annihilators,
+        else from the witness."""
+        if any(self.anns[q]) or (q + 1 < len(self.anns) and any(self.anns[q + 1])):
+            return cohomology_witness(self, q).module
+        return self._free_type(q, q, q - 1)
+
+    def _free_type(self, q: int, k_out: int, k_in: int) -> FPModule:
+        """ker(diffs[k_out]) / im(diffs[k_in]) at level q of free modules:
+        rank n_q - rk out - rk in, torsion the non-unit factors of in; an
+        index off the ends is the zero map."""
+        out, inc = self._factors_of(k_out), self._factors_of(k_in)
+        torsion = tuple(d for d in inc if d != 1)
+        return FPModule(self.ring, len(self.anns[q]) - len(out) - len(inc), torsion)
+
+    def _factors_of(self, k: int) -> list:
+        if not 0 <= k < len(self.diffs):
+            return []
+        if k not in self._factors:
+            self._factors[k] = invariant_factors(self.diffs[k])
+        return self._factors[k]
 
 
 def yoneda_matrix(N: CatModule, gens: list[str], targets: list[str],
@@ -307,7 +340,7 @@ def hom_complex(res: Resolution, N: CatModule) -> PresentedComplex:
     """Hom_C(F_*, N) for contravariant res and N, collapsed by Yoneda.
 
     The returned PresentedComplex stores delta^q: C^q -> C^{q+1} as
-    diffs[q], so homology_witness is not applicable; use cohomology_witness.
+    diffs[q], so homology is not applicable; use cohomology.
     """
     if res.variance != CONTRA or N.variance != CONTRA:
         raise VarianceMismatch("Ext needs both modules contravariant")
@@ -342,7 +375,7 @@ def ext(M: CatModule, N: CatModule, n_max: int, strategy: str = "greedy") -> lis
         raise VarianceMismatch("ext needs both modules contravariant")
     res = free_resolution(M, n_max + 1, strategy=strategy)
     cx = hom_complex(res, N)
-    return [cohomology_witness(cx, q).module for q in range(n_max + 1)]
+    return [cx.cohomology(q) for q in range(n_max + 1)]
 
 
 def horseshoe(iota: dict[str, Matrix], pi: dict[str, Matrix],

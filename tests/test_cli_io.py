@@ -268,6 +268,42 @@ class TestCLI:
         assert err.startswith("INPUT ERROR: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @staticmethod
+    def valid_args(command):
+        """Arguments that make ``command`` run on the OrZ2 bundle."""
+        if command == "family":
+            return ["--family", "all", "--assembly"]
+        if command == "chains":
+            return []
+        return ["-M", "Malt", "-N", "Mconst" if command == "ext" else "Nconst"]
+
+    @pytest.mark.parametrize("command", ["ss", "ext", "tor", "family"])
+    @pytest.mark.parametrize("ring", ["Fp:4", "W", "Fp:x"])
+    def test_bad_ring_exit_4(self, orz2_bundle, command, ring, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        rc = main([command, orz2_bundle, *self.valid_args(command),
+                   "--ring", ring, "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("INPUT ERROR: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ss", "ext", "tor", "family", "chains"])
+    def test_out_in_missing_directory_exit_4(self, orz2_bundle, command, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.json"
+        rc = main([command, orz2_bundle, *self.valid_args(command),
+                   "--nmax", "1", "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("INPUT ERROR: ") and err.count("\n") == 1
+        assert not out.parent.exists()
+
+    def test_out_is_a_directory_exit_4(self, orz2_bundle, tmp_path, capsys):
+        rc = main(["tor", orz2_bundle, "-M", "Malt", "-N", "Nconst", "--out", str(tmp_path)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("INPUT ERROR: ") and err.count("\n") == 1
+
     def test_ss_missing_module_exit_4(self, orz2_bundle, capsys):
         assert main(["ss", orz2_bundle, "-M", "nope", "-N", "Nconst"]) == 4
 

@@ -10,7 +10,7 @@ from cathom.e1data import (
     e1_direct,
     verify_e1,
 )
-from cathom.fixtures import fixture_category, fixture_modules
+from cathom.fixtures import FIXTURE_NAMES, fixture_category, fixture_modules
 from cathom.fpmod import FPModule
 from cathom.groupbar import (
     GroupModule,
@@ -21,6 +21,7 @@ from cathom.groupbar import (
 )
 from cathom.groups import FiniteGroup
 from cathom.matrix import Matrix
+from cathom.resolve import cohomology_witness, free_resolution, hom_complex, tensor_complex
 from cathom.rings import GF, QQ, ZZ
 from cathom.spectral import build_filtered_complex
 
@@ -30,14 +31,14 @@ class TestGroupBar:
         G = FiniteGroup.cyclic(2)
         A = trivial_group_module(ZZ, G, "right")
         B = trivial_group_module(ZZ, G, "left")
-        t = [w.module.pretty() for w in group_tor(A, B, 3)]
+        t = [m.pretty() for m in group_tor(A, B, 3)]
         assert t == ["Z", "Z/2", "0", "Z/2"]
 
     def test_z3(self):
         G = FiniteGroup.cyclic(3)
         A = trivial_group_module(ZZ, G, "right")
         B = trivial_group_module(ZZ, G, "left")
-        t = [w.module.pretty() for w in group_tor(A, B, 3)]
+        t = [m.pretty() for m in group_tor(A, B, 3)]
         assert t == ["Z", "Z/3", "0", "Z/3"]
 
     def test_regular_module_acyclic(self):
@@ -49,8 +50,8 @@ class TestGroupBar:
         assert A.check() == []
         B = trivial_group_module(ZZ, G, "left")
         t = group_tor(A, B, 2)
-        assert t[0].module == FPModule(ZZ, 1)
-        assert t[1].module.is_zero() and t[2].module.is_zero()
+        assert t[0] == FPModule(ZZ, 1)
+        assert t[1].is_zero() and t[2].is_zero()
 
 
     @pytest.mark.parametrize("group", ["C2", "C3", "S3"])
@@ -60,12 +61,88 @@ class TestGroupBar:
              "S3": FiniteGroup.symmetric(3)}[group]
         A = trivial_group_module(ring, G, "right")
         B = trivial_group_module(ring, G, "left")
-        bar = [w.module for w in group_tor(A, B, 3)]
-        assert bar == [w.module for w in _tor_by_resolution(A, B, 3)]
+        bar = group_tor(A, B, 3)
+        assert bar == _tor_by_resolution(A, B, 3)
         cx = bar_complex(A, B, 4)
         assert [len(a) for a in cx.anns] == [
             A.rank * B.rank * (G.n - 1) ** q for q in range(5)
         ]
+
+
+def regular_group_module(ring, G, side):
+    """R[G], with g acting by multiplication on the given side."""
+    mul = (lambda g, x: G.mul(x, g)) if side == "right" else G.mul
+    act = [Matrix.from_columns(ring, [{mul(g, x): ring.one} for x in range(G.n)], G.n)
+           for g in range(G.n)]
+    return GroupModule(ring, G, [ring.zero] * G.n, act, side)
+
+
+GROUPS = {"C2": lambda: FiniteGroup.cyclic(2), "C3": lambda: FiniteGroup.cyclic(3),
+          "C4": lambda: FiniteGroup.cyclic(4), "S3": lambda: FiniteGroup.symmetric(3)}
+
+
+class TestTypeOnlyHomology:
+    """PresentedComplex.homology/cohomology (ranks and invariant factors)
+    against the Subquotient witnesses they replace."""
+
+    @pytest.mark.parametrize("group", sorted(GROUPS))
+    @pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3), QQ], ids=str)
+    @pytest.mark.parametrize("modules", ["trivial", "regular-left", "regular-right"])
+    def test_bar_complexes(self, group, ring, modules):
+        G = GROUPS[group]()
+        A = (regular_group_module(ring, G, "right") if modules == "regular-right"
+             else trivial_group_module(ring, G, "right"))
+        B = (regular_group_module(ring, G, "left") if modules == "regular-left"
+             else trivial_group_module(ring, G, "left"))
+        assert A.check() == [] and B.check() == []
+        cx = bar_complex(A, B, 3)
+        for q in range(3):  # level 3 is the truncation, with no d_4
+            assert cx.homology(q) == cx.homology_witness(q).module
+        tor = group_tor(A, B, 2)
+        assert tor == [cx.homology(q) for q in range(3)]
+        if modules != "trivial":
+            assert all(m.is_zero() for m in tor[1:])
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    @pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=str)
+    def test_fixture_tensor_and_hom_complexes(self, name, ring):
+        cat = fixture_category(name)
+        Ms, Ns = fixture_modules(cat, ring)
+        for M in Ms.values():
+            res = free_resolution(M, 3)
+            for N in Ns.values():
+                cx = tensor_complex(res, N)
+                for q in range(4):
+                    assert cx.homology(q) == cx.homology_witness(q).module
+            for N in Ms.values():
+                cx = hom_complex(res, N)
+                for q in range(4):
+                    assert cx.cohomology(q) == cohomology_witness(cx, q).module
+
+    def test_annihilator_fallback(self):
+        # A = Z/2 with trivial action, B = Z: the bar levels carry the
+        # annihilators gcd(2, 0) = 2, so the types come from the witnesses
+        G = FiniteGroup.cyclic(2)
+        A = GroupModule(ZZ, G, [2], [Matrix.identity(ZZ, 1)] * G.n, "right")
+        B = trivial_group_module(ZZ, G, "left")
+        assert any(any(level) for level in bar_complex(A, B, 3).anns)
+        tor = group_tor(A, B, 3)
+        assert tor == _tor_by_resolution(A, B, 3)
+        assert [m.pretty() for m in tor] == ["Z/2", "Z/2", "Z/2", "Z/2"]
+
+    def test_no_witnesses_without_annihilators(self, monkeypatch):
+        import cathom.fpmod as fpmod
+        import cathom.intlin as intlin
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("witness built on annihilator-free levels")
+
+        for cls in (intlin.StairBasis, fpmod.Subquotient, fpmod.CanonicalQuotient):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        G = FiniteGroup.symmetric(3)
+        tor = group_tor(trivial_group_module(ZZ, G, "right"),
+                        trivial_group_module(ZZ, G, "left"), 3)
+        assert [m.pretty() for m in tor] == ["Z", "Z/2", "0", "Z/6"]
 
 
 class TestE1Direct:

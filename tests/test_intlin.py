@@ -1,8 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cathom.intlin import ColumnOps, StairBasis, det_int, kernel_basis, preimage_basis, smith_normal_form
+from cathom.intlin import (
+    ColumnOps,
+    StairBasis,
+    det_int,
+    invariant_factors,
+    kernel_basis,
+    preimage_basis,
+    smith_normal_form,
+)
 from cathom.matrix import Matrix
 from cathom.rings import GF, QQ, ZZ
 
@@ -140,3 +150,78 @@ class TestStairBasis:
         assert not b.add({0: 4, 1: 8})
         assert b.add({0: 3, 1: 6})  # gcd step shrinks the pivot
         assert b.contains({0: 1, 1: 2})
+
+
+def snf_factors(A):
+    return [d for d in smith_normal_form(A).diagonal() if d]
+
+
+def sympy_factors(A):
+    from sympy import Matrix as SMatrix
+    from sympy import ZZ as SZZ
+    from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
+
+    if A.rows == 0 or A.cols == 0:
+        return []
+    return [abs(int(d)) for d in sympy_invariant_factors(SMatrix(A.data), domain=SZZ) if d]
+
+
+FACTOR_RINGS = {"Z": ZZ, "Q": QQ, "F2": GF(2), "F5": GF(5)}
+
+
+@st.composite
+def ring_matrices(draw, entries=(0, 0, 0, 1, -1, 2, -2, 3, 4, 6, -9)):
+    tag = draw(st.sampled_from(sorted(FACTOR_RINGS)))
+    m = draw(st.integers(0, 7))
+    n = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(st.sampled_from(entries), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    return Matrix(FACTOR_RINGS[tag], rows, cols=n)
+
+
+class TestInvariantFactors:
+    """invariant_factors against SNF with transforms and, over Z, sympy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ring_matrices())
+    def test_matches_snf(self, A):
+        f = invariant_factors(A)
+        assert f == snf_factors(A)
+        if A.ring.is_field:
+            assert all(d == A.ring.one for d in f)
+        else:
+            assert f == sympy_factors(A)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ring_matrices(entries=(1, -1, 1, -1, 0, 2)))
+    def test_unit_heavy_matches_snf(self, A):
+        f = invariant_factors(A)
+        assert f == snf_factors(A)
+        if not A.ring.is_field:
+            assert f == sympy_factors(A)
+
+    @pytest.mark.parametrize("tag", sorted(FACTOR_RINGS))
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 5)])
+    def test_empty_and_zero_shapes(self, tag, shape):
+        ring = FACTOR_RINGS[tag]
+        assert invariant_factors(Matrix.zeros(ring, *shape)) == []
+
+    def test_no_unit_entry_goes_to_the_rest(self):
+        assert invariant_factors(M([[2, 0], [0, 3]])) == [1, 6]
+        assert invariant_factors(M([[2, 4], [6, 8]])) == [2, 4]
+        assert invariant_factors(M([[2, 0], [0, 2]])) == [2, 2]
+        assert invariant_factors(M([[4, 6]])) == [2]
+
+    def test_units_then_rest(self):
+        # a unit pivot, and a rest whose second reduction changes it
+        A = M([[1, 2, 0], [1, 0, 2], [0, 2, 4]])
+        assert invariant_factors(A) == snf_factors(A) == sympy_factors(A)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dense_unit_heavy(self, seed):
+        rng = random.Random(seed)
+        for ring in (ZZ, GF(5)):
+            A = Matrix(ring, [[rng.choice([1, -1, 1, 0]) for _ in range(12)] for _ in range(10)])
+            assert invariant_factors(A) == snf_factors(A)
+        A = Matrix(ZZ, [[rng.choice([1, -1, 1, 0]) for _ in range(12)] for _ in range(10)])
+        assert invariant_factors(A) == sympy_factors(A)
