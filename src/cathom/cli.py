@@ -182,8 +182,7 @@ def cmd_ss(args) -> int:
             N, q_max, _cache_from(args), cat_json=category_to_json(ws.category),
             module_json=module_to_json(N),
         )
-        fc = build_filtered_complex(M, N, p_max=args.pmax, q_max=q_max,
-                                    Q=Q, jobs=args.jobs)
+        fc = build_filtered_complex(M, N, p_max=args.pmax, q_max=q_max, Q=Q)
         pages = spectral_pages(fc)
         report = converge_and_compare(M, N, args.nmax, fc=fc, pages=pages)
     except ParseError as e:
@@ -210,7 +209,7 @@ def cmd_ss(args) -> int:
                  f"certified band {report.band}"]
         einf = pages[-1]
         for (p, q) in sorted(einf.entries):
-            m = einf.entries[(p, q)].module
+            m = einf.entry(p, q)
             if not m.is_zero():
                 lines.append(f"  E({p},{q}) = {m.pretty()}")
         for d in report.degrees:

@@ -58,13 +58,13 @@ class ChainColumn:
         for q in range(1, fc.q_max + 1):
             self.vert.append(self.cells[q].precompose_map(self.cells[q - 1], fc.Q.gen_images[q]))
         self.complex = PresentedComplex(
-            fc.ring, [cell.module.anns() for cell in self.cells], self.vert[1:]
+            fc.ring, [cell.module.anns() for cell in self.cells], self.vert[1:], 1
         )
         self._homology: dict[int, Subquotient] = {}
 
     def homology(self, q: int) -> Subquotient:
         if q not in self._homology:
-            self._homology[q] = self.complex.homology_witness(q)
+            self._homology[q] = self.complex.witness(q)
         return self._homology[q]
 
 

@@ -29,13 +29,7 @@ from .fpmod import CanonicalQuotient, FPModule, Subquotient, _ann_columns, induc
 from .intlin import preimage_basis
 from .matrix import Matrix
 from .resolve import Resolution, ext, free_resolution, hom_complex, horseshoe, yoneda_matrix
-from .spectral import (
-    Cell,
-    TotalComplex,
-    _filtration_cells,
-    spectral_pages,
-    total_homology,
-)
+from .spectral import Cell, TotalComplex, compare_with_oracle, spectral_pages
 
 
 class WModule:
@@ -159,10 +153,10 @@ class ExtFilteredComplex(TotalComplex):
                 }
                 PW = horseshoe(zincl, wproj, RZ, RB[p - 1], Wp)
             else:
-                PW = RZ
                 # rebase: the augmentation should land in W_0, not Z_0
                 PW = _rebase(RZ, Wp, zincl)
             self.PW.append(PW)
+        # _rb_sizes[p][q]: the number of RB_{p-1} tail summands at level q of PW_p
         self._rb_sizes = [[0] * (q_max + 1)]
         for p in range(1, self.p_max + 1):
             self._rb_sizes.append(
@@ -187,17 +181,13 @@ class ExtFilteredComplex(TotalComplex):
         """
         dst_sums = self.PW[p + 1].levels[q].summands  # source of delta
         src_sums = self.PW[p].levels[q].summands      # target of delta
-        lead = len(dst_sums) - self._rb_len(p + 1, q)
+        lead = len(dst_sums) - self._rb_sizes[p + 1][q]
         images = [{} for _ in range(lead)]
         for t, c in enumerate(dst_sums[lead:]):
             if src_sums[t] != c:
                 raise AssertionError("CE block misalignment")
             images.append({(t, self.cat.id_of(c)): self.ring.one})
         return yoneda_matrix(self.N, dst_sums, src_sums, images, cochain=True)
-
-    def _rb_len(self, p: int, q: int) -> int:
-        """Number of RB_{p-1} tail summands at level q of PW_p."""
-        return self._rb_sizes[p][q]
 
     # -- the blocks of the total complex ------------------------------------
 
@@ -273,15 +263,7 @@ def ext_pages(M: CatModule, N: CatModule, p_max: int | None = None,
     fcx = ExtFilteredComplex(M, N, p_max=p_max, q_max=q_max)
     band = fcx.certified_band() if n_max is None else min(n_max, fcx.certified_band())
     pages = spectral_pages(fcx)
-    oracle = ext(M, N, band)
-    degrees = []
-    cells = []
-    for n in range(band + 1):
-        h = total_homology(fcx, n)
-        degrees.append({"n": n, "oracle": oracle[n].pretty(),
-                        "total": h.module.pretty(),
-                        "match": oracle[n] == h.module})
-        cells.extend(_filtration_cells(fcx, n, h, pages[-1]))
+    degrees, cells = compare_with_oracle(fcx, pages[-1], ext(M, N, band), "n")
     ring = fcx.ring
     e1 = pages[1]
     e1_rows = []

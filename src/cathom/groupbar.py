@@ -124,7 +124,7 @@ def bar_complex(A: GroupModule, B: GroupModule, top: int) -> PresentedComplex:
                 col[row] = ring.add(col.get(row, z), ring.mul(sign, c))
             cols.append({row: x for row, x in col.items() if x})
         diffs.append(Matrix.from_columns(ring, cols, len(gens_per_level[q - 1])))
-    return PresentedComplex(ring, anns, diffs)
+    return PresentedComplex(ring, anns, diffs, 1)
 
 
 def _one_object_category(G: FiniteGroup):

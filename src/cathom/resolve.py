@@ -14,10 +14,12 @@ built by the one block builder ``yoneda_matrix``: the Tor complex
 map of the assembly.  Vectors over a free module's basis are moved and
 renumbered by ``FreeCatModule.to_keys``/``to_coords``/``push``.
 
-The Tor and Ext oracles need only isomorphism types.
-``PresentedComplex.homology``/``cohomology`` read them off the ranks and
-invariant factors of the differentials when the levels involved carry no
-annihilators, and off a ``Subquotient`` witness otherwise.
+A ``PresentedComplex`` carries the ``step`` of ``spectral.TotalComplex``:
++1 for the Tor complex and the bar complex, -1 for the Ext complex.  Its
+``homology(n)`` is H_n or H^n alike.  The Tor and Ext oracles need only
+isomorphism types, so ``homology`` reads them off the ranks and invariant
+factors of the differentials when the levels involved carry no
+annihilators, and off the ``Subquotient`` of ``witness(n)`` otherwise.
 
 The assembly map along a functor F: B -> C is computed by inducing a free
 resolution of the constant module over B (a symbol-level relabeling),
@@ -221,71 +223,59 @@ def free_resolution(M: CatModule, length: int, strategy: str = "greedy") -> Reso
 
 
 class PresentedComplex:
-    """A bounded complex of canonically presented modules.
+    """A bounded complex C_0 .. C_top of canonically presented modules.
 
-    diffs[k] is d_k: C_k -> C_{k-1} for k = 1..top; anns[k] are the
-    generator annihilators of C_k.
+    ``step`` is the direction of the arrows, as on ``spectral.TotalComplex``:
+    d(n): C_n -> C_{n-step}, so +1 for a chain complex and -1 for a cochain
+    complex.  diffs[k-1] is the map between levels k and k-1 (d(k) for step
+    +1, d(k-1) for step -1); anns[k] are the generator annihilators of C_k.
     """
 
-    def __init__(self, ring: Ring, anns: list[list], diffs: list[Matrix]):
+    def __init__(self, ring: Ring, anns: list[list], diffs: list[Matrix], step: int):
         self.ring = ring
         self.anns = anns
-        self.diffs = diffs  # length len(anns) - 1, diffs[k-1] = d_k
-        self._factors: dict[int, list] = {}  # k -> invariant_factors(diffs[k])
+        self.diffs = diffs
+        self.step = step
+        self._factors: dict[int, list] = {}  # n -> invariant_factors(d(n))
 
-    def d(self, k: int) -> Matrix:
-        """d_k: C_k -> C_{k-1}; zero maps off the ends."""
+    def _check(self, n: int) -> None:
+        if not 0 <= n < len(self.anns):
+            raise IndexError(f"complex has no level {n}; its levels are 0..{len(self.anns) - 1}")
+
+    def _anns(self, n: int) -> list:
+        """The annihilators of C_n; none off the complex."""
+        return self.anns[n] if 0 <= n < len(self.anns) else []
+
+    def d(self, n: int) -> Matrix:
+        """d(n): C_n -> C_{n-step}; the zero map where an end is off the complex."""
+        k = n if self.step == 1 else n + 1
         if 1 <= k < len(self.anns):
             return self.diffs[k - 1]
-        if k == len(self.anns):
-            return Matrix.zeros(self.ring, len(self.anns[-1]), 0)
-        raise IndexError(k)
+        return Matrix.zeros(self.ring, len(self._anns(n - self.step)), len(self._anns(n)))
 
-    def homology_witness(self, q: int) -> Subquotient:
-        if q >= len(self.anns):
-            raise IndexError(f"complex has no level {q}")
-        d_out = (
-            self.d(q)
-            if q >= 1
-            else Matrix.zeros(self.ring, 0, len(self.anns[0]))
-        )
-        d_in = (
-            self.d(q + 1)
-            if q + 1 < len(self.anns)
-            else Matrix.zeros(self.ring, len(self.anns[q]), 0)
-        )
-        anns_next = self.anns[q - 1] if q >= 1 else []
-        return presented_homology(d_out, d_in, self.anns[q], anns_next)
+    def witness(self, n: int) -> Subquotient:
+        """ker d(n) / im d(n+step) at level n, as a Subquotient."""
+        self._check(n)
+        s = self.step
+        return presented_homology(self.d(n), self.d(n + s), self.anns[n], self._anns(n - s))
 
-    def homology(self, q: int) -> FPModule:
-        """H_q, from ranks and invariant factors when levels q and q - 1
-        carry no annihilators, else from the witness."""
-        if any(self.anns[q]) or (q >= 1 and any(self.anns[q - 1])):
-            return self.homology_witness(q).module
-        return self._free_type(q, q - 1, q)
-
-    def cohomology(self, q: int) -> FPModule:
-        """H^q of a cochain complex (see ``hom_complex``), from ranks and
-        invariant factors when levels q and q + 1 carry no annihilators,
-        else from the witness."""
-        if any(self.anns[q]) or (q + 1 < len(self.anns) and any(self.anns[q + 1])):
-            return cohomology_witness(self, q).module
-        return self._free_type(q, q, q - 1)
-
-    def _free_type(self, q: int, k_out: int, k_in: int) -> FPModule:
-        """ker(diffs[k_out]) / im(diffs[k_in]) at level q of free modules:
-        rank n_q - rk out - rk in, torsion the non-unit factors of in; an
-        index off the ends is the zero map."""
-        out, inc = self._factors_of(k_out), self._factors_of(k_in)
+    def homology(self, n: int) -> FPModule:
+        """The homology type at level n.  When levels n and n - step carry
+        no annihilators it is read off ranks and invariant factors: rank
+        n_n - rk d(n) - rk d(n+step), torsion the non-unit factors of
+        d(n+step).  Otherwise it is the witness's module."""
+        self._check(n)
+        s = self.step
+        if any(self.anns[n]) or any(self._anns(n - s)):
+            return self.witness(n).module
+        out, inc = self._factors_of(n), self._factors_of(n + s)
         torsion = tuple(d for d in inc if d != 1)
-        return FPModule(self.ring, len(self.anns[q]) - len(out) - len(inc), torsion)
+        return FPModule(self.ring, len(self.anns[n]) - len(out) - len(inc), torsion)
 
-    def _factors_of(self, k: int) -> list:
-        if not 0 <= k < len(self.diffs):
-            return []
-        if k not in self._factors:
-            self._factors[k] = invariant_factors(self.diffs[k])
-        return self._factors[k]
+    def _factors_of(self, n: int) -> list:
+        if n not in self._factors:
+            self._factors[n] = invariant_factors(self.d(n))
+        return self._factors[n]
 
 
 def yoneda_matrix(N: CatModule, gens: list[str], targets: list[str],
@@ -326,7 +316,7 @@ def _collapse(res: Resolution, N: CatModule, cochain: bool) -> PresentedComplex:
                       res.gen_images[k], cochain)
         for k in range(1, res.length + 1)
     ]
-    return PresentedComplex(N.ring, anns, diffs)
+    return PresentedComplex(N.ring, anns, diffs, -1 if cochain else 1)
 
 
 def tensor_complex(res: Resolution, N: CatModule) -> PresentedComplex:
@@ -337,27 +327,12 @@ def tensor_complex(res: Resolution, N: CatModule) -> PresentedComplex:
 
 
 def hom_complex(res: Resolution, N: CatModule) -> PresentedComplex:
-    """Hom_C(F_*, N) for contravariant res and N, collapsed by Yoneda.
-
-    The returned PresentedComplex stores delta^q: C^q -> C^{q+1} as
-    diffs[q], so homology is not applicable; use cohomology.
-    """
+    """Hom_C(F_*, N) for contravariant res and N, collapsed by Yoneda: a
+    complex of step -1, whose diffs[q] is delta^q: C^q -> C^{q+1} and whose
+    ``homology(q)`` is H^q."""
     if res.variance != CONTRA or N.variance != CONTRA:
         raise VarianceMismatch("Ext needs both modules contravariant")
     return _collapse(res, N, cochain=True)
-
-
-def cohomology_witness(cx: PresentedComplex, q: int) -> Subquotient:
-    """H^q of a cochain complex stored with deltas[q-1]: C^{q-1} -> C^q."""
-    ring = cx.ring
-    d_out = (
-        cx.diffs[q] if q < len(cx.diffs) else Matrix.zeros(ring, 0, len(cx.anns[q]))
-    )
-    d_in = (
-        cx.diffs[q - 1] if q >= 1 else Matrix.zeros(ring, len(cx.anns[q]), 0)
-    )
-    anns_next = cx.anns[q + 1] if q + 1 < len(cx.anns) else []
-    return presented_homology(d_out, d_in, cx.anns[q], anns_next)
 
 
 def tor(M: CatModule, N: CatModule, n_max: int, strategy: str = "greedy") -> list[FPModule]:
@@ -375,7 +350,7 @@ def ext(M: CatModule, N: CatModule, n_max: int, strategy: str = "greedy") -> lis
         raise VarianceMismatch("ext needs both modules contravariant")
     res = free_resolution(M, n_max + 1, strategy=strategy)
     cx = hom_complex(res, N)
-    return [cx.cohomology(q) for q in range(n_max + 1)]
+    return [cx.homology(q) for q in range(n_max + 1)]
 
 
 def horseshoe(iota: dict[str, Matrix], pi: dict[str, Matrix],
@@ -541,8 +516,8 @@ def assembly_tor(F: Functor, N: CatModule, n_max: int) -> AssemblyResult:
     isos = []
     for q in range(n_max + 1):
         m = yoneda_matrix(N, FP.levels[q].summands, Pp.levels[q].summands, rho[q])
-        src_h = src_cx.homology_witness(q)
-        dst_h = dst_cx.homology_witness(q)
+        src_h = src_cx.witness(q)
+        dst_h = dst_cx.witness(q)
         hmap = induced_map(src_h, dst_h, m)
         maps.append(hmap)
         sources.append(src_h.module)

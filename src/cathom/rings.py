@@ -196,6 +196,8 @@ def GF(p: int) -> PrimeField:
 
 def ring_from_tag(tag: str, p: int | None = None) -> Ring:
     """Parse a ring tag: "Z", "Q", "Fp" (with p), or "Fp:5" style."""
+    if not isinstance(tag, str):
+        raise ValueError(f"ring tag must be a string, not {tag!r}")
     if tag == "Z":
         return ZZ
     if tag == "Q":

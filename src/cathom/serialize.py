@@ -60,7 +60,7 @@ def category_from_json(d: dict) -> FiniteCategory:
         return FiniteCategory(
             d["objects"], mors, comp, d["identity"], name=d.get("name", "C")
         )
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad category JSON: {e}") from e
 
 
@@ -74,12 +74,17 @@ def group_to_json(G: FiniteGroup) -> dict:
 def group_from_json(d: dict) -> FiniteGroup:
     try:
         if "table" in d:
+            n = len(d["table"])
+            if any(len(row) != n or not all(0 <= x < n for x in row) for row in d["table"]):
+                raise ParseError(f"group table must be {n} x {n} with entries 0..{n - 1}")
             G = FiniteGroup(d["table"], name=d.get("name", "G"))
             if "order" in d and d["order"] != G.n:
                 raise ParseError("declared order does not match the table")
             return G
         if "perm_gens" in d:
             gens = [[tuple(c) for c in g] for g in d["perm_gens"]]
+            if any(not 0 <= x < d["degree"] for g in gens for c in g for x in c):
+                raise ParseError(f"perm_gens name a point outside 0..{d['degree'] - 1}")
             return FiniteGroup.from_permutations(
                 gens, d["degree"], name=d.get("name", "G")
             )
@@ -100,7 +105,12 @@ def family_to_json(F: SubgroupFamily) -> dict:
 def family_from_json(G: FiniteGroup, d: dict) -> SubgroupFamily:
     try:
         closure = d.get("closure", "auto") == "auto"
-        return SubgroupFamily(G, [frozenset(H) for H in d["subgroups"]], closure=closure)
+        members = [frozenset(H) for H in d["subgroups"]]
+        if any(not 0 <= x < G.n for H in members for x in H):
+            raise ParseError(f"a subgroup names an element outside 0..{G.n - 1}")
+        return SubgroupFamily(G, members, closure=closure)
+    except ParseError:
+        raise
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad family JSON: {e}") from e
 
@@ -137,6 +147,8 @@ def module_from_json(cat: FiniteCategory, d: dict) -> CatModule:
         for c in cat.objects:
             v = d["values"][c]
             values[c] = (v["rank"], v.get("relations", []))
+            if any(len(row) > v["rank"] for row in values[c][1]):
+                raise ParseError(f"a relation row at {c!r} is longer than its rank {v['rank']}")
         raw_action = {}
         for f in cat.morphisms:
             rows = d["action"][f]

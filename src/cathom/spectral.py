@@ -25,12 +25,15 @@ complex of a double complex and its column filtration; its class constant
 step +1: D lowers degree, F_p is the columns p' <= p) and
 ``extpages.ExtFilteredComplex`` (cohomology, step -1: delta raises degree,
 F^p is the columns p' >= p) both plug into the same cycle bases, pages,
-total (co)homology and E^inf-versus-filtration comparison.
+total (co)homology and E^inf-versus-filtration comparison.  A page entry
+is the ``Subquotient`` of its generators.  ``compare_with_oracle`` is the
+one comparison of total (co)homology with an oracle, the Tor oracle for
+``converge_and_compare`` and the Ext oracle for ``extpages.ext_pages``.
 
 The chain-summand identifications (E^1 via group-ring Tor) and the d^1
 component decomposition live in e1data.py; this module owns the filtered
-complex, the pages, convergence against the Tor oracle, and the
-two-column long exact sequence.
+complex, the pages, the convergence check and the two-column long exact
+sequence.
 """
 
 from __future__ import annotations
@@ -431,15 +434,12 @@ class Cell:
 
 
 class FilteredComplex(TotalComplex):
-    """A_{p,q} = M (x)_C D_p (x)_C Q_q with both differentials recorded.
-
-    ``jobs`` is accepted for compatibility; the build is serial."""
+    """A_{p,q} = M (x)_C D_p (x)_C Q_q with both differentials recorded."""
 
     step = 1
 
     def __init__(self, M: CatModule, N: CatModule, p_max: int | None = None,
-                 q_max: int = 4, resolution_strategy: str = "greedy",
-                 Q: Resolution | None = None, jobs: int = 1):
+                 q_max: int = 4, Q: Resolution | None = None):
         if M.variance != CONTRA:
             raise VarianceMismatch("M must be contravariant")
         if N.variance != CO:
@@ -456,9 +456,7 @@ class FilteredComplex(TotalComplex):
         self.p_max = self.p_bound if p_max is None else min(p_max, self.p_bound)
         self.q_max = q_max
         self.chains = enumerate_chains(self.cat, self.p_max)
-        self.Q: Resolution = (
-            Q if Q is not None else free_resolution(N, q_max, strategy=resolution_strategy)
-        )
+        self.Q: Resolution = Q if Q is not None else free_resolution(N, q_max)
         self.nerve = NerveCache(self.cat)
         self._horiz_cache: dict[tuple[int, int], Matrix] = {}
         self._total_cache: dict[int, Matrix] = {}
@@ -493,22 +491,21 @@ class FilteredComplex(TotalComplex):
 
 
 def build_filtered_complex(M: CatModule, N: CatModule, p_max: int | None = None,
-                           q_max: int = 4, resolution_strategy: str = "greedy",
-                           Q: Resolution | None = None, jobs: int = 1) -> FilteredComplex:
-    return FilteredComplex(M, N, p_max, q_max, resolution_strategy, Q=Q, jobs=jobs)
+                           q_max: int = 4, Q: Resolution | None = None,
+                           jobs: int = 1) -> FilteredComplex:
+    """The filtered complex; ``jobs`` is accepted and ignored, the build is
+    serial."""
+    return FilteredComplex(M, N, p_max, q_max, Q)
 
 
 # -- pages -----------------------------------------------------------------
 
 
-class PageEntry:
-    def __init__(self, module: FPModule, witnesses: Subquotient | None):
-        self.module = module
-        self.witnesses = witnesses
-
-
 class Page:
-    def __init__(self, r: int, entries: dict[tuple[int, int], PageEntry],
+    """E^r: each entry is the Subquotient of its generators, d^r the induced
+    maps between entries."""
+
+    def __init__(self, r: int, entries: dict[tuple[int, int], Subquotient],
                  diffs: dict[tuple[int, int], Matrix], stabilized: bool, step: int):
         self.r = r
         self.entries = entries
@@ -623,14 +620,13 @@ def spectral_pages(fc: TotalComplex, r_max: int | None = None) -> list[Page]:
                     b_cols.extend(Dsrc.apply(vec) for vec in zsrc.vecs)
             b_cols.extend(_ann_gen_cols(fc, n, p))
             gens_B = Matrix.from_columns(ring, b_cols, nrows=total)
-            sq = Subquotient(ring, total, Z(r, p, q), gens_B)
-            page.entries[(p, q)] = PageEntry(sq.module, sq)
+            page.entries[(p, q)] = Subquotient(ring, total, Z(r, p, q), gens_B)
         for (p, q) in grid:
-            src = page.entries[(p, q)].witnesses
+            src = page.entries[(p, q)]
             tgt = page.target(p, q)
             if tgt not in page.entries or src.module.n_gens == 0:
                 continue
-            dst = page.entries[tgt].witnesses
+            dst = page.entries[tgt]
             if dst.module.n_gens == 0:
                 continue
             page.diffs[(p, q)] = induced_map(src, dst, fc.total_diff(p + q))
@@ -703,11 +699,24 @@ def _filtration_cells(fc: TotalComplex, m: int, h: Subquotient, einf: Page) -> l
     return cells
 
 
+def compare_with_oracle(fc: TotalComplex, einf: Page, oracle: list[FPModule],
+                        key: str) -> tuple[list[dict], list[dict]]:
+    """Per total degree m up to the length of the oracle: the total
+    (co)homology against oracle[m], then E^inf against the graded pieces
+    of its filtration.  ``key`` names the degree in the degree rows."""
+    degrees = []
+    cells = []
+    for m, want in enumerate(oracle):
+        h = total_homology(fc, m)
+        degrees.append({key: m, "oracle": want.pretty(), "total": h.module.pretty(),
+                        "match": want == h.module})
+        cells.extend(_filtration_cells(fc, m, h, einf))
+    return degrees, cells
+
+
 def converge_and_compare(M: CatModule, N: CatModule, n_max: int = 3,
-                         q_max: int | None = None, p_max: int | None = None,
+                         q_max: int | None = None,
                          fc: FilteredComplex | None = None,
-                         oracle: list[FPModule] | None = None,
-                         Q: Resolution | None = None, jobs: int = 1,
                          strict: bool = False,
                          pages: list[Page] | None = None) -> ConvergenceReport:
     """Assemble E^inf, compare graded pieces of the filtration on the
@@ -716,26 +725,12 @@ def converge_and_compare(M: CatModule, N: CatModule, n_max: int = 3,
     ``pages`` are the full ``spectral_pages(fc)`` when the caller already
     has them.  With strict=True the first mismatching cell raises
     ComparisonFailed instead of being reported."""
-    if q_max is None:
-        q_max = n_max + 1
     if fc is None:
-        fc = build_filtered_complex(M, N, p_max=p_max, q_max=q_max, Q=Q, jobs=jobs)
+        fc = build_filtered_complex(M, N, q_max=n_max + 1 if q_max is None else q_max)
     band = min(fc.certified_band(), n_max)
     if pages is None:
         pages = spectral_pages(fc)
-    if oracle is None:
-        oracle = tor(M, N, band)
-    degrees = []
-    cells = []
-    for m in range(band + 1):
-        h = total_homology(fc, m)
-        degrees.append({
-            "m": m,
-            "oracle": oracle[m].pretty(),
-            "total": h.module.pretty(),
-            "match": oracle[m] == h.module,
-        })
-        cells.extend(_filtration_cells(fc, m, h, pages[-1]))
+    degrees, cells = compare_with_oracle(fc, pages[-1], tor(M, N, band), "m")
     report = ConvergenceReport(band, degrees, cells)
     if strict and not report.all_match:
         where = report.first_mismatch()
@@ -800,10 +795,7 @@ def two_column_les(M: CatModule, N: CatModule, n_max: int = 3,
     pages = spectral_pages(fc, r_max=1)
     e1 = pages[1]
 
-    zero_entry = PageEntry(
-        FPModule(ring, 0),
-        Subquotient(ring, 0, Matrix.zeros(ring, 0, 0), Matrix.zeros(ring, 0, 0)),
-    )
+    zero_entry = Subquotient(ring, 0, Matrix.zeros(ring, 0, 0), Matrix.zeros(ring, 0, 0))
 
     def col_entry(p, q):
         if q < 0:
@@ -819,11 +811,11 @@ def two_column_les(M: CatModule, N: CatModule, n_max: int = 3,
         h = hwits[q]
         cols = []
         for j in range(e0.module.n_gens):
-            cols.append(h.project(e0.witnesses.lift(j)))
+            cols.append(h.project(e0.lift(j)))
         maps[("iota", q)] = Matrix.from_columns(ring, cols, nrows=h.module.n_gens)
         if q >= 1:
             if (1, q - 1) in e1.entries:
-                wit = e1.entries[(1, q - 1)].witnesses
+                wit = e1.entries[(1, q - 1)]
                 cols = [wit.project(h.lift(j)) for j in range(h.module.n_gens)]
                 maps[("proj", q)] = Matrix.from_columns(
                     ring, cols, nrows=wit.module.n_gens

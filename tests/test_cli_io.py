@@ -503,6 +503,27 @@ class TestBundleSections:
             err = capsys.readouterr().err
             assert "names unknown morphism 'ghost'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit,validate_rc", [
+        (lambda d: d["modules"]["Mconst"]["values"][d["category"]["objects"][0]].update(
+            relations=[[0, 0, 2]]), 1),
+        (lambda d: d["modules"]["Mconst"].update(ring=5), 1),
+        (lambda d: d["category"]["compose"].append(["x"]), 4),
+        (lambda d: d["groups"].update(bad={"table": [[0, 1], [1]]}), 4),
+        (lambda d: d["groups"].update(bad={"perm_gens": [[[0, 3]]], "degree": 3}), 4),
+        (lambda d: d["families"].update(bad={"group": "S3", "subgroups": [[0, 6]]}), 1),
+    ], ids=["relation-row-past-rank", "ring-not-a-string", "compose-not-a-triple",
+            "ragged-group-table", "perm-point-past-degree", "subgroup-element-past-order"])
+    def test_bad_entry_is_one_error_line(self, orz2_bundle, tmp_path, capsys, edit,
+                                         validate_rc):
+        doc = json.loads(open(orz2_bundle).read())
+        edit(doc)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        for argv, rc in ((["validate"], validate_rc), (["tor", "-M", "Mconst", "-N", "Nconst"], 4)):
+            assert main([argv[0], str(p), *argv[1:]]) == rc
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_family_entry_not_an_object(self, orz2_bundle, tmp_path, capsys):
         doc = json.loads(open(orz2_bundle).read())
         doc["families"]["all"] = []

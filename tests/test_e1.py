@@ -21,7 +21,7 @@ from cathom.groupbar import (
 )
 from cathom.groups import FiniteGroup
 from cathom.matrix import Matrix
-from cathom.resolve import cohomology_witness, free_resolution, hom_complex, tensor_complex
+from cathom.resolve import free_resolution, hom_complex, tensor_complex
 from cathom.rings import GF, QQ, ZZ
 from cathom.spectral import build_filtered_complex
 
@@ -97,7 +97,7 @@ class TestTypeOnlyHomology:
         assert A.check() == [] and B.check() == []
         cx = bar_complex(A, B, 3)
         for q in range(3):  # level 3 is the truncation, with no d_4
-            assert cx.homology(q) == cx.homology_witness(q).module
+            assert cx.homology(q) == cx.witness(q).module
         tor = group_tor(A, B, 2)
         assert tor == [cx.homology(q) for q in range(3)]
         if modules != "trivial":
@@ -113,11 +113,27 @@ class TestTypeOnlyHomology:
             for N in Ns.values():
                 cx = tensor_complex(res, N)
                 for q in range(4):
-                    assert cx.homology(q) == cx.homology_witness(q).module
+                    assert cx.homology(q) == cx.witness(q).module
             for N in Ms.values():
                 cx = hom_complex(res, N)
                 for q in range(4):
-                    assert cx.cohomology(q) == cohomology_witness(cx, q).module
+                    assert cx.homology(q) == cx.witness(q).module
+
+    def test_level_out_of_range(self):
+        # the trivial C3 bar complex has levels 0..3 of rank 1, 2, 4, 8;
+        # the Ext complex of Or(Z/2) runs the other way (step -1)
+        G = FiniteGroup.cyclic(3)
+        bar = bar_complex(trivial_group_module(ZZ, G, "right"),
+                          trivial_group_module(ZZ, G, "left"), 3)
+        assert [len(a) for a in bar.anns] == [1, 2, 4, 8]
+        cat = fixture_category("OrZ2")
+        M = fixture_modules(cat, ZZ)[0]["const"]
+        cochains = hom_complex(free_resolution(M, 3), M)
+        for cx in (bar, cochains):
+            for n in (-1, 4):
+                for fn in (cx.homology, cx.witness):
+                    with pytest.raises(IndexError, match=f"no level {n}"):
+                        fn(n)
 
     def test_annihilator_fallback(self):
         # A = Z/2 with trivial action, B = Z: the bar levels carry the

@@ -71,3 +71,31 @@ def test_assembly_document_digest(tmp_path, n, digest):
     assert main(["assembly", str(bundle), "-N", n, "--objects", cat.objects[0],
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+TOR_CASES = [
+    # levels with Z-torsion: the oracle reads the witnesses (Z/2, Z/2, 0, 0)
+    ("point", "Z", "Malt", "Naug",
+     "208e70f2c625ea8b59dbf4df1a3c4cfaffa4799dc900bf7123231e0d40348164"),
+    ("OrS3", "F2", "Malt", "Naug",
+     "f83af6ef85309dadfe0e6ec9660e226bfa9b2c717a7e60a899acb7b155933080"),
+    # H_*(Z/2; Z) = Z, Z/2, 0, Z/2
+    ("BZ2", "Z", "Mconst", "Nconst",
+     "ac5507151fae4ac40a6470b6b5fb71718eb9bd33fe87a1f59376256ae7c644b2"),
+]
+
+
+@pytest.mark.parametrize("cat_name,tag,m,n,digest", TOR_CASES,
+                         ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[3]}" for c in TOR_CASES])
+def test_tor_document_digest(tmp_path, cat_name, tag, m, n, digest):
+    """`cathom tor` with `--nmax 3`: the Tor oracle's document."""
+    cat = fixture_category(cat_name)
+    Ms, Ns = fixture_modules(cat, RINGS[tag])
+    doc = bundle_to_json(cat, modules={"Mconst": Ms["const"], "Malt": Ms["alt"],
+                                       "Nconst": Ns["const"], "Naug": Ns["aug"]})
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert main(["tor", str(bundle), "-M", m, "-N", n, "--nmax", "3",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
