@@ -2,7 +2,8 @@
 
 Commands: validate, chains, ss, ext, family, tor, assembly.
 Exit codes: 0 ok, 1 validation failure, 2 convergence/exactness mismatch,
-3 unbounded chains, 4 input error.  PCHAIN_CACHE overrides --cache-dir.
+3 unbounded chains, 4 input error, a command line that does not parse
+included.  PCHAIN_CACHE overrides --cache-dir.
 Output is deterministic: identical inputs and config produce byte-identical
 documents.  --jobs is accepted but does not change the output: every
 command runs serially.
@@ -150,6 +151,8 @@ def _load_mn(args, want_n_variance):
         raise ParseError("M must be contravariant")
     if N.variance != want_n_variance:
         raise ParseError(f"N must be {want_n_variance}variant")
+    if M.ring != N.ring:
+        raise ParseError(f"M is over {M.ring} but N is over {N.ring}")
     if args.ring:
         ring = ring_from_tag(args.ring)
         if M.ring != ring or N.ring != ring:
@@ -359,8 +362,16 @@ def cmd_assembly(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ParseError where argparse would
+    print a usage block and exit 2; the subparsers are of this class too."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="cathom",
         description="Exact homological algebra over finite categories",
     )
@@ -424,7 +435,11 @@ _PARSER: list[argparse.ArgumentParser] = []  # built by the first main call
 def main(argv=None) -> int:
     if not _PARSER:
         _PARSER.append(make_parser())
-    args = _PARSER[0].parse_args(argv)
+    try:
+        args = _PARSER[0].parse_args(argv)
+    except ParseError as e:
+        print(f"INPUT ERROR: {e}", file=sys.stderr)
+        return EXIT_INPUT
     # looked up per call, so a replaced cmd_<command> is the one that runs
     return globals()[f"cmd_{args.command}"](args)
 

@@ -5,7 +5,8 @@ CanonicalQuotient and Subquotient carry the witness data (projection and
 lifts) needed to push maps through quotients, which is what the homology
 and spectral-page machinery is built on.  Vectors in and out of them are
 the zero-free {index: value} dicts of ``matrix``, relations included, and
-generator sets are matrix columns.
+generator sets are matrix columns.  ``is_exact`` is the one test of
+exactness: the homology of ``presented_homology`` is zero.
 """
 
 from __future__ import annotations
@@ -261,6 +262,16 @@ def presented_homology(
     cycles = preimage_basis(d_out, ann_C)
     bounds = d_in.hstack(_ann_columns(ring, anns_here))
     return Subquotient(ring, d_out.cols, cycles, bounds)
+
+
+def is_exact(d_out: Matrix, d_in: Matrix, anns_here: list, anns_next: list) -> bool:
+    """Whether A -> B -> C is exact at B, for presented modules as in
+    ``presented_homology``: its homology is zero.  A composite that is
+    nonzero modulo C's relations is not exact."""
+    try:
+        return presented_homology(d_out, d_in, anns_here, anns_next).module.is_zero()
+    except NotASubmodule:
+        return False
 
 
 def induced_map(src: Subquotient | CanonicalQuotient,

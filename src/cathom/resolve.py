@@ -45,6 +45,7 @@ from .fpmod import (
     Subquotient,
     _ann_columns,
     induced_map,
+    is_exact,
     presented_homology,
     solve_mod,
 )
@@ -112,9 +113,6 @@ class Resolution:
     def length(self) -> int:
         return len(self.levels) - 1
 
-    def free(self, k: int) -> FreeCatModule:
-        return self.levels[k]
-
     def eval_aug(self, obj: str) -> Matrix:
         F0 = self.levels[0]
         cols = []
@@ -147,18 +145,11 @@ class Resolution:
                     if not (self.eval_diff(k - 1, obj) @ d).is_zero():
                         out.append(f"d{k-1} . d{k} != 0 at {obj}")
             for k in range(self.length):
-                if k == 0:
-                    ker = preimage_basis(aug, _ann_columns(self.ring, manns))
-                else:
-                    ker = kernel_basis(self.eval_diff(k, obj))
-                img = self.eval_diff(k + 1, obj)
-                span = StairBasis(self.ring, ker.rows)
-                for vec in img.vecs:
-                    span.add(vec)
-                for vec in ker.vecs:
-                    if not span.contains(vec):
-                        out.append(f"not exact at level {k}, object {obj}")
-                        break
+                d_out = aug if k == 0 else self.eval_diff(k, obj)
+                anns_next = manns if k == 0 else []
+                zeros = [0] * d_out.cols
+                if not is_exact(d_out, self.eval_diff(k + 1, obj), zeros, anns_next):
+                    out.append(f"not exact at level {k}, object {obj}")
         return out
 
 
@@ -339,6 +330,8 @@ def tor(M: CatModule, N: CatModule, n_max: int, strategy: str = "greedy") -> lis
     """Tor_q^{RC}(M, N) for q <= n_max via a free resolution of M."""
     if M.variance != CONTRA or N.variance != CO:
         raise VarianceMismatch("tor needs M contravariant, N covariant")
+    if M.ring != N.ring:
+        raise VarianceMismatch("M and N have different rings")
     res = free_resolution(M, n_max + 1, strategy=strategy)
     cx = tensor_complex(res, N)
     return [cx.homology(q) for q in range(n_max + 1)]
@@ -348,6 +341,8 @@ def ext(M: CatModule, N: CatModule, n_max: int, strategy: str = "greedy") -> lis
     """Ext^q_{RC}(M, N) for q <= n_max; both modules contravariant."""
     if M.variance != CONTRA or N.variance != CONTRA:
         raise VarianceMismatch("ext needs both modules contravariant")
+    if M.ring != N.ring:
+        raise VarianceMismatch("M and N have different rings")
     res = free_resolution(M, n_max + 1, strategy=strategy)
     cx = hom_complex(res, N)
     return [cx.homology(q) for q in range(n_max + 1)]
@@ -455,23 +450,6 @@ class AssemblyResult:
         self.iso = iso
 
 
-def _map_is_iso(mat: Matrix, src_anns: list, dst_anns: list) -> bool:
-    ring = mat.ring
-    # surjective: columns plus target relations span everything
-    span = StairBasis(ring, len(dst_anns))
-    for vec in _ann_columns(ring, dst_anns).vecs + mat.vecs:
-        span.add(vec)
-    for i in range(len(dst_anns)):
-        if not span.contains({i: ring.one}):
-            return False
-    # injective: preimage of target relations lies in source relations
-    ker = preimage_basis(mat, _ann_columns(ring, dst_anns))
-    src_rel = StairBasis(ring, len(src_anns))
-    for vec in _ann_columns(ring, src_anns).vecs:
-        src_rel.add(vec)
-    return all(src_rel.contains(vec) for vec in ker.vecs)
-
-
 def assembly_tor(F: Functor, N: CatModule, n_max: int) -> AssemblyResult:
     """The maps Tor_q^{RB}(R, F^*N) -> Tor_q^{RC}(R, N) induced by F.
 
@@ -522,7 +500,10 @@ def assembly_tor(F: Functor, N: CatModule, n_max: int) -> AssemblyResult:
         maps.append(hmap)
         sources.append(src_h.module)
         targets.append(dst_h.module)
-        isos.append(
-            _map_is_iso(hmap, src_h.module.anns(), dst_h.module.anns())
-        )
+        src_anns, dst_anns = src_h.module.anns(), dst_h.module.anns()
+        # 0 -> source -> target is exact at the source, and
+        # source -> target -> 0 at the target
+        injective = is_exact(hmap, Matrix.zeros(ring, len(src_anns), 0), src_anns, dst_anns)
+        surjective = is_exact(Matrix.zeros(ring, 0, len(dst_anns)), hmap, dst_anns, [])
+        isos.append(injective and surjective)
     return AssemblyResult(sources, targets, maps, isos)

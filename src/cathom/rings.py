@@ -42,18 +42,11 @@ class Ring:
     def mul(self, a, b):
         return a * b
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
     def inv(self, a):
         raise NotImplementedError
 
     def exact_div(self, a, b):
         """a / b when b divides a exactly; raises otherwise."""
-        raise NotImplementedError
-
-    def divides(self, b, a) -> bool:
-        """True when b divides a."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -105,11 +98,6 @@ class IntegerRing(Ring):
             raise ArithmeticError(f"{b} does not divide {a}")
         return q
 
-    def divides(self, b, a) -> bool:
-        if b == 0:
-            return a == 0
-        return a % b == 0
-
 
 class RationalRing(Ring):
     kind = "Q"
@@ -131,9 +119,6 @@ class RationalRing(Ring):
 
     def exact_div(self, a, b):
         return a / b
-
-    def divides(self, b, a) -> bool:
-        return b != 0 or a == 0
 
     def entry_to_json(self, a):
         if a.denominator == 1:
@@ -177,9 +162,6 @@ class PrimeField(Ring):
 
     def exact_div(self, a, b):
         return (a * self.inv(b)) % self.p
-
-    def divides(self, b, a) -> bool:
-        return b % self.p != 0 or a % self.p == 0
 
 
 ZZ = IntegerRing()

@@ -57,9 +57,10 @@ from .fpmod import (
     Subquotient,
     _ann_columns,
     induced_map,
+    is_exact,
     presented_homology,
 )
-from .intlin import StairBasis, preimage_basis
+from .intlin import preimage_basis
 from .matrix import Matrix
 from .resolve import Resolution, free_resolution, tor
 from .rings import Ring
@@ -756,34 +757,12 @@ class LESReport:
         return {"nodes": self.nodes, "all_exact": self.all_exact}
 
 
-def _image_lattice(mat: Matrix, anns_target: list) -> StairBasis:
-    ring = mat.ring
-    out = StairBasis(ring, len(anns_target))
-    for vec in mat.vecs + _ann_columns(ring, anns_target).vecs:
-        out.add(vec)
-    return out
-
-
-def _kernel_lattice(mat: Matrix, anns_src: list, anns_target: list) -> StairBasis:
-    ring = mat.ring
-    K = preimage_basis(mat, _ann_columns(ring, anns_target))
-    out = StairBasis(ring, len(anns_src))
-    for vec in K.vecs + _ann_columns(ring, anns_src).vecs:
-        out.add(vec)
-    return out
-
-
-def _lattices_equal(a: StairBasis, b: StairBasis) -> bool:
-    return all(b.contains(row) for row in a.basis()) and all(
-        a.contains(row) for row in b.basis()
-    )
-
-
 def two_column_les(M: CatModule, N: CatModule, n_max: int = 3,
                    fc: FilteredComplex | None = None) -> LESReport:
     """The long exact sequence ... -> E1_{1,q} -> E1_{0,q} -> Tor_q ->
     E1_{1,q-1} -> ... when there are no p-chains beyond p = 1; exactness
-    is verified at every node up to total degree n_max."""
+    is checked by ``fpmod.is_exact`` at every node up to total degree
+    n_max."""
     if fc is None:
         fc = build_filtered_complex(M, N, q_max=n_max + 1)
     if fc.p_bound > 1:
@@ -798,62 +777,31 @@ def two_column_les(M: CatModule, N: CatModule, n_max: int = 3,
     zero_entry = Subquotient(ring, 0, Matrix.zeros(ring, 0, 0), Matrix.zeros(ring, 0, 0))
 
     def col_entry(p, q):
-        if q < 0:
-            return None
         return e1.entries.get((p, q), zero_entry)
 
-    hwits = {m: total_homology(fc, m) for m in range(band + 1)}
+    def d1(q):
+        d = e1.diffs.get((1, q))
+        if d is None:
+            d = Matrix.zeros(ring, col_entry(0, q).module.n_gens, col_entry(1, q).module.n_gens)
+        return d
 
-    # maps: iota_q: E1_{0,q} -> Tor_q; pi_q: Tor_q -> E1_{1,q-1}; d1
-    maps = {}
-    for q in range(band + 1):
-        e0 = col_entry(0, q)
-        h = hwits[q]
-        cols = []
-        for j in range(e0.module.n_gens):
-            cols.append(h.project(e0.lift(j)))
-        maps[("iota", q)] = Matrix.from_columns(ring, cols, nrows=h.module.n_gens)
-        if q >= 1:
-            if (1, q - 1) in e1.entries:
-                wit = e1.entries[(1, q - 1)]
-                cols = [wit.project(h.lift(j)) for j in range(h.module.n_gens)]
-                maps[("proj", q)] = Matrix.from_columns(
-                    ring, cols, nrows=wit.module.n_gens
-                )
-            else:
-                maps[("proj", q)] = Matrix.zeros(ring, 0, h.module.n_gens)
-        d1 = e1.diffs.get((1, q))
-        if d1 is None:
-            d1 = Matrix.zeros(
-                ring, col_entry(0, q).module.n_gens, col_entry(1, q).module.n_gens
-            )
-        maps[("d1", q)] = d1
-
+    # per q, the exactness of E1_{1,q} -d1-> E1_{0,q} -iota-> Tor_q
+    # -proj-> E1_{1,q-1} -d1-> E1_{0,q-1}, where E1_{1,-1} = 0
     nodes = []
     for q in range(band + 1):
-        # exactness at E1_{0,q}: im(d1_{1,q}) = ker(iota_q)
-        e0 = col_entry(0, q)
-        im = _image_lattice(maps[("d1", q)], e0.module.anns())
-        ker = _kernel_lattice(maps[("iota", q)], e0.module.anns(), hwits[q].module.anns())
-        nodes.append({
-            "node": f"E1_0,{q}", "exact": _lattices_equal(im, ker),
-        })
-        # exactness at Tor_q: im(iota_q) = ker(proj_q or everything)
-        h_anns = hwits[q].module.anns()
-        im2 = _image_lattice(maps[("iota", q)], h_anns)
-        if ("proj", q) in maps:
-            ker2 = _kernel_lattice(maps[("proj", q)], h_anns,
-                                   col_entry(1, q - 1).module.anns())
+        e0, e1q, h = col_entry(0, q), col_entry(1, q - 1), total_homology(fc, q)
+        # iota and proj are induced by the identity of the total complex
+        ident = Matrix.identity(ring, h.ambient)
+        iota = induced_map(e0, h, ident)
+        if (1, q - 1) in e1.entries:
+            proj = induced_map(h, e1q, ident)
         else:
-            ker2 = _image_lattice(Matrix.identity(ring, len(h_anns)), h_anns)
-        nodes.append({"node": f"Tor_{q}", "exact": _lattices_equal(im2, ker2)})
-        # exactness at E1_{1,q-1}: im(proj_q) = ker(d1_{1,q-1})
+            proj = Matrix.zeros(ring, 0, h.module.n_gens)
+        nodes.append({"node": f"E1_0,{q}",
+                      "exact": is_exact(iota, d1(q), e0.module.anns(), h.module.anns())})
+        nodes.append({"node": f"Tor_{q}",
+                      "exact": is_exact(proj, iota, h.module.anns(), e1q.module.anns())})
         if q >= 1:
-            e1q = col_entry(1, q - 1)
-            im3 = _image_lattice(maps[("proj", q)], e1q.module.anns())
-            ker3 = _kernel_lattice(maps[("d1", q - 1)], e1q.module.anns(),
-                                   col_entry(0, q - 1).module.anns())
-            nodes.append({
-                "node": f"E1_1,{q-1}", "exact": _lattices_equal(im3, ker3),
-            })
+            nodes.append({"node": f"E1_1,{q-1}", "exact": is_exact(
+                d1(q - 1), proj, e1q.module.anns(), col_entry(0, q - 1).module.anns())})
     return LESReport(nodes)

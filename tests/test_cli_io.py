@@ -4,12 +4,12 @@ import os
 import pytest
 
 from cathom.cache import DiskCache, cached_free_resolution, resolution_from_json, resolution_to_json
-from cathom.catmod import CatModule, CO
+from cathom.catmod import CatModule, CO, VarianceMismatch
 from cathom.cli import main
 from cathom.fixtures import fixture_category, fixture_modules, klein_four
 from cathom.groups import FiniteGroup, SubgroupFamily
-from cathom.resolve import free_resolution
-from cathom.rings import ZZ
+from cathom.resolve import ext, free_resolution, tor
+from cathom.rings import GF, ZZ
 from cathom.serialize import (
     ParseError,
     bundle_to_json,
@@ -402,6 +402,48 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "Tor_0 = Z" in out
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("command", ["tor", "ss", "ext"])
+    def test_modules_over_different_rings_exit_4(self, command, tmp_path, capsys):
+        cat = fixture_category("OrZ2")
+        Mz, _ = fixture_modules(cat, ZZ)
+        M2, N2 = fixture_modules(cat, GF(2))
+        doc = bundle_to_json(cat, modules={"Mz": Mz["const"], "M2": M2["const"],
+                                           "N2": N2["const"]})
+        p = tmp_path / "mixed.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "o.json"
+        n = "M2" if command == "ext" else "N2"
+        rc = main([command, str(p), "-M", "Mz", "-N", n, "--nmax", "1", "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("INPUT ERROR: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_oracles_refuse_modules_over_different_rings(self):
+        cat = fixture_category("OrZ2")
+        Mz, Nz = fixture_modules(cat, ZZ)
+        M2, N2 = fixture_modules(cat, GF(2))
+        with pytest.raises(VarianceMismatch, match="different rings"):
+            tor(Mz["const"], N2["const"], 1)
+        with pytest.raises(VarianceMismatch, match="different rings"):
+            ext(Mz["const"], M2["const"], 1)
+
+    @pytest.mark.parametrize("flags", [["--nmax", "abc"], ["--bogus"], ["--format", "xml"]])
+    def test_argument_parse_error_exit_4(self, orz2_bundle, flags, capsys):
+        rc = main(["ss", orz2_bundle, "-M", "Malt", "-N", "Nconst", *flags])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("INPUT ERROR: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ss", "--help"])
+        assert exc.value.code == 0
+        assert "usage: cathom ss" in capsys.readouterr().out
 
 
 class TestMatrixJSON:

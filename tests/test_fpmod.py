@@ -9,12 +9,13 @@ from cathom.fpmod import (
     Subquotient,
     homology_at,
     induced_map,
+    is_exact,
     presented_homology,
     subquotient,
 )
 from cathom.intlin import det_int, smith_normal_form
 from cathom.matrix import DimensionMismatch, Matrix
-from cathom.rings import QQ, ZZ
+from cathom.rings import GF, QQ, ZZ
 
 
 def M(data, ring=ZZ):
@@ -178,3 +179,32 @@ class TestPresentedHomology:
         d_in = Matrix.zeros(ZZ, 1, 0)
         h = presented_homology(d_out, d_in, [4], [4])
         assert h.module == FPModule(ZZ, 0, (2,))
+
+
+class TestIsExact:
+    def test_z_times_2_onto_z_mod_2(self):
+        # Z -(x2)-> Z -> Z/2 is exact at the middle Z
+        assert is_exact(M([[1]]), M([[2]]), [0], [2])
+
+    def test_z_times_4_onto_z_mod_2(self):
+        # with x4 the homology at the middle Z is 2Z/4Z = Z/2
+        assert not is_exact(M([[1]]), M([[4]]), [0], [2])
+
+    def test_nonzero_composite_is_not_exact(self):
+        # Z -(x1)-> Z -> Z/2: the composite is 1, nonzero modulo 2
+        with pytest.raises(NotASubmodule):
+            presented_homology(M([[1]]), M([[1]]), [0], [2])
+        assert not is_exact(M([[1]]), M([[1]]), [0], [2])
+
+    def test_over_f3(self):
+        # F3 -(1, 1)-> F3^2 -(1 2)-> F3 is exact; with a zero map in, not
+        d_out = M([[1, 2]], GF(3))
+        assert is_exact(d_out, M([[1], [1]], GF(3)), [0, 0], [0])
+        assert not is_exact(d_out, Matrix.zeros(GF(3), 2, 1), [0, 0], [0])
+
+    def test_injective_and_surjective_as_exactness(self):
+        # Z/4 -(x1)-> Z/2 is onto (exact at Z/2 before 0) but not into
+        # (not exact at Z/4 after 0)
+        one = M([[1]])
+        assert is_exact(Matrix.zeros(ZZ, 0, 1), one, [2], [])
+        assert not is_exact(one, Matrix.zeros(ZZ, 1, 0), [4], [2])
