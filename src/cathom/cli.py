@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Commands: validate, chains, ss, ext, family, tor, assembly.
+Commands: validate, chains, ss, ext, family, tor, assembly.  Each command
+takes only the flags it reads (``_COMMAND_FLAGS``); any other flag is
+refused like a command line that does not parse.
 Exit codes: 0 ok, 1 validation failure, 2 convergence/exactness mismatch,
 3 unbounded chains, 4 input error, a command line that does not parse
-included.  PCHAIN_CACHE overrides --cache-dir.
+included.  PCHAIN_CACHE overrides ss --cache-dir.
 Output is deterministic: identical inputs and config produce byte-identical
-documents.  --jobs is accepted but does not change the output: every
+documents.  ss --jobs is accepted but does not change the output: every
 command runs serially.
 """
 
@@ -39,19 +41,11 @@ EXIT_UNBOUNDED = 3
 EXIT_INPUT = 4
 
 
-def _emit(doc, args):
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _emit_table(lines, args):
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
+def _emit(doc, lines, out):
+    """Write the table lines, or else the JSON document, to out or stdout."""
+    text = "\n".join(lines) if lines is not None else json.dumps(doc, sort_keys=True, indent=2)
+    if out:
+        with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -82,23 +76,9 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def cmd_chains(args) -> int:
-    try:
-        _check_flags(args)
-    except ParseError as e:
-        print(f"INPUT ERROR: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        ws = load_bundle(args.bundle)
-    except ParseError as e:
-        print(f"PARSE ERROR: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    cat = ws.category
-    try:
-        chains = enumerate_chains(cat, args.pmax)
-    except UnboundedChains as e:
-        print(f"UNBOUNDED: {e}", file=sys.stderr)
-        return EXIT_UNBOUNDED
+def cmd_chains(args):
+    cat = load_bundle(args.bundle).category
+    chains = enumerate_chains(cat, args.pmax)
     doc = {"category": cat.name, "counts": {}, "chains": {}}
     for p in sorted(chains):
         doc["counts"][str(p)] = len(chains[p])
@@ -107,36 +87,37 @@ def cmd_chains(args) -> int:
             size = chain_biset(cat, ch).size() if p >= 1 else 1
             entries.append({"classes": list(ch.reps), "biset_size": size})
         doc["chains"][str(p)] = entries
+    lines = None
     if args.format == "table":
         lines = [f"chains of {cat.name}:"]
         for p in sorted(chains):
             lines.append(f"  p={p}: {len(chains[p])}")
             for e in doc["chains"][str(p)]:
                 lines.append(f"    {' < '.join(e['classes'])}  |S| = {e['biset_size']}")
-        _emit_table(lines, args)
-    else:
-        _emit(doc, args)
-    return EXIT_OK
+    return doc, lines, EXIT_OK
 
 
 def _check_flags(args):
     """Refuse, before any work, a negative --nmax, --pmax, --qmax or
     --rmax, a --ring that names no ring, and an --out that cannot be
-    written because it is a directory or its directory does not exist."""
+    written because it is a directory or its directory does not exist.
+    A flag the command does not take is None here."""
     for flag in ("nmax", "pmax", "qmax", "rmax"):
-        value = getattr(args, flag)
+        value = getattr(args, flag, None)
         if value is not None and value < 0:
             raise ParseError(f"--{flag} must be non-negative, got {value}")
-    if args.ring is not None:
+    ring = getattr(args, "ring", None)
+    if ring is not None:
         try:
-            ring_from_tag(args.ring)
+            ring_from_tag(ring)
         except ValueError as e:
-            raise ParseError(f"--ring {args.ring!r}: {e}") from None
-    if args.out is not None:
-        if os.path.isdir(args.out):
-            raise ParseError(f"--out {args.out!r} is a directory")
-        if not os.path.isdir(os.path.dirname(args.out) or "."):
-            raise ParseError(f"--out {args.out!r}: no such directory")
+            raise ParseError(f"--ring {ring!r}: {e}") from None
+    out = getattr(args, "out", None)
+    if out is not None:
+        if os.path.isdir(out):
+            raise ParseError(f"--out {out!r} is a directory")
+        if not os.path.isdir(os.path.dirname(out) or "."):
+            raise ParseError(f"--out {out!r}: no such directory")
 
 
 def _load_mn(args, want_n_variance):
@@ -165,7 +146,6 @@ def _load_mn(args, want_n_variance):
 def _load_paged(args, want_n_variance):
     """(ws, M, N, q_max) for ss and ext, refusing the bounds under which
     the pages cannot certify the convergence band."""
-    _check_flags(args)
     ws, M, N = _load_mn(args, want_n_variance)
     q_max = args.qmax if args.qmax is not None else args.nmax + 1
     if q_max < args.nmax + 1:
@@ -178,22 +158,15 @@ def _load_paged(args, want_n_variance):
     return ws, M, N, q_max
 
 
-def cmd_ss(args) -> int:
-    try:
-        ws, M, N, q_max = _load_paged(args, CO)
-        Q = cached_free_resolution(
-            N, q_max, _cache_from(args), cat_json=category_to_json(ws.category),
-            module_json=module_to_json(N),
-        )
-        fc = build_filtered_complex(M, N, p_max=args.pmax, q_max=q_max, Q=Q)
-        pages = spectral_pages(fc)
-        report = converge_and_compare(M, N, args.nmax, fc=fc, pages=pages)
-    except ParseError as e:
-        print(f"INPUT ERROR: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except UnboundedChains as e:
-        print(f"UNBOUNDED: {e}", file=sys.stderr)
-        return EXIT_UNBOUNDED
+def cmd_ss(args):
+    ws, M, N, q_max = _load_paged(args, CO)
+    Q = cached_free_resolution(
+        N, q_max, _cache_from(args), cat_json=category_to_json(ws.category),
+        module_json=module_to_json(N),
+    )
+    fc = build_filtered_complex(M, N, p_max=args.pmax, q_max=q_max, Q=Q)
+    pages = spectral_pages(fc)
+    report = converge_and_compare(M, N, args.nmax, fc=fc, pages=pages)
     if args.rmax is not None:
         # pages stop at r_stab, so E^0..E^rmax is a prefix of them
         pages = pages[: args.rmax + 1]
@@ -207,6 +180,7 @@ def cmd_ss(args) -> int:
         "oracle": {str(d["m"]): d["oracle"] for d in report.degrees},
         "convergence": report.to_json(),
     }
+    lines = None
     if args.format == "table":
         lines = [f"E^infty of ({args.module_m}, {args.module_n}); "
                  f"certified band {report.band}"]
@@ -219,22 +193,12 @@ def cmd_ss(args) -> int:
             lines.append(f"  Tor_{d['m']} = {d['oracle']} (total {d['total']}) "
                          f"{'ok' if d['match'] else 'MISMATCH'}")
         lines.append("all-match" if report.all_match else "MISMATCH")
-        _emit_table(lines, args)
-    else:
-        _emit(doc, args)
-    return EXIT_OK if report.all_match else EXIT_MISMATCH
+    return doc, lines, EXIT_OK if report.all_match else EXIT_MISMATCH
 
 
-def cmd_ext(args) -> int:
-    try:
-        ws, M, N, q_max = _load_paged(args, CONTRA)
-        pages, report = ext_pages(M, N, p_max=args.pmax, q_max=q_max, n_max=args.nmax)
-    except ParseError as e:
-        print(f"INPUT ERROR: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except UnboundedChains as e:
-        print(f"UNBOUNDED: {e}", file=sys.stderr)
-        return EXIT_UNBOUNDED
+def cmd_ext(args):
+    ws, M, N, q_max = _load_paged(args, CONTRA)
+    pages, report = ext_pages(M, N, p_max=args.pmax, q_max=q_max, n_max=args.nmax)
     if args.rmax is not None:
         pages = pages[: args.rmax + 1]
     doc = {
@@ -245,17 +209,11 @@ def cmd_ext(args) -> int:
         "pages": [pg.to_json() for pg in pages],
         "convergence": report.to_json(),
     }
-    _emit(doc, args)
-    return EXIT_OK if report.all_match else EXIT_MISMATCH
+    return doc, None, EXIT_OK if report.all_match else EXIT_MISMATCH
 
 
-def cmd_tor(args) -> int:
-    try:
-        _check_flags(args)
-        ws, M, N = _load_mn(args, CO)
-    except ParseError as e:
-        print(f"INPUT ERROR: {e}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_tor(args):
+    ws, M, N = _load_mn(args, CO)
     groups = tor(M, N, args.nmax)
     doc = {
         "bundle_hash": ws.digest,
@@ -263,37 +221,30 @@ def cmd_tor(args) -> int:
         "N": args.module_n,
         "tor": {str(q): groups[q].pretty() for q in range(args.nmax + 1)},
     }
+    lines = None
     if args.format == "table":
-        _emit_table([f"Tor_{q} = {groups[q].pretty()}" for q in range(args.nmax + 1)], args)
+        lines = [f"Tor_{q} = {groups[q].pretty()}" for q in range(args.nmax + 1)]
+    return doc, lines, EXIT_OK
+
+
+def cmd_family(args):
+    ws = load_bundle(args.bundle)
+    if args.family not in ws.families:
+        raise ParseError(f"family {args.family!r} not in bundle")
+    gname, fam = ws.families[args.family]
+    G = ws.groups[gname]
+    if args.subfamily:
+        if args.subfamily not in ws.families:
+            raise ParseError(f"family {args.subfamily!r} not in bundle")
+        gname2, sub = ws.families[args.subfamily]
+        if gname2 != gname:
+            raise ParseError("subfamily belongs to a different group")
     else:
-        _emit(doc, args)
-    return EXIT_OK
-
-
-def cmd_family(args) -> int:
-    try:
-        _check_flags(args)
-        ws = load_bundle(args.bundle)
-        if args.family not in ws.families:
-            raise ParseError(f"family {args.family!r} not in bundle")
-        gname, fam = ws.families[args.family]
-        G = ws.groups[gname]
-        if args.subfamily:
-            if args.subfamily not in ws.families:
-                raise ParseError(f"family {args.subfamily!r} not in bundle")
-            gname2, sub = ws.families[args.subfamily]
-            if gname2 != gname:
-                raise ParseError("subfamily belongs to a different group")
-        else:
-            sub = reduce_family(fam)
-    except ParseError as e:
-        print(f"INPUT ERROR: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        sub = reduce_family(fam)
     try:
         ok, witnesses = cofinal_inclusion_check(sub, fam)
     except ValueError as e:
-        print(f"INPUT ERROR: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ParseError(str(e)) from None
     doc = {
         "group": gname,
         "family_size": len(fam),
@@ -323,26 +274,20 @@ def cmd_family(args) -> int:
              "target": res.target[q].pretty(), "iso": res.iso[q]}
             for q in range(args.nmax + 1)
         ]
-    _emit(doc, args)
-    return EXIT_OK
+    return doc, None, EXIT_OK
 
 
-def cmd_assembly(args) -> int:
-    try:
-        _check_flags(args)
-        ws = load_bundle(args.bundle)
-        if args.module_n not in ws.modules:
-            raise ParseError(f"module {args.module_n!r} not in bundle")
-        N = ws.modules[args.module_n]
-        if N.variance != CO:
-            raise ParseError("assembly needs a covariant coefficient module")
-        objs = args.objects.split(",")
-        for o in objs:
-            if o not in ws.category.obj_index:
-                raise ParseError(f"object {o!r} not in the category")
-    except ParseError as e:
-        print(f"INPUT ERROR: {e}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_assembly(args):
+    ws = load_bundle(args.bundle)
+    if args.module_n not in ws.modules:
+        raise ParseError(f"module {args.module_n!r} not in bundle")
+    N = ws.modules[args.module_n]
+    if N.variance != CO:
+        raise ParseError("assembly needs a covariant coefficient module")
+    objs = args.objects.split(",")
+    for o in objs:
+        if o not in ws.category.obj_index:
+            raise ParseError(f"object {o!r} not in the category")
     sub, inc = full_subcategory(ws.category, objs)
     res = assembly_tor(inc, N, args.nmax)
     doc = {
@@ -352,14 +297,12 @@ def cmd_assembly(args) -> int:
         "maps": [
             {"q": q, "source": res.source[q].pretty(),
              "target": res.target[q].pretty(),
-             "matrix": [[res.maps[q].ring.entry_to_json(x) for x in row]
-                        for row in res.maps[q].data],
+             "matrix": res.maps[q].entries_json(),
              "iso": res.iso[q]}
             for q in range(args.nmax + 1)
         ],
     }
-    _emit(doc, args)
-    return EXIT_OK
+    return doc, None, EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -370,6 +313,28 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+# The shared flags, in help order, and the ones each command reads.
+_FLAGS = {
+    "ring": {"default": None, "help": "Z, Q or Fp:P"},
+    "nmax": {"type": int, "default": 3},
+    "pmax": {"type": int, "default": None},
+    "qmax": {"type": int, "default": None},
+    "rmax": {"type": int, "default": None},
+    "jobs": {"type": int, "default": 1},
+    "cache_dir": {"default": None},
+    "format": {"choices": ["json", "table"], "default": "json"},
+    "out": {"default": None, "help": "write output to a file"},
+}
+_COMMAND_FLAGS = {
+    "chains": {"pmax", "format", "out"},
+    "ss": set(_FLAGS),
+    "ext": {"ring", "nmax", "pmax", "qmax", "rmax", "out"},
+    "tor": {"ring", "nmax", "format", "out"},
+    "family": {"ring", "nmax", "out"},
+    "assembly": {"nmax", "out"},
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="cathom",
@@ -377,55 +342,31 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, module_args=True):
-        p.add_argument("--ring", default=None, help="Z, Q or Fp:P")
-        p.add_argument("--nmax", type=int, default=3)
-        p.add_argument("--pmax", type=int, default=None)
-        p.add_argument("--qmax", type=int, default=None)
-        p.add_argument("--rmax", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--cache-dir", default=None)
-        p.add_argument("--format", choices=["json", "table"], default="json")
-        p.add_argument("--out", default=None, help="write output to a file")
-
     pv = sub.add_parser("validate", help="validate bundles")
     pv.add_argument("bundle", nargs="+")
 
-    pc = sub.add_parser("chains", help="list chains and biset sizes")
-    pc.add_argument("bundle")
-    common(pc)
+    def command(name, summary, modules=""):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("bundle")
+        for m in modules:
+            p.add_argument(f"-{m}", dest=f"module_{m.lower()}", required=True)
+        return p
 
-    ps = sub.add_parser("ss", help="spectral sequence pages and convergence")
-    ps.add_argument("bundle")
-    ps.add_argument("-M", dest="module_m", required=True)
-    ps.add_argument("-N", dest="module_n", required=True)
-    common(ps)
-
-    pe = sub.add_parser("ext", help="cohomology pages and convergence")
-    pe.add_argument("bundle")
-    pe.add_argument("-M", dest="module_m", required=True)
-    pe.add_argument("-N", dest="module_n", required=True)
-    common(pe)
-
-    pt = sub.add_parser("tor", help="the Tor oracle")
-    pt.add_argument("bundle")
-    pt.add_argument("-M", dest="module_m", required=True)
-    pt.add_argument("-N", dest="module_n", required=True)
-    common(pt)
-
-    pf = sub.add_parser("family", help="cofinality, reduction and (M)/(NM)")
-    pf.add_argument("bundle")
+    command("chains", "list chains and biset sizes")
+    command("ss", "spectral sequence pages and convergence", "MN")
+    command("ext", "cohomology pages and convergence", "MN")
+    command("tor", "the Tor oracle", "MN")
+    pf = command("family", "cofinality, reduction and (M)/(NM)")
     pf.add_argument("--family", required=True)
     pf.add_argument("--subfamily", default=None)
     pf.add_argument("--assembly", action="store_true")
-    common(pf)
-
-    pa = sub.add_parser("assembly", help="assembly maps along a subcategory inclusion")
-    pa.add_argument("bundle")
-    pa.add_argument("-N", dest="module_n", required=True)
+    pa = command("assembly", "assembly maps along a subcategory inclusion", "N")
     pa.add_argument("--objects", required=True,
                     help="comma-separated objects of the full subcategory")
-    common(pa)
+    for name, flags in _COMMAND_FLAGS.items():
+        for flag, spec in _FLAGS.items():
+            if flag in flags:
+                sub.choices[name].add_argument("--" + flag.replace("_", "-"), **spec)
     return ap
 
 
@@ -433,15 +374,27 @@ _PARSER: list[argparse.ArgumentParser] = []  # built by the first main call
 
 
 def main(argv=None) -> int:
+    """Parse argv and run its command.  Every command but validate returns
+    (document, table lines or None, exit code); the output and the input
+    and unbounded-chain errors are handled here, once."""
     if not _PARSER:
         _PARSER.append(make_parser())
     try:
         args = _PARSER[0].parse_args(argv)
+        # looked up per call, so a replaced cmd_<command> is the one that runs
+        run = globals()[f"cmd_{args.command}"]
+        if args.command == "validate":
+            return run(args)
+        _check_flags(args)
+        doc, lines, code = run(args)
     except ParseError as e:
         print(f"INPUT ERROR: {e}", file=sys.stderr)
         return EXIT_INPUT
-    # looked up per call, so a replaced cmd_<command> is the one that runs
-    return globals()[f"cmd_{args.command}"](args)
+    except UnboundedChains as e:
+        print(f"UNBOUNDED: {e}", file=sys.stderr)
+        return EXIT_UNBOUNDED
+    _emit(doc, lines, args.out)
+    return code
 
 
 if __name__ == "__main__":

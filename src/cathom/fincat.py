@@ -42,6 +42,15 @@ class UnionFind:
             out.setdefault(self.find(x), []).append(x)
         return out
 
+    def classes(self) -> tuple[list, dict]:
+        """(classes, index): the classes as their sorted minima, and every
+        element mapped to the position of its class."""
+        groups = self.groups()
+        classes = sorted(min(g) for g in groups.values())
+        rep_of = {root: min(g) for root, g in groups.items()}
+        position = {rep: k for k, rep in enumerate(classes)}
+        return classes, {x: position[rep_of[self.find(x)]] for x in self.parent}
+
 
 class FiniteCategory:
     """A finite category: objects, hom lists, a total composition table.
@@ -458,11 +467,7 @@ class ChainBiset:
                     t[i] = compose[(t[i], a)]
                     t[i - 1] = compose[(ainv, t[i - 1])]
                     uf.union(s, tuple(t))
-        groups = uf.groups()
-        self.elements: list[tuple[str, ...]] = sorted(min(g) for g in groups.values())
-        rep_of = {root: min(g) for root, g in groups.items()}
-        elem_index = {rep: k for k, rep in enumerate(self.elements)}
-        self.index = {s: elem_index[rep_of[uf.find(s)]] for s in all_strings}
+        self.elements, self.index = uf.classes()
 
     def size(self) -> int:
         return len(self.elements)
@@ -523,14 +528,12 @@ class NerveCell:
                 for b, fs in noniso_out[objs[-1]].items()
                 if hom[(b, tgt)]
             ]
-        diagrams = []
         uf = UnionFind()
         for objs, sets in walks:
             for alpha in hom[(src, objs[0])]:
                 for phis in product(*sets):
                     for beta in hom[(objs[p], tgt)]:
                         d = (alpha, phis, beta)
-                        diagrams.append(d)
                         uf.find(d)
                         for i in range(p + 1):
                             for u, uinv in iso_out[objs[i]]:
@@ -548,13 +551,7 @@ class NerveCell:
                                     ph2[i - 1] = compose[(u, phis[i - 1])]
                                     b2 = compose[(beta, uinv)]
                                 uf.union(d, (a2, tuple(ph2), b2))
-        groups = uf.groups()
-        self.classes: list[tuple] = sorted(min(g) for g in groups.values())
-        rep_of = {root: min(g) for root, g in groups.items()}
-        elem_index = {rep: k for k, rep in enumerate(self.classes)}
-        self.index: dict[tuple, int] = {
-            d: elem_index[rep_of[uf.find(d)]] for d in diagrams
-        }
+        self.classes, self.index = uf.classes()
 
     def _objects_of(self, alpha, phis, beta):
         cat = self.cat
@@ -658,11 +655,7 @@ class BalancedTriples:
                 for u in aut_0:
                     # (beta, s . u, alpha) ~ (beta, s, u o alpha)
                     uf.union((b, self.biset.right_act(k, u), a), (b, k, cat.compose(u, a)))
-        groups = uf.groups()
-        self.classes = sorted(min(g) for g in groups.values())
-        rep_of = {root: min(g) for root, g in groups.items()}
-        idx = {rep: i for i, rep in enumerate(self.classes)}
-        self.index = {t: idx[rep_of[uf.find(t)]] for t in triples}
+        self.classes, self.index = uf.classes()
 
     def size(self) -> int:
         return len(self.classes)

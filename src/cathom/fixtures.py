@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from .catmod import CO, CONTRA, CatModule, FreeCatModule
 from .fincat import FiniteCategory
-from .groups import FiniteGroup, orbit_category
+from .groups import FiniteGroup, group_category, orbit_category
 from .resolve import scan_order
 from .rings import Ring
 
@@ -43,16 +43,6 @@ def poset_category(n: int = 3) -> FiniteCategory:
             comp[(g, f)] = f"a{a}{c}"
     ident = {str(k): f"a{k}{k}" for k in range(n)}
     return FiniteCategory(objs, mors, comp, ident, name="<".join(objs))
-
-
-def group_category(G: FiniteGroup) -> FiniteCategory:
-    mors = {f"g{a}": ("*", "*") for a in range(G.n)}
-    comp = {
-        (f"g{a}", f"g{b}"): f"g{G.mul(a, b)}"
-        for a in range(G.n)
-        for b in range(G.n)
-    }
-    return FiniteCategory(["*"], mors, comp, {"*": "g0"}, name=f"B{G.name}")
 
 
 def idempotent_category() -> FiniteCategory:

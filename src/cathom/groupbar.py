@@ -23,7 +23,7 @@ from itertools import product
 from math import gcd
 
 from .fpmod import FPModule
-from .groups import FiniteGroup
+from .groups import FiniteGroup, group_category
 from .matrix import Matrix
 from .rings import Ring
 from .resolve import PresentedComplex
@@ -127,23 +127,11 @@ def bar_complex(A: GroupModule, B: GroupModule, top: int) -> PresentedComplex:
     return PresentedComplex(ring, anns, diffs, 1)
 
 
-def _one_object_category(G: FiniteGroup):
-    from .fincat import FiniteCategory
-
-    mors = {f"g{a}": ("*", "*") for a in range(G.n)}
-    comp = {
-        (f"g{a}", f"g{b}"): f"g{G.mul(a, b)}"
-        for a in range(G.n)
-        for b in range(G.n)
-    }
-    return FiniteCategory(["*"], mors, comp, {"*": "g0"}, name=f"B{G.name}")
-
-
 def _tor_by_resolution(A: GroupModule, B: GroupModule, q_max: int) -> list[FPModule]:
     from .catmod import CO, CONTRA, CatModule
     from .resolve import free_resolution, tensor_complex
 
-    cat = _one_object_category(A.G)
+    cat = group_category(A.G)
     a_mod = CatModule(cat, CONTRA, A.ring, {"*": A.anns},
                       {f"g{i}": A.act[i] for i in range(A.G.n)}, check=False)
     b_mod = CatModule(cat, CO, B.ring, {"*": B.anns},

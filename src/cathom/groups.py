@@ -415,6 +415,18 @@ def orbit_category(G: FiniteGroup, F: SubgroupFamily | None = None) -> OrbitCate
     return OrbitCategory(G, F)
 
 
+def group_category(G: FiniteGroup) -> FiniteCategory:
+    """BG: one object *, a morphism g<a> for each element a, composed by
+    the group law."""
+    mors = {f"g{a}": ("*", "*") for a in range(G.n)}
+    comp = {
+        (f"g{a}", f"g{b}"): f"g{G.mul(a, b)}"
+        for a in range(G.n)
+        for b in range(G.n)
+    }
+    return FiniteCategory(["*"], mors, comp, {"*": "g0"}, name=f"B{G.name}")
+
+
 def count_equivariant_maps(G: FiniteGroup, H: frozenset[int], K: frozenset[int]) -> int:
     """Brute-force count of G-maps G/H -> G/K as functions on cosets.
 

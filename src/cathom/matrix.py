@@ -140,11 +140,15 @@ class Matrix:
             raise DimensionMismatch("hstack row mismatch")
         return Matrix.from_columns(self.ring, self.vecs + other.vecs, self.rows)
 
+    def entries_json(self) -> list[list]:
+        """The rows of entries in their JSON form."""
+        return [[self.ring.entry_to_json(x) for x in row] for row in self.data]
+
     def to_json(self) -> dict:
         out = dict(self.ring.to_json())
         out["rows"] = self.rows
         out["cols"] = self.cols
-        out["entries"] = [[self.ring.entry_to_json(x) for x in row] for row in self.data]
+        out["entries"] = self.entries_json()
         return out
 
     def __repr__(self):

@@ -129,10 +129,7 @@ def module_to_json(M: CatModule) -> dict:
                 row[i] = int(a)
                 relations.append(row)
         values[c] = {"rank": len(anns), "relations": relations}
-    action = {
-        f: [[M.ring.entry_to_json(x) for x in row] for row in M.action[f].data]
-        for f in sorted(M.cat.morphisms)
-    }
+    action = {f: M.action[f].entries_json() for f in sorted(M.cat.morphisms)}
     out = dict(M.ring.to_json())
     out["variance"] = M.variance
     out["values"] = values

@@ -539,7 +539,7 @@ class Page:
             diffs.append({
                 "from": [p, q],
                 "to": list(self.target(p, q)),
-                "matrix": [[mat.ring.entry_to_json(x) for x in row] for row in mat.data],
+                "matrix": mat.entries_json(),
             })
         return {"r": self.r, "stabilized": self.stabilized,
                 "entries": ents, "differentials": diffs}

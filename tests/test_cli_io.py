@@ -439,6 +439,59 @@ class TestRefusals:
         assert captured.err.startswith("INPUT ERROR: ") and captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command,flags", [
+        ("ext", ["--format", "table"]),
+        ("family", ["--format", "table"]),
+        ("assembly", ["--format", "table"]),
+        ("assembly", ["--ring", "Q"]),
+        ("tor", ["--rmax", "1"]),
+        ("tor", ["--cache-dir", "cache"]),
+        ("chains", ["--nmax", "1"]),
+        ("chains", ["--ring", "Z"]),
+    ], ids=["ext-format", "family-format", "assembly-format", "assembly-ring", "tor-rmax",
+            "tor-cache-dir", "chains-nmax", "chains-ring"])
+    def test_flag_the_command_does_not_read_exit_4(self, orz2_bundle, command, flags,
+                                                   tmp_path, capsys):
+        command_args = {
+            "ext": ["-M", "Mconst", "-N", "Malt"],
+            "family": ["--family", "all"],
+            "assembly": ["-N", "Nconst", "--objects", fixture_category("OrZ2").objects[0]],
+            "tor": ["-M", "Malt", "-N", "Nconst"],
+            "chains": [],
+        }[command]
+        out = tmp_path / "o.json"
+        rc = main([command, orz2_bundle, *command_args, *flags, "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("INPUT ERROR: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        from cathom.cli import make_parser
+
+        everything = {"--ring", "--nmax", "--pmax", "--qmax", "--rmax", "--jobs",
+                      "--cache-dir", "--format", "--out"}
+        expected = {
+            "validate": set(),
+            "chains": {"--pmax", "--format", "--out"},
+            "ss": everything,
+            "ext": {"--ring", "--nmax", "--pmax", "--qmax", "--rmax", "--out"},
+            "tor": {"--ring", "--nmax", "--format", "--out"},
+            "family": {"--ring", "--nmax", "--out"},
+            "assembly": {"--nmax", "--out"},
+        }
+        (commands,) = (a for a in make_parser()._actions if a.dest == "command")
+        for name, parser in commands.choices.items():
+            taken = {s for a in parser._actions for s in a.option_strings}
+            assert taken & everything == expected[name], name
+
+    def test_chains_out_in_missing_directory_exit_4(self, orz2_bundle, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.json"
+        assert main(["chains", orz2_bundle, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("INPUT ERROR: --out ") and err.count("\n") == 1
+        assert not out.parent.exists()
+
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["ss", "--help"])
