@@ -190,12 +190,31 @@ class CatModule:
             quots[c] = CanonicalQuotient(ring, rank, [
                 {i: x for i, x in enumerate(map(ring.coerce, row)) if x} for row in rel_rows
             ])
+        return cls.from_quotients(cat, variance, ring, quots, raw_action)
+
+    @classmethod
+    def from_quotients(
+        cls,
+        cat: FiniteCategory,
+        variance: str,
+        ring: Ring,
+        quots: dict,
+        raw_action: dict[str, Matrix],
+        check: bool = True,
+    ) -> "CatModule":
+        """The module whose value at c is quots[c].module and whose action
+        of f is the map raw_action[f] induces between the quotients.
+
+        quots[c] is a ``CanonicalQuotient`` or ``Subquotient`` of the raw
+        generators at c; raw_action[f] is given on the raw generators with
+        the variance-appropriate direction.
+        """
         anns = {c: quots[c].module.anns() for c in cat.objects}
         action = {}
         for f, (a, b) in cat.morphisms.items():
             src, tgt = (b, a) if variance == CONTRA else (a, b)
             action[f] = induced_map(quots[src], quots[tgt], raw_action[f])
-        return cls(cat, variance, ring, anns, action)
+        return cls(cat, variance, ring, anns, action, check=check)
 
     def __repr__(self):
         return f"CatModule({self.cat.name}, {self.variance}, {self.ring})"
@@ -480,8 +499,7 @@ class InducedModule:
                             rows.append(row)
             self.raw_gens[d] = gens
             self.quots[d] = CanonicalQuotient(ring, n, rows)
-        anns = {d: self.quots[d].module.anns() for d in cat.objects}
-        action = {}
+        raw_action = {}
         for g, (d1, d2) in cat.morphisms.items():
             src = d2 if contra else d1
             tgt = d1 if contra else d2
@@ -491,9 +509,9 @@ class InducedModule:
                 key = (b, j, cat.compose(phi, g)) if contra else (b, j, cat.compose(g, phi))
                 moved.append({tgt_index[key]: one})
             # the raw generators move one to one, so this is their matrix
-            T = Matrix.from_columns(ring, moved, len(self.raw_gens[tgt]))
-            action[g] = induced_map(self.quots[src], self.quots[tgt], T)
-        self.module = CatModule(cat, X.variance, ring, anns, action, check=False)
+            raw_action[g] = Matrix.from_columns(ring, moved, len(self.raw_gens[tgt]))
+        self.module = CatModule.from_quotients(cat, X.variance, ring, self.quots, raw_action,
+                                               check=False)
 
 
 def induce(F: Functor, X: CatModule) -> CatModule:

@@ -228,6 +228,8 @@ def cmd_tor(args):
 
 
 def cmd_family(args):
+    if not args.assembly and (args.ring is not None or args.nmax is not None):
+        raise ParseError("--ring and --nmax are read only with --assembly")
     ws = load_bundle(args.bundle)
     if args.family not in ws.families:
         raise ParseError(f"family {args.family!r} not in bundle")
@@ -264,15 +266,16 @@ def cmd_family(args):
         from .catmod import CatModule
 
         ring = ring_from_tag(args.ring or "Z")
+        n_max = _FLAGS["nmax"]["default"] if args.nmax is None else args.nmax
         big = orbit_category(G, fam)
         keep = [o for o in big.objects if big.subgroup_of[o] in sub._set]
         smallcat, inc = full_subcategory(big, keep)
         N = CatModule.constant(big, ring, CO)
-        res = assembly_tor(inc, N, args.nmax)
+        res = assembly_tor(inc, N, n_max)
         doc["assembly"] = [
             {"q": q, "source": res.source[q].pretty(),
              "target": res.target[q].pretty(), "iso": res.iso[q]}
-            for q in range(args.nmax + 1)
+            for q in range(n_max + 1)
         ]
     return doc, None, EXIT_OK
 
@@ -367,6 +370,8 @@ def make_parser() -> argparse.ArgumentParser:
         for flag, spec in _FLAGS.items():
             if flag in flags:
                 sub.choices[name].add_argument("--" + flag.replace("_", "-"), **spec)
+    # family reads --nmax only with --assembly, so it must see whether it was given
+    pf.set_defaults(nmax=None)
     return ap
 
 

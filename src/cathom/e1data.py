@@ -8,7 +8,9 @@ chain's biset.  This module computes both sides:
 * per-chain column homology inside the engine's filtered complex: each
   column restricts the engine's ``spectral.Cell`` to the chain's raw
   generators, so it is the presentation the pages see, and
-* the group-level Tor via the truncated bar complex (independent route),
+* the group-level Tor via the truncated bar complex (independent route):
+  ``ChainGroupData`` builds its two modules as ``CatModule``s over the
+  one-object subcategory on the chain's bottom object,
 
 plus the d^1 component maps.  Components for i >= 1 are biset
 concatenations transported through the explicit chain/biset bijection of
@@ -19,7 +21,7 @@ through the module structure (the partial assembly at module level).
 
 from __future__ import annotations
 
-from .catmod import CatModule
+from .catmod import CONTRA, CatModule, full_subcategory, restrict
 from .fincat import BalancedTriples, ChainBiset, PChain
 from .fpmod import (
     CanonicalQuotient,
@@ -28,8 +30,7 @@ from .fpmod import (
     _ann_columns,
     induced_map,
 )
-from .groupbar import GroupModule, group_tor
-from .groups import group_from_aut
+from .groupbar import group_tor
 from .matrix import Matrix, _axpy
 from .resolve import PresentedComplex
 from .spectral import Cell, FilteredComplex, build_filtered_complex, spectral_pages
@@ -72,8 +73,10 @@ class ChainColumn:
 
 
 class ChainGroupData:
-    """A(chain) = M(c_p) balanced with RS(chain) as a right module over
-    aut(c_0), together with N(c_0) as a left module."""
+    """A(chain) = M(c_p) balanced with RS(chain), contravariant (a right
+    module) over the one-object subcategory on c_0, together with N(c_0)
+    restricted to that subcategory (a left module for covariant N).  The
+    chains need an EI base, so that subcategory is the group aut(c_0)."""
 
     def __init__(self, fc: FilteredComplex, chain: PChain,
                  biset: ChainBiset | None = None):
@@ -83,14 +86,10 @@ class ChainGroupData:
         self.chain = chain
         c0 = chain.reps[0]
         cp = chain.reps[-1]
-        self.G0, self.elems0 = group_from_aut(cat, c0)
+        sub, inc = full_subcategory(cat, [c0])
         p = chain.p
         if p == 0:
-            n = M.rank(c0)
-            quot = CanonicalQuotient(ring, n, _ann_columns(ring, M.anns[c0]).vecs)
-            # right action x.a = M(a)(x)
-            act = [induced_map(quot, quot, M.act(a)) for a in self.elems0]
-            self.A = GroupModule(ring, self.G0, quot.module.anns(), act, "right")
+            self.A = restrict(inc, M)
             self.biset = None
         else:
             self.biset = biset if biset is not None else ChainBiset(cat, chain)
@@ -111,15 +110,14 @@ class ChainGroupData:
                         rows.append(row)
             quot = CanonicalQuotient(ring, len(gens), rows)
             # right action of a on the raw generators: (j, k) -> (j, k.a)
-            act = [
-                induced_map(quot, quot, Matrix.from_columns(
-                    ring, [{index[(j, S.right_act(k, a))]: one} for (j, k) in gens], len(gens)))
-                for a in self.elems0
-            ]
-            self.A = GroupModule(ring, self.G0, quot.module.anns(), act, "right")
-        # N(c_0) as left module
-        bact = [N.act(a) for a in self.elems0]
-        self.B = GroupModule(ring, self.G0, list(N.anns[c0]), bact, "left")
+            raw_action = {
+                a: Matrix.from_columns(
+                    ring, [{index[(j, S.right_act(k, a))]: one} for (j, k) in gens], len(gens))
+                for a in sub.morphisms
+            }
+            self.A = CatModule.from_quotients(sub, CONTRA, ring, {c0: quot}, raw_action,
+                                              check=False)
+        self.B = restrict(inc, N)
 
     def tor(self, q_max: int) -> list[FPModule]:
         return group_tor(self.A, self.B, q_max)

@@ -17,19 +17,21 @@ descending column filtration F^p is the columns p' >= p.  The pages (d_r
 of bidegree (+r, 1-r)), the total cohomology and the E_inf-versus-
 filtration check are spectral.py's, the same code that computes homology.
 E_1^{p,q} = Ext^q(W_p, N) splits as the product over p-chains of
-group-level Ext (cross-checked through the one-object subcategories), and
-the total cohomology is compared against the Ext oracle.
+group-level Ext: the Ext oracle on ``e1data.ChainGroupData``'s modules over
+the one-object subcategory on the chain's bottom object.  The total
+cohomology is compared against the Ext oracle too.
 """
 
 from __future__ import annotations
 
-from .catmod import CONTRA, CatModule, VarianceMismatch, full_subcategory
+from .catmod import CONTRA, CatModule, VarianceMismatch
+from .e1data import ChainGroupData
 from .fincat import NerveCache, PChain, chain_bound, enumerate_chains
 from .fpmod import CanonicalQuotient, FPModule, Subquotient, _ann_columns, induced_map
 from .intlin import preimage_basis
 from .matrix import Matrix
 from .resolve import Resolution, ext, free_resolution, hom_complex, horseshoe, yoneda_matrix
-from .spectral import Cell, TotalComplex, compare_with_oracle, spectral_pages
+from .spectral import Cell, ConvergenceReport, TotalComplex, compare_with_oracle, spectral_pages
 
 
 class WModule:
@@ -59,11 +61,7 @@ def _sub_catmodule(cat, ring, W: CatModule, lattices: dict[str, Matrix]):
     for s in cat.objects:
         rels = _ann_columns(ring, W.anns[s])
         subs[s] = Subquotient(ring, W.rank(s), lattices[s].hstack(rels), rels)
-    anns = {s: subs[s].module.anns() for s in cat.objects}
-    # contravariant: g: s2 -> s acts W(s) -> W(s2)
-    action = {g: induced_map(subs[s], subs[s2], W.act(g))
-              for g, (s2, s) in cat.morphisms.items()}
-    return CatModule(cat, CONTRA, ring, anns, action, check=False), subs
+    return CatModule.from_quotients(cat, CONTRA, ring, subs, W.action, check=False), subs
 
 
 class ExtFilteredComplex(TotalComplex):
@@ -128,10 +126,8 @@ class ExtFilteredComplex(TotalComplex):
                                      _ann_columns(ring, Z_mod.anns[s]).vecs + bincl[s].vecs)
                 for s in cat.objects
             }
-            h_anns = {s: hquots[s].module.anns() for s in cat.objects}
-            h_action = {g: induced_map(hquots[s], hquots[s2], Z_mod.act(g))
-                        for g, (s2, s) in cat.morphisms.items()}
-            H_mod = CatModule(cat, CONTRA, ring, h_anns, h_action, check=False)
+            H_mod = CatModule.from_quotients(cat, CONTRA, ring, hquots, Z_mod.action,
+                                             check=False)
             RH = free_resolution(H_mod, q_max)
             hproj = {
                 s: Matrix.from_columns(
@@ -214,45 +210,27 @@ def _rebase(res: Resolution, W: CatModule, incl: dict[str, Matrix]) -> Resolutio
     return out
 
 
-class ExtReport:
+class ExtReport(ConvergenceReport):
+    """The convergence report with the E_1 product-form rows."""
+
     def __init__(self, band: int, degrees: list[dict], cells: list[dict],
                  e1_rows: list[dict]):
-        self.band = band
-        self.degrees = degrees
-        self.cells = cells
+        super().__init__(band, degrees, cells)
         self.e1_rows = e1_rows
 
     @property
     def all_match(self) -> bool:
-        return (
-            all(d["match"] for d in self.degrees)
-            and all(c["match"] for c in self.cells)
-            and all(r["match"] for r in self.e1_rows)
-        )
+        return super().all_match and all(r["match"] for r in self.e1_rows)
 
     def to_json(self) -> dict:
-        return {"certified_band": self.band, "degrees": self.degrees,
-                "cells": self.cells, "e1": self.e1_rows,
-                "all_match": self.all_match}
+        return {**super().to_json(), "e1": self.e1_rows}
 
 
 def _chain_ext_direct(fcx: ExtFilteredComplex, chain: PChain, q_max: int) -> list[FPModule]:
-    """Ext^q over R[aut(c_0)] of the chain data, via the one-object
-    subcategory and the Ext oracle, independent of the page machinery."""
-    from .e1data import ChainGroupData
-
-    cat = fcx.cat
-    ring = fcx.ring
-    c0 = chain.reps[0]
-    one_obj, _ = full_subcategory(cat, [c0])
+    """Ext^q over R[aut(c_0)] of the chain data, by the Ext oracle over the
+    one-object subcategory, independent of the page machinery."""
     data = ChainGroupData(fcx, chain)
-    anns_A = {c0: data.A.anns}
-    action_A = {a: data.A.act[idx] for idx, a in enumerate(data.elems0)}
-    A_mod = CatModule(one_obj, CONTRA, ring, anns_A, action_A, check=False)
-    anns_B = {c0: list(fcx.N.anns[c0])}
-    action_B = {a: fcx.N.act(a) for a in data.elems0}
-    B_mod = CatModule(one_obj, CONTRA, ring, anns_B, action_B, check=False)
-    return ext(A_mod, B_mod, q_max)
+    return ext(data.A, data.B, q_max)
 
 
 def ext_pages(M: CatModule, N: CatModule, p_max: int | None = None,

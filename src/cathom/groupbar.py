@@ -2,11 +2,16 @@
 
 C_q = A (x) R[G-e]^(x q) (x) B for a right module A and a left module B:
 the normalized bar complex, whose q-tuples avoid the identity e, with the
-standard alternating-sum differential.  Dropping the degenerate tuples
-changes no homology, because they span an acyclic subcomplex.  Generators
-are ordered lexicographically in (A-generator, group tuple, B-generator),
-so all presentations are deterministic.  Rank (|G|-1)^q is the intended
-cost model for the small automorphism groups this is used on.
+standard alternating-sum differential.  Both modules are ``CatModule``s
+over one one-object category whose automorphism group is G: A is
+contravariant (x.g = A(g) x) and B covariant (g.y = B(g) y).  The group
+table and the element order (the identity first, then hom order) come
+from ``groups.group_from_aut``, so the inner loop runs on ints.
+Dropping the degenerate tuples changes no homology, because they span an
+acyclic subcomplex.  Generators are ordered lexicographically in
+(A-generator, group tuple, B-generator), so all presentations are
+deterministic.  Rank (|G|-1)^q is the intended cost model for the small
+automorphism groups this is used on.
 
 Only the isomorphism type of each Tor group is computed.  Over a field,
 or over Z when the bar levels carry no annihilators, it comes from the
@@ -14,7 +19,9 @@ ranks and invariant factors of the differentials
 (``PresentedComplex.homology``, through ``intlin.invariant_factors``),
 which shares no code with ``StairBasis``, ``Subquotient`` or
 ``CanonicalQuotient``; levels with Z-torsion read it off a ``Subquotient``
-witness.
+witness.  When both sides carry Z-torsion the bar complex is no
+resolution, and ``group_tor`` calls the category-level oracle
+``resolve.tor`` on the same two modules.
 """
 
 from __future__ import annotations
@@ -22,80 +29,37 @@ from __future__ import annotations
 from itertools import product
 from math import gcd
 
+from .catmod import CO, CONTRA, CatModule, VarianceMismatch
 from .fpmod import FPModule
-from .groups import FiniteGroup, group_category
+from .groups import group_from_aut
 from .matrix import Matrix
-from .rings import Ring
-from .resolve import PresentedComplex
+from .resolve import PresentedComplex, tor
 
 
-class GroupModule:
-    """A finitely presented module with an action of a finite group.
-
-    act[g] is the matrix of the action of element g on canonical
-    generators; side records whether it is a right or left action.
-    """
-
-    def __init__(self, ring: Ring, G: FiniteGroup, anns: list, act: list[Matrix], side: str):
-        assert side in ("left", "right")
-        self.ring = ring
-        self.G = G
-        self.anns = list(anns)
-        self.act = act
-        self.side = side
-
-    @property
-    def rank(self) -> int:
-        return len(self.anns)
-
-    def module(self) -> FPModule:
-        free = sum(1 for d in self.anns if not d)
-        torsion = tuple(sorted(int(d) for d in self.anns if d))
-        return FPModule(self.ring, free, torsion)
-
-    def check(self) -> list[str]:
-        out = []
-        G = self.G
-        ident = self.act[0]
-        n = self.rank
-        from .catmod import mats_equal_mod
-
-        if not mats_equal_mod(ident, Matrix.identity(self.ring, n), self.anns):
-            out.append("identity does not act as identity")
-        for a in range(G.n):
-            for b in range(G.n):
-                ab = G.mul(a, b)
-                if self.side == "left":
-                    comp = self.act[a] @ self.act[b]
-                else:
-                    comp = self.act[b] @ self.act[a]
-                if not mats_equal_mod(comp, self.act[ab], self.anns):
-                    out.append(f"action not a homomorphism at ({a},{b})")
-                    return out
-        return out
-
-
-def _tuple_list(G: FiniteGroup, q: int) -> list[tuple[int, ...]]:
-    """q-tuples of non-identity elements (the identity is element 0)."""
-    return list(product(range(1, G.n), repeat=q))
-
-
-def bar_complex(A: GroupModule, B: GroupModule, top: int) -> PresentedComplex:
-    """The normalized two-sided bar complex up to level ``top``."""
-    assert A.side == "right" and B.side == "left"
-    assert A.G is B.G or A.G.table == B.G.table
+def bar_complex(A: CatModule, B: CatModule, top: int) -> PresentedComplex:
+    """The normalized two-sided bar complex up to level ``top``, for A
+    contravariant (the right module) and B covariant (the left module)
+    over one one-object category."""
+    if A.variance != CONTRA or B.variance != CO:
+        raise VarianceMismatch("the bar complex needs A contravariant, B covariant")
+    (obj,) = A.cat.objects
+    G, elems = group_from_aut(A.cat, obj)
     ring = A.ring
-    G = A.G
+    a_anns, b_anns = A.anns[obj], B.anns[obj]
+    a_act = [A.act(g) for g in elems]
+    b_act = [B.act(g) for g in elems]
     anns = []
     gens_per_level = []
     for q in range(top + 1):
-        tuples = _tuple_list(G, q)
-        gens = [(i, t, j) for i in range(A.rank) for t in tuples for j in range(B.rank)]
+        # q-tuples of non-identity elements (the identity is element 0)
+        tuples = list(product(range(1, G.n), repeat=q))
+        gens = [(i, t, j) for i in range(len(a_anns)) for t in tuples
+                for j in range(len(b_anns))]
         gens_per_level.append(gens)
         if ring.is_field:
             anns.append([ring.zero] * len(gens))
         else:
-            anns.append([gcd(A.anns[i], B.anns[j]) for (i, t, j) in gens])
+            anns.append([gcd(a_anns[i], b_anns[j]) for (i, t, j) in gens])
     diffs = []
     z = ring.zero
     for q in range(1, top + 1):
@@ -104,7 +68,7 @@ def bar_complex(A: GroupModule, B: GroupModule, top: int) -> PresentedComplex:
         for (i, t, j) in gens_per_level[q]:
             col: dict = {}
             # a.g1 (x) rest
-            for r, c in A.act[t[0]].vecs[i].items():
+            for r, c in a_act[t[0]].vecs[i].items():
                 row = tgt_index[(r, t[1:], j)]
                 col[row] = ring.add(col.get(row, z), c)
             # interior multiplications
@@ -119,7 +83,7 @@ def bar_complex(A: GroupModule, B: GroupModule, top: int) -> PresentedComplex:
                 col[row] = ring.add(col.get(row, z), sign)
             # last (x) g_q . b
             sign = ring.neg(sign)
-            for r, c in B.act[t[-1]].vecs[j].items():
+            for r, c in b_act[t[-1]].vecs[j].items():
                 row = tgt_index[(i, t[:-1], r)]
                 col[row] = ring.add(col.get(row, z), ring.mul(sign, c))
             cols.append({row: x for row, x in col.items() if x})
@@ -127,38 +91,17 @@ def bar_complex(A: GroupModule, B: GroupModule, top: int) -> PresentedComplex:
     return PresentedComplex(ring, anns, diffs, 1)
 
 
-def _tor_by_resolution(A: GroupModule, B: GroupModule, q_max: int) -> list[FPModule]:
-    from .catmod import CO, CONTRA, CatModule
-    from .resolve import free_resolution, tensor_complex
-
-    cat = group_category(A.G)
-    a_mod = CatModule(cat, CONTRA, A.ring, {"*": A.anns},
-                      {f"g{i}": A.act[i] for i in range(A.G.n)}, check=False)
-    b_mod = CatModule(cat, CO, B.ring, {"*": B.anns},
-                      {f"g{i}": B.act[i] for i in range(B.G.n)}, check=False)
-    res = free_resolution(a_mod, q_max + 1)
-    cx = tensor_complex(res, b_mod)
-    return [cx.homology(q) for q in range(q_max + 1)]
-
-
-def group_tor(A: GroupModule, B: GroupModule, q_max: int) -> list[FPModule]:
-    """Tor_q^{R[G]}(A, B) for q <= q_max.
+def group_tor(A: CatModule, B: CatModule, q_max: int) -> list[FPModule]:
+    """Tor_q^{R[G]}(A, B) for q <= q_max, for A contravariant and B
+    covariant over one one-object category with automorphism group G.
 
     The truncated two-sided bar complex is used whenever one argument is
     free over the coefficient ring (always over a field); it is not a
     resolution when both sides carry R-torsion, so that case falls back
-    to an honest free R[G]-resolution of A.
+    to ``resolve.tor``, an honest free R[G]-resolution of A.
     """
-    ring = A.ring
-    if (
-        ring.is_field
-        or all(not d for d in A.anns)
-        or all(not d for d in B.anns)
-    ):
+    (obj,) = A.cat.objects
+    if A.ring.is_field or not any(A.anns[obj]) or not any(B.anns[obj]):
         cx = bar_complex(A, B, q_max + 1)
         return [cx.homology(q) for q in range(q_max + 1)]
-    return _tor_by_resolution(A, B, q_max)
-
-
-def trivial_group_module(ring: Ring, G: FiniteGroup, side: str) -> GroupModule:
-    return GroupModule(ring, G, [ring.zero], [Matrix.identity(ring, 1)] * G.n, side)
+    return tor(A, B, q_max)

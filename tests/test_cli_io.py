@@ -360,6 +360,19 @@ class TestCLI:
         assert doc["M"] is True and doc["NM"] is True
         assert doc["reduced"]["subgroups"] == [list(range(6))]
 
+    @pytest.mark.parametrize("flags", [["--ring", "Q"], ["--ring", "Z"], ["--nmax", "9"],
+                                       ["--nmax", "3"], ["--nmax", "9", "--ring", "Q"]],
+                             ids=["ring-Q", "ring-Z", "nmax-9", "nmax-3", "nmax-9-ring-Q"])
+    def test_family_ring_nmax_without_assembly_exit_4(self, orz2_bundle, flags, tmp_path,
+                                                      capsys):
+        # --ring and --nmax are read only with --assembly
+        out = tmp_path / "fam.json"
+        rc = main(["family", orz2_bundle, "--family", "all", *flags, "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("INPUT ERROR: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_family_assembly_negative_nmax_exit_4(self, orz2_bundle, tmp_path, capsys):
         out = tmp_path / "fam.json"
         rc = main(["family", orz2_bundle, "--family", "all", "--assembly",

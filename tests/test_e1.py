@@ -12,15 +12,10 @@ from cathom.e1data import (
 )
 from cathom.fixtures import FIXTURE_NAMES, fixture_category, fixture_modules
 from cathom.fpmod import FPModule
-from cathom.groupbar import (
-    GroupModule,
-    _tor_by_resolution,
-    bar_complex,
-    group_tor,
-    trivial_group_module,
-)
-from cathom.groups import FiniteGroup
+from cathom.groupbar import bar_complex, group_tor
+from cathom.groups import FiniteGroup, group_category
 from cathom.matrix import Matrix
+from cathom import resolve
 from cathom.resolve import free_resolution, hom_complex, tensor_complex
 from cathom.rings import GF, QQ, ZZ
 from cathom.spectral import build_filtered_complex
@@ -28,27 +23,27 @@ from cathom.spectral import build_filtered_complex
 
 class TestGroupBar:
     def test_z2_trivial_coefficients(self):
-        G = FiniteGroup.cyclic(2)
-        A = trivial_group_module(ZZ, G, "right")
-        B = trivial_group_module(ZZ, G, "left")
+        BG = group_category(FiniteGroup.cyclic(2))
+        A = CatModule.constant(BG, ZZ, CONTRA)
+        B = CatModule.constant(BG, ZZ, CO)
         t = [m.pretty() for m in group_tor(A, B, 3)]
         assert t == ["Z", "Z/2", "0", "Z/2"]
 
     def test_z3(self):
-        G = FiniteGroup.cyclic(3)
-        A = trivial_group_module(ZZ, G, "right")
-        B = trivial_group_module(ZZ, G, "left")
+        BG = group_category(FiniteGroup.cyclic(3))
+        A = CatModule.constant(BG, ZZ, CONTRA)
+        B = CatModule.constant(BG, ZZ, CO)
         t = [m.pretty() for m in group_tor(A, B, 3)]
         assert t == ["Z", "Z/3", "0", "Z/3"]
 
     def test_regular_module_acyclic(self):
         # Tor(R[G], Z) vanishes in positive degrees
-        G = FiniteGroup.cyclic(2)
-        act = [Matrix(ZZ, [[0, 1], [1, 0]]) if g else Matrix.identity(ZZ, 2)
-               for g in range(2)]
-        A = GroupModule(ZZ, G, [0, 0], act, "right")
-        assert A.check() == []
-        B = trivial_group_module(ZZ, G, "left")
+        BG = group_category(FiniteGroup.cyclic(2))
+        act = {f"g{g}": Matrix(ZZ, [[0, 1], [1, 0]]) if g else Matrix.identity(ZZ, 2)
+               for g in range(2)}
+        A = CatModule(BG, CONTRA, ZZ, {"*": [0, 0]}, act)
+        assert A.validate() == []
+        B = CatModule.constant(BG, ZZ, CO)
         t = group_tor(A, B, 2)
         assert t[0] == FPModule(ZZ, 1)
         assert t[1].is_zero() and t[2].is_zero()
@@ -59,22 +54,24 @@ class TestGroupBar:
     def test_normalized_bar_matches_resolution(self, group, ring):
         G = {"C2": FiniteGroup.cyclic(2), "C3": FiniteGroup.cyclic(3),
              "S3": FiniteGroup.symmetric(3)}[group]
-        A = trivial_group_module(ring, G, "right")
-        B = trivial_group_module(ring, G, "left")
+        BG = group_category(G)
+        A = CatModule.constant(BG, ring, CONTRA)
+        B = CatModule.constant(BG, ring, CO)
         bar = group_tor(A, B, 3)
-        assert bar == _tor_by_resolution(A, B, 3)
+        assert bar == resolve.tor(A, B, 3)
         cx = bar_complex(A, B, 4)
         assert [len(a) for a in cx.anns] == [
-            A.rank * B.rank * (G.n - 1) ** q for q in range(5)
+            A.rank("*") * B.rank("*") * (G.n - 1) ** q for q in range(5)
         ]
 
 
-def regular_group_module(ring, G, side):
-    """R[G], with g acting by multiplication on the given side."""
-    mul = (lambda g, x: G.mul(x, g)) if side == "right" else G.mul
-    act = [Matrix.from_columns(ring, [{mul(g, x): ring.one} for x in range(G.n)], G.n)
-           for g in range(G.n)]
-    return GroupModule(ring, G, [ring.zero] * G.n, act, side)
+def regular_group_module(ring, G, BG, variance):
+    """R[G] over BG, with g acting by multiplication on the right
+    (contravariant) or on the left (covariant)."""
+    mul = (lambda g, x: G.mul(x, g)) if variance == CONTRA else G.mul
+    act = {f"g{g}": Matrix.from_columns(ring, [{mul(g, x): ring.one} for x in range(G.n)], G.n)
+           for g in range(G.n)}
+    return CatModule(BG, variance, ring, {"*": [ring.zero] * G.n}, act)
 
 
 GROUPS = {"C2": lambda: FiniteGroup.cyclic(2), "C3": lambda: FiniteGroup.cyclic(3),
@@ -90,11 +87,12 @@ class TestTypeOnlyHomology:
     @pytest.mark.parametrize("modules", ["trivial", "regular-left", "regular-right"])
     def test_bar_complexes(self, group, ring, modules):
         G = GROUPS[group]()
-        A = (regular_group_module(ring, G, "right") if modules == "regular-right"
-             else trivial_group_module(ring, G, "right"))
-        B = (regular_group_module(ring, G, "left") if modules == "regular-left"
-             else trivial_group_module(ring, G, "left"))
-        assert A.check() == [] and B.check() == []
+        BG = group_category(G)
+        A = (regular_group_module(ring, G, BG, CONTRA) if modules == "regular-right"
+             else CatModule.constant(BG, ring, CONTRA))
+        B = (regular_group_module(ring, G, BG, CO) if modules == "regular-left"
+             else CatModule.constant(BG, ring, CO))
+        assert A.validate() == [] and B.validate() == []
         cx = bar_complex(A, B, 3)
         for q in range(3):  # level 3 is the truncation, with no d_4
             assert cx.homology(q) == cx.witness(q).module
@@ -122,9 +120,9 @@ class TestTypeOnlyHomology:
     def test_level_out_of_range(self):
         # the trivial C3 bar complex has levels 0..3 of rank 1, 2, 4, 8;
         # the Ext complex of Or(Z/2) runs the other way (step -1)
-        G = FiniteGroup.cyclic(3)
-        bar = bar_complex(trivial_group_module(ZZ, G, "right"),
-                          trivial_group_module(ZZ, G, "left"), 3)
+        BG = group_category(FiniteGroup.cyclic(3))
+        bar = bar_complex(CatModule.constant(BG, ZZ, CONTRA),
+                          CatModule.constant(BG, ZZ, CO), 3)
         assert [len(a) for a in bar.anns] == [1, 2, 4, 8]
         cat = fixture_category("OrZ2")
         M = fixture_modules(cat, ZZ)[0]["const"]
@@ -138,12 +136,13 @@ class TestTypeOnlyHomology:
     def test_annihilator_fallback(self):
         # A = Z/2 with trivial action, B = Z: the bar levels carry the
         # annihilators gcd(2, 0) = 2, so the types come from the witnesses
-        G = FiniteGroup.cyclic(2)
-        A = GroupModule(ZZ, G, [2], [Matrix.identity(ZZ, 1)] * G.n, "right")
-        B = trivial_group_module(ZZ, G, "left")
+        BG = group_category(FiniteGroup.cyclic(2))
+        A = CatModule(BG, CONTRA, ZZ, {"*": [2]},
+                      {f: Matrix.identity(ZZ, 1) for f in BG.morphisms})
+        B = CatModule.constant(BG, ZZ, CO)
         assert any(any(level) for level in bar_complex(A, B, 3).anns)
         tor = group_tor(A, B, 3)
-        assert tor == _tor_by_resolution(A, B, 3)
+        assert tor == resolve.tor(A, B, 3)
         assert [m.pretty() for m in tor] == ["Z/2", "Z/2", "Z/2", "Z/2"]
 
     def test_no_witnesses_without_annihilators(self, monkeypatch):
@@ -155,9 +154,9 @@ class TestTypeOnlyHomology:
 
         for cls in (intlin.StairBasis, fpmod.Subquotient, fpmod.CanonicalQuotient):
             monkeypatch.setattr(cls, "__init__", refuse)
-        G = FiniteGroup.symmetric(3)
-        tor = group_tor(trivial_group_module(ZZ, G, "right"),
-                        trivial_group_module(ZZ, G, "left"), 3)
+        BG = group_category(FiniteGroup.symmetric(3))
+        tor = group_tor(CatModule.constant(BG, ZZ, CONTRA),
+                        CatModule.constant(BG, ZZ, CO), 3)
         assert [m.pretty() for m in tor] == ["Z", "Z/2", "0", "Z/6"]
 
 

@@ -4,7 +4,9 @@ Each case writes a fixture bundle, runs the command with `--nmax 3` and
 compares the sha256 of the output document with a recorded digest.  The
 digests fix every byte: pages, differential matrices, the convergence
 report and (for `ext`) the E_1 product-form rows.  A refactor of the page
-engine must leave all of them unchanged.
+engine must leave all of them unchanged.  The `verify_e1` cases hash the
+canonical JSON of the E^1 report, whose group-level side (the bar complex
+and its torsion fallback) no document pin reaches.
 """
 
 import hashlib
@@ -13,9 +15,10 @@ import json
 import pytest
 
 from cathom.cli import main
+from cathom.e1data import verify_e1
 from cathom.fixtures import fixture_category, fixture_modules
 from cathom.rings import GF, ZZ
-from cathom.serialize import bundle_to_json
+from cathom.serialize import bundle_to_json, canonical_json
 
 RINGS = {"Z": ZZ, "F2": GF(2)}
 
@@ -99,3 +102,25 @@ def test_tor_document_digest(tmp_path, cat_name, tag, m, n, digest):
     assert main(["tor", str(bundle), "-M", m, "-N", n, "--nmax", "3",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+E1_CASES = [
+    # the two e1-bar pairs
+    ("OrS3", "const", "const",
+     "b7ebd49f9c1353240bd253f3930198d908c6bcf926ad367651409c399d4f0c84"),
+    ("OrS3", "alt", "aug",
+     "030e808700e55b6c4758e42d11dafbbcd3c6d441065bb4a3e4593b7e60cefd67"),
+    # both sides carry Z-torsion: group_tor's resolution fallback
+    ("point", "alt", "aug",
+     "92337915a96b777d9f91d9b8578cd4c2ddd74eab63d8aba6aa74f5660d467672"),
+]
+
+
+@pytest.mark.parametrize("cat_name,m,n,digest", E1_CASES,
+                         ids=[f"{c[0]}-Z-{c[1]}-{c[2]}" for c in E1_CASES])
+def test_e1_report_digest(cat_name, m, n, digest):
+    """`verify_e1(M, N, 3)` over Z: the canonical JSON of its report."""
+    cat = fixture_category(cat_name)
+    Ms, Ns = fixture_modules(cat, ZZ)
+    text = canonical_json(verify_e1(Ms[m], Ns[n], 3).to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
