@@ -16,7 +16,7 @@ import tempfile
 
 from .catmod import CatModule
 from .resolve import Resolution, free_resolution
-from .serialize import content_hash
+from .serialize import category_to_json, content_hash, module_to_json
 
 CACHE_FORMAT = "cathom-cache-v2"
 
@@ -91,19 +91,15 @@ def resolution_from_json(M: CatModule, d: dict) -> Resolution:
     return res
 
 
-def cached_free_resolution(M: CatModule, length: int, cache: DiskCache | None,
-                           cat_json: dict | None = None,
-                           module_json: dict | None = None) -> Resolution:
+def cached_free_resolution(M: CatModule, length: int, cache: DiskCache | None) -> Resolution:
     """free_resolution with an optional content-addressed disk cache."""
     if cache is None:
         return free_resolution(M, length)
-    from .serialize import category_to_json, module_to_json
-
     key = content_hash({
         "format": CACHE_FORMAT,
         "kind": "resolution",
-        "category": cat_json if cat_json is not None else category_to_json(M.cat),
-        "module": module_json if module_json is not None else module_to_json(M),
+        "category": category_to_json(M.cat),
+        "module": module_to_json(M),
         "length": length,
     })
     hit = cache.get(key)

@@ -7,8 +7,13 @@ arbitrary presentations are canonicalized on load and the actions are
 transported.
 
 Also here: free modules on represented functors, the tensor product over
-the category (coequalizer presentation), functors between categories, and
-restriction/induction along a functor.
+the category, functors between categories, and restriction/induction
+along a functor.  ``TensorResult`` is the one coequalizer presentation of
+a balanced tensor product M (x)_C N.  Induction along F: B -> C tensors
+X over B with a represented functor of C restricted along F, and
+``e1data.ChainGroupData`` balances M(c_p) with a chain's biset through
+it.  (The page engine's ``spectral.Cell`` keeps its own coequalizer,
+whose raw generator order fixes the page bases.)
 """
 
 from __future__ import annotations
@@ -162,12 +167,6 @@ class CatModule:
         """The constant module: value R everywhere, all actions identity."""
         anns = {c: [ring.zero] for c in cat.objects}
         action = {f: Matrix.identity(ring, 1) for f in cat.morphisms}
-        return cls(cat, variance, ring, anns, action, check=False)
-
-    @classmethod
-    def zero(cls, cat: FiniteCategory, ring: Ring, variance: str) -> "CatModule":
-        anns = {c: [] for c in cat.objects}
-        action = {f: Matrix.zeros(ring, 0, 0) for f in cat.morphisms}
         return cls(cat, variance, ring, anns, action, check=False)
 
     @classmethod
@@ -414,9 +413,6 @@ class Functor:
         return cls(cat, cat, {c: c for c in cat.objects},
                    {f: f for f in cat.morphisms}, check=False)
 
-    def __call__(self, x: str) -> str:
-        return self.obj_map[x] if x in self.obj_map else self.mor_map[x]
-
 
 def full_subcategory(cat: FiniteCategory, objects: list[str]) -> tuple[FiniteCategory, Functor]:
     """The full subcategory on the given objects, sharing morphism ids,
@@ -444,76 +440,37 @@ def restrict(F: Functor, M: CatModule) -> CatModule:
     return CatModule(F.src, M.variance, M.ring, anns, action, check=False)
 
 
-class InducedModule:
-    """F_* X with its raw coequalizer presentation retained.
-
-    contra X: (F_*X)(d) = sum_b X(b) (x) R mor_D(d, F(b)) / moves;
-    co X:     (F_*X)(d) = sum_b R mor_D(F(b), d) (x) X(b) / moves.
-    Raw generators at d are (b, X-generator, morphism) triples.
-    """
-
-    def __init__(self, F: Functor, X: CatModule):
-        if X.cat is not F.src and X.cat.objects != F.src.objects:
-            raise BaseMismatch("module does not live over the functor's source")
-        self.F = F
-        self.X = X
-        cat = F.dst
-        B = F.src
-        ring = X.ring
-        contra = X.variance == CONTRA
-        self.raw_gens: dict[str, list[tuple[str, int, str]]] = {}
-        self.quots: dict[str, CanonicalQuotient] = {}
-        for d in cat.objects:
-            gens = []
-            for b in B.objects:
-                homs = (
-                    cat.hom[(d, F.obj_map[b])] if contra else cat.hom[(F.obj_map[b], d)]
-                )
-                for j in range(X.rank(b)):
-                    for phi in homs:
-                        gens.append((b, j, phi))
-            index = {g: i for i, g in enumerate(gens)}
-            n = len(gens)
-            one = ring.one
-            rows = _ann_columns(ring, [X.anns[b][j] for (b, j, phi) in gens]).vecs
-            for f, (b1, b2) in B.morphisms.items():
-                if f == B.id_of(b1) and b1 == b2:
-                    continue
-                Xf = X.act(f)
-                Ff = F.mor_map[f]
-                if contra:
-                    # (X(f) x) (x) phi ~ x (x) (F(f) o phi), x in X(b2), phi: d -> F(b1)
-                    for j in range(X.rank(b2)):
-                        for phi in cat.hom[(d, F.obj_map[b1])]:
-                            row = {index[(b1, i, phi)]: c for i, c in Xf.vecs[j].items()}
-                            _axpy(ring, row, {index[(b2, j, cat.compose(Ff, phi))]: one},
-                                  ring.neg(one))
-                            rows.append(row)
-                else:
-                    # (psi o F(f)) (x) x ~ psi (x) (X(f) x), x in X(b1), psi: F(b2) -> d
-                    for j in range(X.rank(b1)):
-                        for psi in cat.hom[(F.obj_map[b2], d)]:
-                            row = {index[(b1, j, cat.compose(psi, Ff))]: one}
-                            _axpy(ring, row, {index[(b2, i, psi)]: c
-                                              for i, c in Xf.vecs[j].items()}, ring.neg(one))
-                            rows.append(row)
-            self.raw_gens[d] = gens
-            self.quots[d] = CanonicalQuotient(ring, n, rows)
-        raw_action = {}
-        for g, (d1, d2) in cat.morphisms.items():
-            src = d2 if contra else d1
-            tgt = d1 if contra else d2
-            tgt_index = {gg: i for i, gg in enumerate(self.raw_gens[tgt])}
-            moved = []
-            for b, j, phi in self.raw_gens[src]:
-                key = (b, j, cat.compose(phi, g)) if contra else (b, j, cat.compose(g, phi))
-                moved.append({tgt_index[key]: one})
-            # the raw generators move one to one, so this is their matrix
-            raw_action[g] = Matrix.from_columns(ring, moved, len(self.raw_gens[tgt]))
-        self.module = CatModule.from_quotients(cat, X.variance, ring, self.quots, raw_action,
-                                               check=False)
-
-
 def induce(F: Functor, X: CatModule) -> CatModule:
-    """F_* X, the induction of X along F (coequalizer presentation)."""
-    return InducedModule(F, X).module
+    """F_* X, the induction of X along F, as a balanced tensor product at
+    each object d of the target:
+
+    contra X: (F_*X)(d) = X (x)_B R mor(d, F(-));
+    co X:     (F_*X)(d) = R mor(F(-), d) (x)_B X.
+    """
+    if X.cat is not F.src and X.cat.objects != F.src.objects:
+        raise BaseMismatch("module does not live over the functor's source")
+    cat = F.dst
+    ring = X.ring
+    contra = X.variance == CONTRA
+    quots = {}
+    keyed = {}  # raw generators at d as (b, X-generator, morphism) triples
+    for d in cat.objects:
+        rep = restrict(F, FreeCatModule(cat, ring, CO if contra else CONTRA, [d]).as_catmodule())
+        if contra:
+            T = TensorResult(X, rep)
+            keyed[d] = [(b, x, cat.hom[(d, F.obj_map[b])][i]) for b, x, i in T.raw_gens]
+        else:
+            T = TensorResult(rep, X)
+            keyed[d] = [(b, x, cat.hom[(F.obj_map[b], d)][i]) for b, i, x in T.raw_gens]
+        quots[d] = T.quot
+    index = {d: {g: i for i, g in enumerate(keyed[d])} for d in cat.objects}
+    raw_action = {}
+    for g, (d1, d2) in cat.morphisms.items():
+        src, tgt = (d2, d1) if contra else (d1, d2)
+        # (b, x, phi) -> (b, x, phi o g) or (b, x, g o phi), one to one
+        moved = [
+            {index[tgt][(b, x, cat.compose(phi, g) if contra else cat.compose(g, phi))]: ring.one}
+            for b, x, phi in keyed[src]
+        ]
+        raw_action[g] = Matrix.from_columns(ring, moved, len(keyed[tgt]))
+    return CatModule.from_quotients(cat, X.variance, ring, quots, raw_action, check=False)

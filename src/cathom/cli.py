@@ -25,13 +25,7 @@ from .fincat import UnboundedChains, chain_biset, chain_bound, enumerate_chains
 from .groups import check_M, check_NM, cofinal_inclusion_check, reduce_family
 from .resolve import assembly_tor, tor
 from .rings import ring_from_tag
-from .serialize import (
-    ParseError,
-    category_to_json,
-    family_to_json,
-    load_bundle,
-    module_to_json,
-)
+from .serialize import ParseError, family_to_json, load_bundle
 from .spectral import build_filtered_complex, converge_and_compare, spectral_pages
 
 EXIT_OK = 0
@@ -160,10 +154,7 @@ def _load_paged(args, want_n_variance):
 
 def cmd_ss(args):
     ws, M, N, q_max = _load_paged(args, CO)
-    Q = cached_free_resolution(
-        N, q_max, _cache_from(args), cat_json=category_to_json(ws.category),
-        module_json=module_to_json(N),
-    )
+    Q = cached_free_resolution(N, q_max, _cache_from(args))
     fc = build_filtered_complex(M, N, p_max=args.pmax, q_max=q_max, Q=Q)
     pages = spectral_pages(fc)
     report = converge_and_compare(M, N, args.nmax, fc=fc, pages=pages)

@@ -10,7 +10,9 @@ chain's biset.  This module computes both sides:
   generators, so it is the presentation the pages see, and
 * the group-level Tor via the truncated bar complex (independent route):
   ``ChainGroupData`` builds its two modules as ``CatModule``s over the
-  one-object subcategory on the chain's bottom object,
+  one-object subcategory on the chain's bottom object; the coefficients
+  M(c_p) (x)_{R aut(c_p)} RS(chain) are a ``catmod.TensorResult``, not
+  the engine's ``Cell`` coequalizer, so the two sides share no code there,
 
 plus the d^1 component maps.  Components for i >= 1 are biset
 concatenations transported through the explicit chain/biset bijection of
@@ -21,17 +23,11 @@ through the module structure (the partial assembly at module level).
 
 from __future__ import annotations
 
-from .catmod import CONTRA, CatModule, full_subcategory, restrict
+from .catmod import CO, CONTRA, CatModule, TensorResult, full_subcategory, restrict
 from .fincat import BalancedTriples, ChainBiset, PChain
-from .fpmod import (
-    CanonicalQuotient,
-    FPModule,
-    Subquotient,
-    _ann_columns,
-    induced_map,
-)
+from .fpmod import FPModule, Subquotient, induced_map
 from .groupbar import group_tor
-from .matrix import Matrix, _axpy
+from .matrix import Matrix
 from .resolve import PresentedComplex
 from .spectral import Cell, FilteredComplex, build_filtered_complex, spectral_pages
 
@@ -73,13 +69,12 @@ class ChainColumn:
 
 
 class ChainGroupData:
-    """A(chain) = M(c_p) balanced with RS(chain), contravariant (a right
+    """A(chain) = M(c_p) (x)_{R aut(c_p)} RS(chain), contravariant (a right
     module) over the one-object subcategory on c_0, together with N(c_0)
     restricted to that subcategory (a left module for covariant N).  The
     chains need an EI base, so that subcategory is the group aut(c_0)."""
 
-    def __init__(self, fc: FilteredComplex, chain: PChain,
-                 biset: ChainBiset | None = None):
+    def __init__(self, fc: FilteredComplex, chain: PChain):
         cat = fc.cat
         ring = fc.ring
         M, N = fc.M, fc.N
@@ -87,35 +82,28 @@ class ChainGroupData:
         c0 = chain.reps[0]
         cp = chain.reps[-1]
         sub, inc = full_subcategory(cat, [c0])
-        p = chain.p
-        if p == 0:
+        if chain.p == 0:
             self.A = restrict(inc, M)
-            self.biset = None
         else:
-            self.biset = biset if biset is not None else ChainBiset(cat, chain)
-            S = self.biset
-            gens = [(j, k) for j in range(M.rank(cp)) for k in range(S.size())]
-            index = {g: i for i, g in enumerate(gens)}
-            rows = _ann_columns(ring, [M.anns[cp][j] for (j, k) in gens]).vecs
+            S = ChainBiset(cat, chain)
+            n = S.size()
             one = ring.one
-            for a in cat.aut(cp):
-                if a == cat.id_of(cp):
-                    continue
-                Ma = M.act(a)
-                for (j, k) in gens:
-                    # (x.a) (x) s - x (x) (a.s)
-                    row = {index[(i, k)]: c for i, c in Ma.vecs[j].items()}
-                    _axpy(ring, row, {index[(j, S.left_act(a, k))]: one}, ring.neg(one))
-                    if row:
-                        rows.append(row)
-            quot = CanonicalQuotient(ring, len(gens), rows)
-            # right action of a on the raw generators: (j, k) -> (j, k.a)
+            sub_p, inc_p = full_subcategory(cat, [cp])
+            # RS: the permutation module of the left aut(c_p) action on S
+            RS = CatModule(sub_p, CO, ring, {cp: [ring.zero] * n}, {
+                a: Matrix.from_columns(ring, [{S.left_act(a, k): one} for k in range(n)], n)
+                for a in sub_p.morphisms
+            }, check=False)
+            T = TensorResult(restrict(inc_p, M), RS)
+            index = {g: i for i, g in enumerate(T.raw_gens)}
+            # right action of a on the raw generators: (c_p, j, k) -> (c_p, j, k.a)
             raw_action = {
                 a: Matrix.from_columns(
-                    ring, [{index[(j, S.right_act(k, a))]: one} for (j, k) in gens], len(gens))
+                    ring, [{index[(cp, j, S.right_act(k, a))]: one} for _, j, k in T.raw_gens],
+                    len(index))
                 for a in sub.morphisms
             }
-            self.A = CatModule.from_quotients(sub, CONTRA, ring, {c0: quot}, raw_action,
+            self.A = CatModule.from_quotients(sub, CONTRA, ring, {c0: T.quot}, raw_action,
                                               check=False)
         self.B = restrict(inc, N)
 
@@ -170,8 +158,6 @@ def verify_e1(M: CatModule, N: CatModule, q_max: int = 3,
     rows = []
     ring = fc.ring
     for p in sorted(fc.chains):
-        if p > fc.p_max:
-            continue
         columns = {}
         for chain in fc.chains[p]:
             col = ChainColumn(fc, p, chain)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .catmod import CONTRA, CatModule, VarianceMismatch
 from .e1data import ChainGroupData
-from .fincat import NerveCache, PChain, chain_bound, enumerate_chains
+from .fincat import NerveCache, chain_bound, enumerate_chains
 from .fpmod import CanonicalQuotient, FPModule, Subquotient, _ann_columns, induced_map
 from .intlin import preimage_basis
 from .matrix import Matrix
@@ -226,13 +226,6 @@ class ExtReport(ConvergenceReport):
         return {**super().to_json(), "e1": self.e1_rows}
 
 
-def _chain_ext_direct(fcx: ExtFilteredComplex, chain: PChain, q_max: int) -> list[FPModule]:
-    """Ext^q over R[aut(c_0)] of the chain data, by the Ext oracle over the
-    one-object subcategory, independent of the page machinery."""
-    data = ChainGroupData(fcx, chain)
-    return ext(data.A, data.B, q_max)
-
-
 def ext_pages(M: CatModule, N: CatModule, p_max: int | None = None,
               q_max: int = 4, n_max: int | None = None):
     """Cohomology pages E_0 .. E_inf with d_r of bidegree (+r, 1-r):
@@ -246,9 +239,12 @@ def ext_pages(M: CatModule, N: CatModule, p_max: int | None = None,
     e1 = pages[1]
     e1_rows = []
     for p in sorted(fcx.chains):
-        if p > fcx.p_max:
-            continue
-        direct = [_chain_ext_direct(fcx, chain, band) for chain in fcx.chains[p]]
+        direct = []
+        for chain in fcx.chains[p]:
+            # Ext^q over R[aut(c_0)] of the chain data, by the Ext oracle over
+            # the one-object subcategory, independent of the page machinery
+            data = ChainGroupData(fcx, chain)
+            direct.append(ext(data.A, data.B, band))
         for q in range(band + 1):
             total = FPModule(ring, 0)
             for groups in direct:

@@ -307,9 +307,6 @@ class IsoClassData:
     def count(self) -> int:
         return len(self.classes)
 
-    def rep_of(self, obj: str) -> str:
-        return self.representative[self.class_of[obj]]
-
     def aut_group(self, class_idx: int) -> list[str]:
         return self.cat.aut(self.representative[class_idx])
 
@@ -471,9 +468,6 @@ class ChainBiset:
 
     def size(self) -> int:
         return len(self.elements)
-
-    def class_of(self, string: tuple[str, ...]) -> int:
-        return self.index[string]
 
     def left_act(self, a: str, k: int) -> int:
         """Class of a . s for a in aut(c_p)."""

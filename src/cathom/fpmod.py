@@ -84,12 +84,6 @@ class FPModule:
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
 
-    def to_json(self) -> dict:
-        out = dict(self.ring.to_json())
-        out["free_rank"] = self.free_rank
-        out["torsion"] = list(self.torsion)
-        return out
-
 
 def _divisibility_chain(factors: list[int]) -> list[int]:
     """Rewrite a multiset of torsion orders as a divisibility chain."""

@@ -205,9 +205,6 @@ class ColumnOps:
         # (b, 0) is (0, -x) for a solution x
         return {j - self.m: ring.neg(v) for j, v in res.items()}
 
-    def contains(self, b: dict) -> bool:
-        return self.solve(b) is not None
-
 
 def kernel_basis(A: Matrix) -> Matrix:
     """Basis of ker(x -> A x) as matrix columns (saturated lattice over Z)."""

@@ -92,12 +92,6 @@ class IntegerRing(Ring):
             return a
         raise ZeroDivisionError(f"{a} is not a unit in Z")
 
-    def exact_div(self, a, b):
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError(f"{b} does not divide {a}")
-        return q
-
 
 class RationalRing(Ring):
     kind = "Q"

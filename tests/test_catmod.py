@@ -18,6 +18,7 @@ from cathom.fixtures import (
     augmentation_covariant,
     alternative_contravariant,
     fixture_category,
+    fixture_modules,
     group_category,
     poset_category,
     trivial_category,
@@ -252,6 +253,20 @@ class TestFunctors:
             lhs = tensor_over_C(M, restrict(inc, N))
             rhs = tensor_over_C(induce(inc, M), N)
             assert lhs == rhs
+
+    @pytest.mark.parametrize("name", ["arrow", "poset012", "BZ2", "OrZ2", "OrZ4", "OrS3"])
+    def test_covariant_induction_adjunction(self, name):
+        # F^*(M) (x)_B X = M (x)_C F_*(X) for covariant X over a full subcategory
+        cat = fixture_category(name)
+        for ring in (ZZ, GF(2)):
+            Ms, Ns = fixture_modules(cat, ring)
+            for k in range(1, len(cat.objects) + 1):
+                sub, inc = full_subcategory(cat, cat.objects[:k])
+                for X in (CatModule.constant(sub, ring, CO), restrict(inc, Ns["aug"])):
+                    ind = induce(inc, X)
+                    assert ind.validate() == []
+                    for M in Ms.values():
+                        assert tensor_over_C(restrict(inc, M), X) == tensor_over_C(M, ind)
 
 
 class TestAssembly:

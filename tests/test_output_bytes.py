@@ -6,17 +6,21 @@ digests fix every byte: pages, differential matrices, the convergence
 report and (for `ext`) the E_1 product-form rows.  A refactor of the page
 engine must leave all of them unchanged.  The `verify_e1` cases hash the
 canonical JSON of the E^1 report, whose group-level side (the bar complex
-and its torsion fallback) no document pin reaches.
+and its torsion fallback) no document pin reaches.  The remaining cases
+pin the `family --assembly`, table-format and cache-key paths on the
+OrZ2 bundle with the group S3 and its family of all subgroups.
 """
 
 import hashlib
 import json
+import os
 
 import pytest
 
 from cathom.cli import main
 from cathom.e1data import verify_e1
 from cathom.fixtures import fixture_category, fixture_modules
+from cathom.groups import FiniteGroup, SubgroupFamily
 from cathom.rings import GF, ZZ
 from cathom.serialize import bundle_to_json, canonical_json
 
@@ -124,3 +128,54 @@ def test_e1_report_digest(cat_name, m, n, digest):
     Ms, Ns = fixture_modules(cat, ZZ)
     text = canonical_json(verify_e1(Ms[m], Ns[n], 3).to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.fixture()
+def orz2_bundle(tmp_path):
+    """OrZ2 over Z with its four modules, the group S3 and the family
+    "all" of its subgroups."""
+    cat = fixture_category("OrZ2")
+    Ms, Ns = fixture_modules(cat, ZZ)
+    G = FiniteGroup.symmetric(3)
+    doc = bundle_to_json(
+        cat,
+        modules={"Mconst": Ms["const"], "Malt": Ms["alt"],
+                 "Nconst": Ns["const"], "Naug": Ns["aug"]},
+        groups={"S3": G},
+        families={"all": ("S3", SubgroupFamily.all_subgroups(G))},
+    )
+    path = tmp_path / "orz2.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+OTHER_CASES = [
+    (["family", "--family", "all", "--assembly"],
+     "d0f4ebe1b5e798ab39b23698c0fdb8c148fcef861e859d0663df4b0c72958558"),
+    (["family", "--family", "all", "--assembly", "--nmax", "2", "--ring", "Q"],
+     "84bdb860a7783a8be28e1f37dd437ceddbefd87c75e07b06f252b270b2d1123a"),
+    (["ss", "-M", "Malt", "-N", "Naug", "--format", "table"],
+     "1cb3dff82d33f504a6921680b07176e88ccd3bca2bdaf4e5cde3363b69667884"),
+    (["chains", "--format", "table"],
+     "a515baf27ab54d7698cf66fc48da469b2a61c44cbecd150e03bef28571e4b48b"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", OTHER_CASES,
+                         ids=["family-assembly", "family-assembly-nmax2-Q", "ss-table",
+                              "chains-table"])
+def test_other_output_digest(orz2_bundle, tmp_path, argv, digest):
+    out = tmp_path / "out.txt"
+    command, *flags = argv
+    assert main([command, orz2_bundle, *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_cache_entry_name(orz2_bundle, tmp_path):
+    """The content-addressed key of the resolution that `ss` caches: a
+    change to what goes into the key renames every entry."""
+    cachedir = tmp_path / "cache"
+    assert main(["ss", orz2_bundle, "-M", "Mconst", "-N", "Naug", "--nmax", "2",
+                 "--cache-dir", str(cachedir), "--out", str(tmp_path / "out.json")]) == 0
+    assert os.listdir(cachedir) == [
+        "c5f708f835b34415ff544d2c6cc46017af168334aafc2df9f9aeab178dc41aa8.json"]
