@@ -165,7 +165,7 @@ class ExtFilteredComplex(TotalComplex):
             for p in range(self.p_max)
             for q in range(q_max + 1)
         }
-        self._total_cache: dict[int, Matrix] = {}
+        super().__init__()
 
     # -- plumbing ---------------------------------------------------------
 

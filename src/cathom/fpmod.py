@@ -5,7 +5,8 @@ CanonicalQuotient and Subquotient carry the witness data (projection and
 lifts) needed to push maps through quotients, which is what the homology
 and spectral-page machinery is built on.  Vectors in and out of them are
 the zero-free {index: value} dicts of ``matrix``, relations included, and
-generator sets are matrix columns.  ``is_exact`` is the one test of
+generator sets are matrix columns.  A quotient whose relations already
+span the whole ambient lattice is the zero module without an SNF.  ``is_exact`` is the one test of
 exactness: the homology of ``presented_homology`` is zero.
 """
 
@@ -108,14 +109,32 @@ def _divisibility_chain(factors: list[int]) -> list[int]:
 
 class CanonicalQuotient:
     """R^n modulo a lattice of relation vectors, with projection and
-    generator lifts."""
+    generator lifts.
+
+    The relations go into a staircase one by one.  Once it has rank n and
+    unit pivots it is all of R^n, so the rest are not read and SNF is not
+    called: the quotient is zero."""
 
     def __init__(self, ring: Ring, ambient: int, relations: list[dict]):
         self.ring = ring
         self.ambient = ambient
         basis = StairBasis(ring, ambient)
+        one = ring.one
+        whole = ambient == 0
         for vec in relations:
-            basis.add(vec)
+            # a full staircase with unit pivots is all of R^n: no later
+            # relation can change it
+            if (basis.add(vec) and basis.rank == ambient
+                    and all(row[c] == one for c, row in basis.pivots.items())):
+                whole = True
+                break
+        if whole:
+            # the zero module: no generators, so nothing for SNF to find
+            self._kept = []
+            self.module = FPModule(ring, 0)
+            self._anns = []
+            self._proj = Matrix.zeros(ring, 0, ambient)
+            return
         # the relations' staircase basis as the columns SNF diagonalizes
         snf = smith_normal_form(Matrix.from_columns(ring, basis.basis(), ambient))
         diag = snf.diagonal()
@@ -125,7 +144,6 @@ class CanonicalQuotient:
         for i in range(n):
             d = diag[i] if i < k else ring.zero
             anns.append(d)
-        one = ring.one
         free_idx = [i for i in range(n) if anns[i] == ring.zero]
         if ring.is_field:
             tors_idx = []

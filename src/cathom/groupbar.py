@@ -61,7 +61,10 @@ def bar_complex(A: CatModule, B: CatModule, top: int) -> PresentedComplex:
         else:
             anns.append([gcd(a_anns[i], b_anns[j]) for (i, t, j) in gens])
     diffs = []
+    # plain + and * from ring.zero (a Fraction over Q), reduced mod p once
+    # per column over F_p, as in Matrix.apply
     z = ring.zero
+    p = ring.p if ring.kind == "Fp" else 0
     for q in range(1, top + 1):
         tgt_index = {g: k for k, g in enumerate(gens_per_level[q - 1])}
         cols = []
@@ -70,23 +73,26 @@ def bar_complex(A: CatModule, B: CatModule, top: int) -> PresentedComplex:
             # a.g1 (x) rest
             for r, c in a_act[t[0]].vecs[i].items():
                 row = tgt_index[(r, t[1:], j)]
-                col[row] = ring.add(col.get(row, z), c)
+                col[row] = col.get(row, z) + c
             # interior multiplications
-            sign = ring.one
+            sign = 1
             for k in range(q - 1):
-                sign = ring.neg(sign)
+                sign = -sign
                 g = G.mul(t[k], t[k + 1])
                 if g == G.e:
                     continue  # a degenerate face, zero in the normalized complex
                 merged = t[:k] + (g,) + t[k + 2 :]
                 row = tgt_index[(i, merged, j)]
-                col[row] = ring.add(col.get(row, z), sign)
+                col[row] = col.get(row, z) + sign
             # last (x) g_q . b
-            sign = ring.neg(sign)
+            sign = -sign
             for r, c in b_act[t[-1]].vecs[j].items():
                 row = tgt_index[(i, t[:-1], r)]
-                col[row] = ring.add(col.get(row, z), ring.mul(sign, c))
-            cols.append({row: x for row, x in col.items() if x})
+                col[row] = col.get(row, z) + sign * c
+            if p:
+                cols.append({row: x for row, x in ((row, x % p) for row, x in col.items()) if x})
+            else:
+                cols.append({row: x for row, x in col.items() if x})
         diffs.append(Matrix.from_columns(ring, cols, len(gens_per_level[q - 1])))
     return PresentedComplex(ring, anns, diffs, 1)
 

@@ -4,7 +4,10 @@ Everything here works uniformly over Z, Q and F_p.  Over Z, lattices of
 integer row vectors are kept in staircase (echelon) form with Euclidean
 pivot combination, which gives bases, membership tests with exact
 divisibility, saturated kernels and integral solving.  Over the fields the
-same code degenerates to Gaussian elimination.
+same code degenerates to Gaussian elimination.  A staircase visits the
+columns of a vector in increasing order through a heap, and row
+operations run one loop per ring (``matrix._axpy``), with no per-entry
+ring calls.
 
 Vectors are the zero-free {index: value} dicts of ``matrix``, and matrices
 are read and built through their column dicts; only ``det_int``, the
@@ -48,6 +51,12 @@ class StairBasis:
     vector is copied once and the copy is worked on in place.  Pivot rows have zeros strictly left
     of their pivot column.  Over Z the rows form a basis of the generated
     lattice; over a field, of the spanned subspace.
+
+    ``add`` and ``reduce`` take the next column of the working vector
+    from a heap, pushing each column a step adds to it.  Clearing column c
+    adds only columns right of c (a pivot row has nothing left of its
+    pivot), so the columns come in the increasing order a ``min`` over the
+    row gives; a popped column no longer in the row is skipped.
     """
 
     def __init__(self, ring: Ring, ncols: int):
@@ -63,10 +72,13 @@ class StairBasis:
         """Insert a vector; returns True when the lattice grew."""
         ring = self.ring
         row = dict(vec)
+        heap = sorted(row)
         grew = False
-        while row:
-            c = min(row)
-            lead = row[c]
+        while heap:
+            c = heappop(heap)
+            lead = row.get(c)
+            if lead is None:
+                continue
             piv = self.pivots.get(c)
             if piv is None:
                 # normalize leading entry: positive over Z, 1 over fields
@@ -79,11 +91,11 @@ class StairBasis:
                 return True
             a = piv[c]
             if ring.is_field:
-                _axpy(ring, row, piv, ring.neg(ring.mul(lead, ring.inv(a))))
+                _axpy(ring, row, piv, ring.neg(ring.mul(lead, ring.inv(a))), heap)
                 continue
             q, r = divmod(lead, a)
             if r == 0:
-                _axpy(ring, row, piv, -q)
+                _axpy(ring, row, piv, -q, heap)
                 continue
             # genuine gcd step: replace pivot, keep reducing the remainder
             g, x, y = _xgcd(a, lead)
@@ -101,6 +113,7 @@ class StairBasis:
                     rem[j] = v
             self.pivots[c] = new_piv
             row = rem
+            heap = sorted(rem)
             grew = True  # pivot changed: lattice strictly grew
         return grew
 
@@ -115,26 +128,21 @@ class StairBasis:
         ring = self.ring
         z = ring.zero
         row = dict(vec)
-        stuck: set[int] = set()
-        while True:
-            cands = [c for c in row if c not in stuck]
-            if not cands:
-                break
-            c = min(cands)
+        heap = sorted(row)
+        while heap:
+            c = heappop(heap)
             piv = self.pivots.get(c)
-            if piv is None:
-                stuck.add(c)
-                continue
+            x = row.get(c)
+            if piv is None or x is None:
+                continue  # no pivot there (the entry stays), or cancelled
             a = piv[c]
-            x = row[c]
             if ring.is_field:
                 q = ring.mul(x, ring.inv(a))
             else:
                 q, r = divmod(x, a)
                 if r != 0:
-                    stuck.add(c)
-                    continue
-            _axpy(ring, row, piv, ring.neg(q))
+                    continue  # stuck: the entry stays
+            _axpy(ring, row, piv, ring.neg(q), heap)
             if record is not None:
                 record[c] = ring.add(record.get(c, z), q)
         return row
@@ -258,6 +266,7 @@ def smith_normal_form(A: Matrix) -> SNFResult:
     m, n = A.rows, A.cols
     z, one = ring.zero, ring.one
     field = ring.is_field
+    p = ring.p if ring.kind == "Fp" else 0
     S = _transpose(A.vecs, m)
     U = [{i: one} for i in range(m)]
     Uinv = [{i: one} for i in range(m)]
@@ -293,7 +302,9 @@ def smith_normal_form(A: Matrix) -> SNFResult:
             row = S[r]
             x = row.get(j)
             if x is not None:
-                v = ring.add(row.get(i, z), ring.mul(c, x))
+                v = row.get(i, z) + c * x
+                if p:
+                    v %= p
                 if v:
                     row[i] = v
                 else:

@@ -14,6 +14,8 @@ renderers and the tests.
 
 from __future__ import annotations
 
+from heapq import heappush
+
 from .rings import Ring
 
 
@@ -21,15 +23,32 @@ class DimensionMismatch(ValueError):
     pass
 
 
-def _axpy(ring: Ring, dst: dict, src: dict, c) -> None:
-    """dst += c * src in place, keeping dst zero-free."""
-    z = ring.zero
+def _axpy(ring: Ring, dst: dict, src: dict, c, heap: list | None = None) -> None:
+    """dst += c * src in place, keeping dst zero-free.  Each ring has its
+    own loop: plain + and * over Z and Q, one % p per entry over F_p.
+    Keys new to dst are pushed on ``heap`` when one is given."""
+    get = dst.get
+    if ring.kind == "Fp":
+        p = ring.p
+        for k, x in src.items():
+            y = get(k)
+            v = (c * x if y is None else y + c * x) % p
+            if v:
+                dst[k] = v
+                if y is None and heap is not None:
+                    heappush(heap, k)
+            elif y is not None:
+                del dst[k]
+        return
     for k, x in src.items():
-        v = ring.add(dst.get(k, z), ring.mul(c, x))
+        y = get(k)
+        v = c * x if y is None else y + c * x
         if v:
             dst[k] = v
-        else:
-            dst.pop(k, None)
+            if y is None and heap is not None:
+                heappush(heap, k)
+        elif y is not None:
+            del dst[k]
 
 
 class Matrix:

@@ -146,6 +146,9 @@ def module_from_json(cat: FiniteCategory, d: dict) -> CatModule:
             values[c] = (v["rank"], v.get("relations", []))
             if any(len(row) > v["rank"] for row in values[c][1]):
                 raise ParseError(f"a relation row at {c!r} is longer than its rank {v['rank']}")
+        unknown = sorted(set(d["action"]) - set(cat.morphisms))
+        if unknown:
+            raise ParseError(f"action names unknown morphism {unknown[0]!r}")
         raw_action = {}
         for f in cat.morphisms:
             rows = d["action"][f]
@@ -154,6 +157,11 @@ def module_from_json(cat: FiniteCategory, d: dict) -> CatModule:
             tgt = a if d["variance"] == "contra" else b
             if rows:
                 raw_action[f] = Matrix(ring, rows)
+                shape = (values[tgt][0], values[src][0])
+                if (raw_action[f].rows, raw_action[f].cols) != shape:
+                    raise ParseError(
+                        f"action of {f!r} is {raw_action[f].rows}x{raw_action[f].cols},"
+                        f" not {shape[0]}x{shape[1]}")
             else:
                 raw_action[f] = Matrix.zeros(
                     ring, values[tgt][0], values[src][0]

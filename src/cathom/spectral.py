@@ -25,10 +25,16 @@ complex of a double complex and its column filtration; its class constant
 step +1: D lowers degree, F_p is the columns p' <= p) and
 ``extpages.ExtFilteredComplex`` (cohomology, step -1: delta raises degree,
 F^p is the columns p' >= p) both plug into the same cycle bases, pages,
-total (co)homology and E^inf-versus-filtration comparison.  A page entry
-is the ``Subquotient`` of its generators.  ``compare_with_oracle`` is the
-one comparison of total (co)homology with an oracle, the Tor oracle for
-``converge_and_compare`` and the Ext oracle for ``extpages.ext_pages``.
+total (co)homology and E^inf-versus-filtration comparison.  Each cycle
+group is solved once per complex: the ``TotalComplex`` owns their memo
+(``TotalComplex.cycles``), which lives and is freed with it, and the
+pages, the total (co)homology and the filtration comparison all read it.
+A page entry is the ``Subquotient`` of its generators, built once per
+distinct input within one ``spectral_pages`` call, so a page that has
+stabilised shares its entries with the page before.
+``compare_with_oracle`` is the one comparison of total (co)homology with
+an oracle, the Tor oracle for ``converge_and_compare`` and the Ext oracle
+for ``extpages.ext_pages``.
 
 The chain-summand identifications (E^1 via group-ring Tor) and the d^1
 component decomposition live in e1data.py; this module owns the filtered
@@ -58,7 +64,6 @@ from .fpmod import (
     _ann_columns,
     induced_map,
     is_exact,
-    presented_homology,
 )
 from .intlin import preimage_basis
 from .matrix import Matrix
@@ -214,12 +219,22 @@ class TotalComplex:
     step = -1 every arrow is reversed and F^p is the blocks with p' >= p.
     In both, D_n: T_n -> T_{n-step} is horizontal + (-1)^p vertical.
 
-    Subclasses set ``ring``, ``p_max``, ``q_max`` and an empty
-    ``_total_cache`` dict, and provide ``block_dim(p, q)``,
-    ``block_anns(p, q)``, ``horizontal(p, q)`` and ``vertical(p, q)``.
+    Subclasses call ``TotalComplex.__init__``, set ``ring``, ``p_max`` and
+    ``q_max``, and provide ``block_dim(p, q)``, ``block_anns(p, q)``,
+    ``horizontal(p, q)`` and ``vertical(p, q)``.
+
+    The complex owns the memo of its cycle groups (``cycles``), which the
+    pages, the total (co)homology and the filtration comparison all read,
+    so it lives exactly as long as the complex.
     """
 
     step: int
+
+    def __init__(self):
+        self._total_cache: dict[int, Matrix] = {}
+        self._cycles: dict[tuple[int, int, int], Matrix] = {}  # clamped (n, p, bound)
+        self._kernels: dict[tuple[int, int, int], Matrix] = {}  # restricted differential
+        self._distinct: dict[int, list[Matrix]] = {}  # content hash -> distinct groups
 
     def blocks(self, n: int) -> list[tuple[int, int]]:
         return [
@@ -284,6 +299,71 @@ class TotalComplex:
     def certified_band(self) -> int:
         """Total degrees for which pages and homology are trusted."""
         return self.q_max - 1
+
+    def cycles(self, n: int, p: int, bound: int) -> Matrix:
+        """{x in F_p T_n : D x in F_bound + relations}, as matrix columns.
+
+        Memoised by (n, p, bound) with p and bound clamped into the
+        filtration range, beyond whose ends the filtration is constant.
+        Each distinct restricted differential is solved once, and groups
+        that are equal as matrices are one object, so equal inputs
+        downstream are recognised by identity."""
+        s = self.step
+        empty, full = self.filtration_range()
+
+        def clamp(x):
+            # in u = s x the filtration grows with u
+            return s * min(max(s * x, s * empty), s * full)
+
+        key = (n, clamp(p), clamp(bound))
+        out = self._cycles.get(key)
+        if out is None:
+            out = self._cycles[key] = self._restricted_kernel(*key)
+        return out
+
+    def _restricted_kernel(self, n: int, p: int, bound: int) -> Matrix:
+        ring = self.ring
+        s = self.step
+        cols = self.filtration_cols(n, p)
+        # rows of the blocks of degree n - s outside F_bound
+        ofs = self.offsets(n - s)
+        out_rows = []
+        for (pp, qq) in self.blocks(n - s):
+            if s * pp > s * bound:
+                out_rows.extend(range(ofs[(pp, qq)], ofs[(pp, qq)] + self.block_dim(pp, qq)))
+        # F_p T_n is a prefix (step +1) or a suffix (step -1) of T_n's
+        # coordinates, and the rows outside F_bound the other end of
+        # T_{n-s}'s, so their sizes name the restricted differential
+        key = (n, len(cols), len(out_rows))
+        out = self._kernels.get(key)
+        if out is not None:
+            return out
+        if not cols:
+            out = Matrix.zeros(ring, self.total_dim(n), 0)
+        else:
+            D = self.total_diff(n)
+            anns_next = self.anns_of_degree(n - s)
+            row_pos = {r_: t for t, r_ in enumerate(out_rows)}
+            sub = Matrix.from_columns(
+                ring,
+                [{row_pos[r_]: x for r_, x in D.vecs[c].items() if r_ in row_pos} for c in cols],
+                len(out_rows),
+            )
+            K = preimage_basis(sub, _ann_columns(ring, [anns_next[r_] for r_ in out_rows]))
+            # embed back into T_n coordinates
+            out = Matrix.from_columns(
+                ring, [{cols[k]: x for k, x in vec.items()} for vec in K.vecs], self.total_dim(n))
+        # one object per distinct group
+        h = hash((out.rows, tuple(frozenset(vec.items()) for vec in out.vecs)))
+        same = self._distinct.setdefault(h, [])
+        for other in same:
+            if other == out:
+                out = other
+                break
+        else:
+            same.append(out)
+        self._kernels[key] = out
+        return out
 
 
 # -- the filtered double complex -------------------------------------------
@@ -460,7 +540,7 @@ class FilteredComplex(TotalComplex):
         self.Q: Resolution = Q if Q is not None else free_resolution(N, q_max)
         self.nerve = NerveCache(self.cat)
         self._horiz_cache: dict[tuple[int, int], Matrix] = {}
-        self._total_cache: dict[int, Matrix] = {}
+        super().__init__()
         self.cells: dict[tuple[int, int], Cell] = {
             (p, q): Cell(self.cat, M, self.nerve, p, self.Q.levels[q].summands)
             for q in range(q_max + 1)
@@ -545,38 +625,6 @@ class Page:
                 "entries": ents, "differentials": diffs}
 
 
-def _cycle_basis(fc: TotalComplex, n: int, p: int, bound: int) -> Matrix:
-    """{x in F_p T_n : D x in F_bound + relations}, as matrix columns."""
-    ring = fc.ring
-    s = fc.step
-    cols = fc.filtration_cols(n, p)
-    if not cols:
-        return Matrix.zeros(ring, fc.total_dim(n), 0)
-    D = fc.total_diff(n)
-    # rows of the blocks of degree n - s outside F_bound
-    ofs = fc.offsets(n - s)
-    out_rows = []
-    out_anns = []
-    anns_next = fc.anns_of_degree(n - s)
-    for (pp, qq) in fc.blocks(n - s):
-        if s * pp > s * bound:
-            start = ofs[(pp, qq)]
-            for k in range(fc.block_dim(pp, qq)):
-                out_rows.append(start + k)
-                out_anns.append(anns_next[start + k])
-    # D restricted to the columns of F_p and the rows outside F_bound
-    row_pos = {r_: t for t, r_ in enumerate(out_rows)}
-    sub = Matrix.from_columns(
-        ring,
-        [{row_pos[r_]: x for r_, x in D.vecs[c].items() if r_ in row_pos} for c in cols],
-        len(out_rows),
-    )
-    K = preimage_basis(sub, _ann_columns(ring, out_anns))
-    # embed back into T_n coordinates
-    out_cols = [{cols[k]: x for k, x in vec.items()} for vec in K.vecs]
-    return Matrix.from_columns(ring, out_cols, fc.total_dim(n))
-
-
 def _ann_gen_cols(fc: TotalComplex, n: int, p: int) -> list[dict]:
     anns = fc.anns_of_degree(n)
     return [{c: anns[c]} for c in fc.filtration_cols(n, p) if anns[c]]
@@ -593,35 +641,38 @@ def spectral_pages(fc: TotalComplex, r_max: int | None = None) -> list[Page]:
     r_stab = fc.p_max + 1
     r_top = r_stab if r_max is None else min(r_max, r_stab)
     grid = [(p, q) for p in range(fc.p_max + 1) for q in range(fc.q_max + 1)]
-    empty, full = fc.filtration_range()
-    cycles: dict[tuple[int, int, int], Matrix] = {}
-
-    def clamp(p):
-        # in u = s p the filtration grows with u; it is constant beyond its ends
-        return s * min(max(s * p, s * empty), s * full)
+    # one Subquotient per distinct input.  The cycle groups are one object
+    # per distinct group, so (Z, Z_prev, Z_src) by identity name them; the
+    # annihilator generators are the first (step +1) or last (step -1) of
+    # their degree, so their number names them
+    built: dict[tuple, Subquotient] = {}
 
     def Z(r, p, q):
         # the group {x in F_p T_{p+q} : D x in F_{p-sr}}
-        key = (clamp(p), clamp(p - s * r), p + q)
-        if key not in cycles:
-            cycles[key] = _cycle_basis(fc, key[2], key[0], key[1])
-        return cycles[key]
+        return fc.cycles(p + q, p, p - s * r)
 
     pages = []
     for r in range(r_top + 1):
         page = Page(r, {}, {}, r >= r_stab, s)
         for (p, q) in grid:
             n = p + q
-            total = fc.total_dim(n)
-            b_cols = list(Z(max(r - 1, 0), p - s, q + s).vecs)
-            if r >= 1:
-                zsrc = Z(r - 1, p + s * (r - 1), q - s * (r - 2))
-                if zsrc.cols:
+            zr, zprev = Z(r, p, q), Z(max(r - 1, 0), p - s, q + s)
+            zsrc = Z(r - 1, p + s * (r - 1), q - s * (r - 2)) if r >= 1 else None
+            if zsrc is not None and not zsrc.cols:
+                zsrc = None
+            anns = _ann_gen_cols(fc, n, p)
+            key = (n, id(zr), id(zprev), id(zsrc), len(anns))
+            entry = built.get(key)
+            if entry is None:
+                total = fc.total_dim(n)
+                b_cols = list(zprev.vecs)
+                if zsrc is not None:
                     Dsrc = fc.total_diff(n + s)
                     b_cols.extend(Dsrc.apply(vec) for vec in zsrc.vecs)
-            b_cols.extend(_ann_gen_cols(fc, n, p))
-            gens_B = Matrix.from_columns(ring, b_cols, nrows=total)
-            page.entries[(p, q)] = Subquotient(ring, total, Z(r, p, q), gens_B)
+                b_cols.extend(anns)
+                gens_B = Matrix.from_columns(ring, b_cols, nrows=total)
+                entry = built[key] = Subquotient(ring, total, zr, gens_B)
+            page.entries[(p, q)] = entry
         for (p, q) in grid:
             src = page.entries[(p, q)]
             tgt = page.target(p, q)
@@ -666,12 +717,11 @@ class ConvergenceReport:
 
 
 def total_homology(fc: TotalComplex, m: int) -> Subquotient:
-    """H_m of the total complex (H^m when fc.step is -1), with witnesses."""
-    s = fc.step
-    return presented_homology(
-        fc.total_diff(m), fc.total_diff(m + s),
-        fc.anns_of_degree(m), fc.anns_of_degree(m - s),
-    )
+    """H_m of the total complex (H^m when fc.step is -1), with witnesses:
+    the cycles of the whole degree modulo the boundaries and relations."""
+    empty, full = fc.filtration_range()
+    bounds = fc.total_diff(m + fc.step).hstack(_ann_columns(fc.ring, fc.anns_of_degree(m)))
+    return Subquotient(fc.ring, fc.total_dim(m), fc.cycles(m, full, empty), bounds)
 
 
 def _filtration_cells(fc: TotalComplex, m: int, h: Subquotient, einf: Page) -> list[dict]:
@@ -684,7 +734,7 @@ def _filtration_cells(fc: TotalComplex, m: int, h: Subquotient, einf: Page) -> l
     # images of the filtration steps inside H_m
     steps = {}
     for p in (empty, *range(fc.p_max + 1)):
-        zcap = _cycle_basis(fc, m, p, empty)  # D x in relations
+        zcap = fc.cycles(m, p, empty)  # D x in relations
         gens = [h.project(vec) for vec in zcap.vecs]
         steps[p] = Matrix.from_columns(ring, gens, nrows=n_h).hstack(rels)
     cells = []

@@ -619,8 +619,12 @@ class TestBundleSections:
         (lambda d: d["groups"].update(bad={"table": [[0, 1], [1]]}), 4),
         (lambda d: d["groups"].update(bad={"perm_gens": [[[0, 3]]], "degree": 3}), 4),
         (lambda d: d["families"].update(bad={"group": "S3", "subgroups": [[0, 6]]}), 1),
+        (lambda d: d["modules"]["Mconst"]["action"].update({"G/H0>G/H1:0": [[1, 0]]}), 1),
+        (lambda d: d["modules"]["Mconst"]["action"].update({"G/H0>G/H1:0": [[1], [0]]}), 1),
+        (lambda d: d["modules"]["Mconst"]["action"].update(ghost=[[1]]), 1),
     ], ids=["relation-row-past-rank", "ring-not-a-string", "compose-not-a-triple",
-            "ragged-group-table", "perm-point-past-degree", "subgroup-element-past-order"])
+            "ragged-group-table", "perm-point-past-degree", "subgroup-element-past-order",
+            "action-wider-than-source", "action-taller-than-target", "action-unknown-morphism"])
     def test_bad_entry_is_one_error_line(self, orz2_bundle, tmp_path, capsys, edit,
                                          validate_rc):
         doc = json.loads(open(orz2_bundle).read())

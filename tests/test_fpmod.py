@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cathom.fpmod import (
+    CanonicalQuotient,
     CompositionNonzero,
     FPModule,
     NotASubmodule,
@@ -208,3 +209,63 @@ class TestIsExact:
         one = M([[1]])
         assert is_exact(Matrix.zeros(ZZ, 0, 1), one, [2], [])
         assert not is_exact(one, Matrix.zeros(ZZ, 1, 0), [4], [2])
+
+
+class TestZeroQuotientShortcut:
+    """A staircase of full rank with unit pivots is the whole lattice: the
+    quotient is zero without an SNF, and later relations are not read."""
+
+    @pytest.fixture
+    def snf_calls(self, monkeypatch):
+        import cathom.fpmod as fpmod
+
+        calls = []
+
+        def counting(A):
+            calls.append(A)
+            return smith_normal_form(A)
+
+        monkeypatch.setattr(fpmod, "smith_normal_form", counting)
+        return calls
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5)])
+    def test_full_unit_staircase_is_zero_without_snf(self, monkeypatch, ring):
+        import cathom.fpmod as fpmod
+
+        def refuse(A):
+            raise AssertionError("SNF of a zero quotient")
+
+        monkeypatch.setattr(fpmod, "smith_normal_form", refuse)
+        read = []
+
+        def relations():
+            for vec in ({0: 3, 1: 2}, {0: 1, 2: 1}, {0: 1, 1: 1}, {1: 1, 2: 2}, {2: 1}):
+                read.append(vec)
+                yield {i: ring.coerce(x) for i, x in vec.items() if ring.coerce(x)}
+
+        q = CanonicalQuotient(ring, 3, relations())
+        assert q.module.is_zero()
+        assert q.project({0: ring.one, 2: ring.coerce(4)}) == {}
+        # the first three relations have determinant -1, so they span R^3
+        # over every ring and the last two are never read
+        assert len(read) == 3
+
+    def test_full_rank_with_a_pivot_of_2_goes_through_snf(self, snf_calls):
+        q = CanonicalQuotient(ZZ, 2, [{0: 1, 1: 1}, {1: 2}])
+        assert q.module == FPModule(ZZ, 0, (2,))
+        assert len(snf_calls) == 1
+        assert q.project(q.lift(0)) == {0: 1}
+        assert q.project({0: 1, 1: 1}) == {}
+
+    def test_ambient_rank_0(self, snf_calls):
+        for ring in (ZZ, GF(3)):
+            q = CanonicalQuotient(ring, 0, [])
+            assert q.module.is_zero() and q.project({}) == {}
+            sq = Subquotient(ring, 0, Matrix.zeros(ring, 0, 0), Matrix.zeros(ring, 0, 0))
+            assert sq.module.is_zero() and sq.lifts().cols == 0
+        assert snf_calls == []
+
+    def test_not_full_rank_keeps_its_free_part(self, snf_calls):
+        q = CanonicalQuotient(ZZ, 3, [{0: 1}, {1: 1}])
+        assert q.module == FPModule(ZZ, 1)
+        assert len(snf_calls) == 1

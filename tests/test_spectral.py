@@ -3,7 +3,7 @@ import pytest
 from cathom.catmod import CatModule, CO, CONTRA
 from cathom.fixtures import fixture_category, fixture_modules, group_category
 from cathom.fpmod import FPModule, presented_homology
-from cathom.groups import FiniteGroup
+from cathom.groups import FiniteGroup, orbit_category
 from cathom.matrix import Matrix
 from cathom.resolve import tor
 from cathom.rings import GF, QQ, ZZ
@@ -197,6 +197,56 @@ class TestConvergence:
         oracle = tor(M, N, 3)
         for m in range(4):
             assert total_homology(fc, m).module == oracle[m]
+
+
+def _content(A):
+    """A hashable copy of a matrix's entries, column by column."""
+    return (A.rows, tuple(tuple(sorted(vec.items())) for vec in A.vecs))
+
+
+class TestPagesComputeOnce:
+    """spectral_pages builds one Subquotient per distinct (Z, B) input and
+    solves each restricted differential once; the convergence check
+    solves none that the pages already solved."""
+
+    @pytest.fixture
+    def traced(self, monkeypatch):
+        import cathom.spectral as spectral
+
+        log = {"entries": [], "solved": []}
+        real_sub, real_pre = spectral.Subquotient, spectral.preimage_basis
+
+        def sub(ring, ambient, gens_Z, gens_B):
+            log["entries"].append((ambient, _content(gens_Z), _content(gens_B)))
+            return real_sub(ring, ambient, gens_Z, gens_B)
+
+        def pre(A, L):
+            log["solved"].append((_content(A), _content(L)))
+            return real_pre(A, L)
+
+        monkeypatch.setattr(spectral, "Subquotient", sub)
+        monkeypatch.setattr(spectral, "preimage_basis", pre)
+        return log
+
+    @pytest.mark.parametrize("cat,n_max", [
+        (fixture_category("OrV4"), 3),
+        (orbit_category(FiniteGroup.direct_product(FiniteGroup.cyclic(2),
+                                                   FiniteGroup.cyclic(4))), 2),
+    ], ids=["OrV4", "Or(Z2xZ4)"])
+    def test_alt_aug(self, traced, cat, n_max):
+        Ms, Ns = fixture_modules(cat, ZZ)
+        fc = build_filtered_complex(Ms["alt"], Ns["aug"], q_max=n_max + 1)
+        pages = spectral_pages(fc)
+        entries, solved = traced["entries"], traced["solved"]
+        assert len(entries) == len(set(entries))
+        assert len(entries) < sum(len(pg.entries) for pg in pages)
+        assert len(solved) == len(set(solved))
+        pages_solved = set(solved)
+        del solved[:]
+        rep = converge_and_compare(Ms["alt"], Ns["aug"], n_max, fc=fc, pages=pages)
+        assert rep.all_match
+        assert not pages_solved & set(solved)
+        assert len(solved) == len(set(solved))
 
 
 class TestRationalDegeneration:
