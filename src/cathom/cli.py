@@ -93,8 +93,9 @@ def cmd_chains(args):
 
 def _check_flags(args):
     """Refuse, before any work, a negative --nmax, --pmax, --qmax or
-    --rmax, a --ring that names no ring, and an --out that cannot be
-    written because it is a directory or its directory does not exist.
+    --rmax, a --ring that names no ring, an --out that cannot be
+    written because it is a directory or its directory does not exist,
+    and a cache directory (ss) that is a file or lies under one.
     A flag the command does not take is None here."""
     for flag in ("nmax", "pmax", "qmax", "rmax"):
         value = getattr(args, flag, None)
@@ -112,6 +113,16 @@ def _check_flags(args):
             raise ParseError(f"--out {out!r} is a directory")
         if not os.path.isdir(os.path.dirname(out) or "."):
             raise ParseError(f"--out {out!r}: no such directory")
+    if hasattr(args, "cache_dir"):  # ss, where PCHAIN_CACHE overrides --cache-dir
+        env = os.environ.get("PCHAIN_CACHE")
+        directory = env or args.cache_dir
+        # DiskCache makes the directory and its parents; a file on the way stops it
+        blocker = os.path.abspath(directory or ".")
+        while not os.path.lexists(blocker):
+            blocker = os.path.dirname(blocker)
+        if not os.path.isdir(blocker):
+            name = "PCHAIN_CACHE" if env else "--cache-dir"
+            raise ParseError(f"{name} {directory!r}: {blocker!r} is not a directory")
 
 
 def _load_mn(args, want_n_variance):

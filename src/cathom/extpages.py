@@ -3,13 +3,16 @@
 With both modules contravariant, the engine builds the row complex
 W_p = M (x)_C D_p (nerve bimodule tensored on the second slot; W_p(s) is
 the ``spectral.Cell`` over the single summand s, the coequalizer the
-homology cells use), splits it
-through boundaries/cycles/homology subfunctors, resolves those by the
-greedy free resolutions and assembles horseshoe resolutions P(W_p) with a
-strictly commuting horizontal differential (the classical construction,
-realized by exact linear solving).  The double cochain complex is then
-Hom_C(P(W_p)_q, N), which collapses to sums of values of N by Yoneda:
-column p is ``resolve.hom_complex(P(W_p), N)``.
+homology cells use), splits it through boundaries/cycles/homology
+subfunctors, resolves those by the greedy free resolutions and assembles
+horseshoe resolutions P(W_p) with a strictly commuting horizontal
+differential (the classical construction, realized by exact linear
+solving).  The row complex has zero ends: W_{-1} and W_{p_max+1} are the
+zero module and d^h is the zero map at both ends, so every column runs the
+same steps (Z_0 = W_0, B_{p_max} = 0, and the horseshoe over the empty
+resolution of B_{-1} = 0 is P(Z_0) with its augmentation into W_0).  The
+double cochain complex is then Hom_C(P(W_p)_q, N), which collapses to sums
+of values of N by Yoneda: column p is ``resolve.hom_complex(P(W_p), N)``.
 
 This module only builds that double complex.  ``ExtFilteredComplex`` is a
 ``spectral.TotalComplex`` with step -1: delta raises degree and the
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 from .catmod import CONTRA, CatModule, VarianceMismatch
 from .e1data import ChainGroupData
-from .fincat import NerveCache, chain_bound, enumerate_chains
 from .fpmod import CanonicalQuotient, FPModule, Subquotient, _ann_columns, induced_map
 from .intlin import preimage_basis
 from .matrix import Matrix
@@ -64,6 +66,12 @@ def _sub_catmodule(cat, ring, W: CatModule, lattices: dict[str, Matrix]):
     return CatModule.from_quotients(cat, CONTRA, ring, subs, W.action, check=False), subs
 
 
+def _projection(quot: CanonicalQuotient | Subquotient, T: Matrix) -> Matrix:
+    """The matrix, on canonical generators, of x -> quot.project(T x)."""
+    return Matrix.from_columns(T.ring, [quot.project(v) for v in T.vecs],
+                               nrows=quot.module.n_gens)
+
+
 class ExtFilteredComplex(TotalComplex):
     """Hom_C(P(W_*), N) for a Cartan-Eilenberg resolution P(W_*)."""
 
@@ -73,50 +81,31 @@ class ExtFilteredComplex(TotalComplex):
                  q_max: int = 4):
         if M.variance != CONTRA or N.variance != CONTRA:
             raise VarianceMismatch("the cohomology pages need both modules contravariant")
-        if M.ring != N.ring:
-            raise VarianceMismatch("M and N have different rings")
-        self.cat = M.cat
-        self.ring = M.ring
-        self.M = M
-        self.N = N
-        self.p_bound = chain_bound(self.cat)
-        self.p_max = self.p_bound if p_max is None else min(p_max, self.p_bound)
-        self.q_max = q_max
-        self.chains = enumerate_chains(self.cat, self.p_max)
-        self.nerve = NerveCache(self.cat)
-        cat, ring = self.cat, self.ring
-        self.W: list[WModule] = [WModule(self, p) for p in range(self.p_max + 1)]
-        # d^h_p: W_p -> W_{p-1}, per object
-        self.dh: list[dict[str, Matrix]] = [None] + [
-            {s: self.W[p].cells[s].boundary(self.W[p - 1].cells[s]) for s in cat.objects}
-            for p in range(1, self.p_max + 1)
-        ]
-        # boundaries, cycles, homology subfunctors and the CE resolutions
+        super().__init__(M, N, p_max, q_max)
+        cat, ring, top = self.cat, self.ring, self.p_max
+        self.W: list[WModule] = [WModule(self, p) for p in range(top + 1)]
+        # the row complex with zero ends: row[p] is W_p for -1 <= p <= top + 1
+        zero = CatModule(cat, CONTRA, ring, {s: [] for s in cat.objects},
+                         {g: Matrix.zeros(ring, 0, 0) for g in cat.morphisms}, check=False)
+        row = {-1: zero, **{p: w.module for p, w in enumerate(self.W)}, top + 1: zero}
+        # d^h_p: W_p -> W_{p-1} per object for 0 <= p <= top + 1, zero at both ends
+        self.dh: list[dict[str, Matrix]] = (
+            [{s: Matrix.zeros(ring, 0, row[0].rank(s)) for s in cat.objects}]
+            + [{s: self.W[p].cells[s].boundary(self.W[p - 1].cells[s]) for s in cat.objects}
+               for p in range(1, top + 1)]
+            + [{s: Matrix.zeros(ring, row[top].rank(s), 0) for s in cat.objects}]
+        )
+        # the boundaries B_p = im d^h_{p+1} and their resolutions, -1 <= p <= top
+        B_subs, RB = {}, {}
+        for p in range(-1, top + 1):
+            B_mod, B_subs[p] = _sub_catmodule(cat, ring, row[p], self.dh[p + 1])
+            RB[p] = free_resolution(B_mod, q_max)
+        # the cycles, homology and the CE resolution of each column
         self.PW: list[Resolution] = []
-        B_mods: list = [None] * (self.p_max + 2)
-        B_subs: list = [None] * (self.p_max + 2)
-        RB: list = [None] * (self.p_max + 2)
-        for p in range(self.p_max + 1):
-            Wp = self.W[p].module
-            if p + 1 <= self.p_max:
-                lat = {s: self.dh[p + 1][s] for s in cat.objects}
-            else:
-                lat = {s: Matrix.zeros(ring, Wp.rank(s), 0) for s in cat.objects}
-            B_mods[p], B_subs[p] = _sub_catmodule(cat, ring, Wp, lat)
-            RB[p] = free_resolution(B_mods[p], q_max)
-        for p in range(self.p_max + 1):
-            Wp = self.W[p].module
-            if p >= 1:
-                ker = {
-                    s: preimage_basis(
-                        self.dh[p][s], _ann_columns(ring, self.W[p - 1].module.anns[s])
-                    )
-                    for s in cat.objects
-                }
-            else:
-                ker = {
-                    s: Matrix.identity(ring, Wp.rank(s)) for s in cat.objects
-                }
+        for p in range(top + 1):
+            Wp = row[p]
+            ker = {s: preimage_basis(self.dh[p][s], _ann_columns(ring, row[p - 1].anns[s]))
+                   for s in cat.objects}
             Z_mod, Z_subs = _sub_catmodule(cat, ring, Wp, ker)
             # H = Z / B with B expressed inside Z
             bincl = {s: induced_map(B_subs[p][s], Z_subs[s], Matrix.identity(ring, Wp.rank(s)))
@@ -129,47 +118,21 @@ class ExtFilteredComplex(TotalComplex):
             H_mod = CatModule.from_quotients(cat, CONTRA, ring, hquots, Z_mod.action,
                                              check=False)
             RH = free_resolution(H_mod, q_max)
-            hproj = {
-                s: Matrix.from_columns(
-                    ring,
-                    [hquots[s].project({i: ring.one}) for i in range(Z_mod.rank(s))],
-                    nrows=hquots[s].module.n_gens,
-                )
-                for s in cat.objects
-            }
+            hproj = {s: _projection(hquots[s], Matrix.identity(ring, Z_mod.rank(s)))
+                     for s in cat.objects}
             RZ = horseshoe(bincl, hproj, RB[p], RH, Z_mod)
+            # 0 -> Z_p -> W_p -> B_{p-1} -> 0
             zincl = {s: Z_subs[s].lifts() for s in cat.objects}
-            if p >= 1:
-                wproj = {
-                    s: Matrix.from_columns(
-                        ring, [B_subs[p - 1][s].project(v) for v in self.dh[p][s].vecs],
-                        nrows=B_mods[p - 1].rank(s),
-                    )
-                    for s in cat.objects
-                }
-                PW = horseshoe(zincl, wproj, RZ, RB[p - 1], Wp)
-            else:
-                # rebase: the augmentation should land in W_0, not Z_0
-                PW = _rebase(RZ, Wp, zincl)
-            self.PW.append(PW)
-        # _rb_sizes[p][q]: the number of RB_{p-1} tail summands at level q of PW_p
-        self._rb_sizes = [[0] * (q_max + 1)]
-        for p in range(1, self.p_max + 1):
-            self._rb_sizes.append(
-                [len(RB[p - 1].levels[q].summands) for q in range(q_max + 1)]
-            )
+            wproj = {s: _projection(B_subs[p - 1][s], self.dh[p][s]) for s in cat.objects}
+            self.PW.append(horseshoe(zincl, wproj, RZ, RB[p - 1], Wp))
+        # _rb_sizes[p][q]: the number of RB_p summands at level q, the tail of PW_{p+1}
+        self._rb_sizes = [[len(lvl.summands) for lvl in RB[p].levels] for p in range(top)]
         # column p is Hom(PW_p, N); level q is the sum of N(c_i) (Yoneda)
         self._hom = [hom_complex(PW, N) for PW in self.PW]
-        self._horiz = {
-            (p, q): self._hom_of_delta(p, q)
-            for p in range(self.p_max)
-            for q in range(q_max + 1)
-        }
-        super().__init__()
 
-    # -- plumbing ---------------------------------------------------------
+    # -- the blocks of the total complex ------------------------------------
 
-    def _hom_of_delta(self, p: int, q: int) -> Matrix:
+    def horizontal(self, p: int, q: int) -> Matrix:
         """Hom(delta_{p+1}, N): cell (p, q) -> cell (p+1, q).
 
         delta: PW_{p+1} -> PW_p sends the RB_p tail summands of PW_{p+1}
@@ -177,18 +140,13 @@ class ExtFilteredComplex(TotalComplex):
         """
         dst_sums = self.PW[p + 1].levels[q].summands  # source of delta
         src_sums = self.PW[p].levels[q].summands      # target of delta
-        lead = len(dst_sums) - self._rb_sizes[p + 1][q]
+        lead = len(dst_sums) - self._rb_sizes[p][q]
         images = [{} for _ in range(lead)]
         for t, c in enumerate(dst_sums[lead:]):
             if src_sums[t] != c:
                 raise AssertionError("CE block misalignment")
             images.append({(t, self.cat.id_of(c)): self.ring.one})
         return yoneda_matrix(self.N, dst_sums, src_sums, images, cochain=True)
-
-    # -- the blocks of the total complex ------------------------------------
-
-    def horizontal(self, p: int, q: int) -> Matrix:
-        return self._horiz[(p, q)]
 
     def vertical(self, p: int, q: int) -> Matrix:
         return self._hom[p].diffs[q]
@@ -198,16 +156,6 @@ class ExtFilteredComplex(TotalComplex):
 
     def block_anns(self, p: int, q: int) -> list:
         return self._hom[p].anns[q]
-
-
-def _rebase(res: Resolution, W: CatModule, incl: dict[str, Matrix]) -> Resolution:
-    out = Resolution(W)
-    out.levels = res.levels
-    out.gen_images = res.gen_images
-    out.aug_images = []
-    for i, obj in enumerate(res.levels[0].summands):
-        out.aug_images.append(incl[obj].apply(res.aug_images[i]))
-    return out
 
 
 class ExtReport(ConvergenceReport):

@@ -143,6 +143,8 @@ def module_from_json(cat: FiniteCategory, d: dict) -> CatModule:
         values = {}
         for c in cat.objects:
             v = d["values"][c]
+            if type(v["rank"]) is not int or v["rank"] < 0:
+                raise ParseError(f"rank at {c!r} is {v['rank']!r}, not a non-negative integer")
             values[c] = (v["rank"], v.get("relations", []))
             if any(len(row) > v["rank"] for row in values[c][1]):
                 raise ParseError(f"a relation row at {c!r} is longer than its rank {v['rank']}")

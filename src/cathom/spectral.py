@@ -24,7 +24,8 @@ complex of a double complex and its column filtration; its class constant
 ``step`` says which way the arrows run.  ``FilteredComplex`` (homology,
 step +1: D lowers degree, F_p is the columns p' <= p) and
 ``extpages.ExtFilteredComplex`` (cohomology, step -1: delta raises degree,
-F^p is the columns p' >= p) both plug into the same cycle bases, pages,
+F^p is the columns p' >= p) share the set-up of ``TotalComplex.__init__``,
+build their blocks on demand and plug into the same cycle bases, pages,
 total (co)homology and E^inf-versus-filtration comparison.  Each cycle
 group is solved once per complex: the ``TotalComplex`` owns their memo
 (``TotalComplex.cycles``), which lives and is freed with it, and the
@@ -219,9 +220,11 @@ class TotalComplex:
     step = -1 every arrow is reversed and F^p is the blocks with p' >= p.
     In both, D_n: T_n -> T_{n-step} is horizontal + (-1)^p vertical.
 
-    Subclasses call ``TotalComplex.__init__``, set ``ring``, ``p_max`` and
-    ``q_max``, and provide ``block_dim(p, q)``, ``block_anns(p, q)``,
-    ``horizontal(p, q)`` and ``vertical(p, q)``.
+    ``__init__`` does the set-up both subclasses share (the ring check, M,
+    N, the column range, the p-chains and the nerve cache).  Subclasses
+    check the variances, call it, and provide ``block_dim(p, q)``,
+    ``block_anns(p, q)``, ``horizontal(p, q)`` and ``vertical(p, q)``; the
+    last two build a block on demand, as ``total_diff`` keeps each degree.
 
     The complex owns the memo of its cycle groups (``cycles``), which the
     pages, the total (co)homology and the filtration comparison all read,
@@ -230,7 +233,18 @@ class TotalComplex:
 
     step: int
 
-    def __init__(self):
+    def __init__(self, M: CatModule, N: CatModule, p_max: int | None, q_max: int):
+        if M.ring != N.ring:
+            raise VarianceMismatch("M and N have different rings")
+        self.cat = M.cat
+        self.ring = M.ring
+        self.M = M
+        self.N = N
+        self.p_bound = chain_bound(self.cat)
+        self.p_max = self.p_bound if p_max is None else min(p_max, self.p_bound)
+        self.q_max = q_max
+        self.chains = enumerate_chains(self.cat, self.p_max)
+        self.nerve = NerveCache(self.cat)
         self._total_cache: dict[int, Matrix] = {}
         self._cycles: dict[tuple[int, int, int], Matrix] = {}  # clamped (n, p, bound)
         self._kernels: dict[tuple[int, int, int], Matrix] = {}  # restricted differential
@@ -527,42 +541,22 @@ class FilteredComplex(TotalComplex):
             raise VarianceMismatch("N must be covariant")
         if M.cat is not N.cat and M.cat.objects != N.cat.objects:
             raise VarianceMismatch("M and N live over different categories")
-        if M.ring != N.ring:
-            raise VarianceMismatch("M and N have different rings")
-        self.cat = M.cat
-        self.ring = M.ring
-        self.M = M
-        self.N = N
-        self.p_bound = chain_bound(self.cat)
-        self.p_max = self.p_bound if p_max is None else min(p_max, self.p_bound)
-        self.q_max = q_max
-        self.chains = enumerate_chains(self.cat, self.p_max)
+        super().__init__(M, N, p_max, q_max)
         self.Q: Resolution = Q if Q is not None else free_resolution(N, q_max)
-        self.nerve = NerveCache(self.cat)
-        self._horiz_cache: dict[tuple[int, int], Matrix] = {}
-        super().__init__()
         self.cells: dict[tuple[int, int], Cell] = {
             (p, q): Cell(self.cat, M, self.nerve, p, self.Q.levels[q].summands)
             for q in range(q_max + 1)
-            for p in range(self.p_max + 1)
-        }
-        cells = self.cells
-        # psi: b_{i2} -> b (covariant basis) in the resolution differential
-        self._vert_mats: dict[tuple[int, int], Matrix] = {
-            (p, q): cells[(p, q)].precompose_map(cells[(p, q - 1)], self.Q.gen_images[q])
-            for q in range(1, q_max + 1)
             for p in range(self.p_max + 1)
         }
 
     # -- the total complex --------------------------------------------------
 
     def horizontal(self, p: int, q: int) -> Matrix:
-        if (p, q) not in self._horiz_cache:
-            self._horiz_cache[(p, q)] = self.cells[(p, q)].boundary(self.cells[(p - 1, q)])
-        return self._horiz_cache[(p, q)]
+        return self.cells[(p, q)].boundary(self.cells[(p - 1, q)])
 
     def vertical(self, p: int, q: int) -> Matrix:
-        return self._vert_mats[(p, q)]
+        # psi: b_{i2} -> b (covariant basis) in the resolution differential
+        return self.cells[(p, q)].precompose_map(self.cells[(p, q - 1)], self.Q.gen_images[q])
 
     def block_dim(self, p: int, q: int) -> int:
         return self.cells[(p, q)].dim

@@ -435,6 +435,28 @@ class TestRefusals:
         assert err.startswith("INPUT ERROR: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_cache_dir_that_is_or_lies_under_a_file_exit_4(self, orz2_bundle, via, under,
+                                                          tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "plain"
+        blocker.write_text("x")
+        cache = str(blocker / "sub" if under else blocker)
+        monkeypatch.delenv("PCHAIN_CACHE", raising=False)
+        flags = []
+        if via == "flag":
+            flags = ["--cache-dir", cache]
+        else:
+            monkeypatch.setenv("PCHAIN_CACHE", cache)
+        out = tmp_path / "o.json"
+        rc = main(["ss", orz2_bundle, "-M", "Malt", "-N", "Nconst", *flags, "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("INPUT ERROR: ") and err.count("\n") == 1
+        assert ("PCHAIN_CACHE" if via == "env" else "--cache-dir") in err
+        assert not out.exists()
+        assert blocker.read_text() == "x"
+
     def test_oracles_refuse_modules_over_different_rings(self):
         cat = fixture_category("OrZ2")
         Mz, Nz = fixture_modules(cat, ZZ)
@@ -635,6 +657,20 @@ class TestBundleSections:
             assert main([argv[0], str(p), *argv[1:]]) == rc
             err = capsys.readouterr().err
             assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("rank", ["1", -1, 1.0, True, None])
+    def test_rank_not_a_non_negative_integer(self, orz2_bundle, tmp_path, capsys, rank):
+        doc = json.loads(open(orz2_bundle).read())
+        obj = doc["category"]["objects"][0]
+        doc["modules"]["Mconst"]["values"][obj]["rank"] = rank
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        want = f"module 'Mconst': rank at {obj!r} is {rank!r}, not a non-negative integer"
+        assert main(["validate", str(p)]) == 1
+        assert want in capsys.readouterr().err
+        assert main(["tor", str(p), "-M", "Mconst", "-N", "Nconst"]) == 4
+        err = capsys.readouterr().err
+        assert err == f"INPUT ERROR: rank at {obj!r} is {rank!r}, not a non-negative integer\n"
 
     def test_family_entry_not_an_object(self, orz2_bundle, tmp_path, capsys):
         doc = json.loads(open(orz2_bundle).read())

@@ -2,7 +2,7 @@ import pytest
 
 from cathom.catmod import CatModule, CONTRA, VarianceMismatch
 from cathom.extpages import ExtFilteredComplex, ext_pages
-from cathom.fixtures import alternative_contravariant, fixture_category
+from cathom.fixtures import FIXTURE_NAMES, alternative_contravariant, fixture_category
 from cathom.fpmod import FPModule
 from cathom.rings import GF, ZZ
 
@@ -70,3 +70,21 @@ class TestExtPages:
         for page in pages:
             for (p, q), mat in page.diffs.items():
                 assert (p + page.r, q - page.r + 1) in page.entries
+
+
+class TestCEColumns:
+    """Every column P(W_p) of the Cartan-Eilenberg resolution resolves its
+    row W_p, the end columns (p = 0 and p = p_max, next to the zero ends of
+    the row complex) included."""
+
+    @pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=["Z", "F2"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_every_column_resolves_its_row(self, name, ring):
+        cat = fixture_category(name)
+        M = CatModule.constant(cat, ring, CONTRA)
+        N = alternative_contravariant(cat, ring)
+        fcx = ExtFilteredComplex(M, N, q_max=3)
+        assert len(fcx.PW) == fcx.p_max + 1
+        for p, PW in enumerate(fcx.PW):
+            assert PW.M is fcx.W[p].module
+            assert PW.verify() == [], (name, p)

@@ -6,15 +6,24 @@ working row, and ``ref_axpy`` adds every entry through ``ring.add`` and
 ``ring.mul``.  The kernel in ``cathom`` takes columns from a heap and has a
 loop per ring; both must give the same pivots, growth flags, residuals and
 recorded coefficients, with entries in the ring's canonical form.
+
+``HermiteBasis`` is a second, independent staircase: it keeps its rows in
+Hermite normal form after every insertion (the Kannan-Bachem order), which
+is unique for a lattice over Z and is the reduced echelon form over a
+field.  Its kernels and preimages, read off one staircase of the augmented
+rows, must span the same lattices as ``intlin.kernel_basis`` and
+``intlin.preimage_basis``.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix as SympyMatrix
+from sympy.matrices.normalforms import hermite_normal_form
 
-from cathom.intlin import StairBasis, _xgcd
-from cathom.matrix import _axpy
+from cathom.intlin import StairBasis, _xgcd, kernel_basis, preimage_basis
+from cathom.matrix import Matrix, _axpy
 from cathom.rings import GF, QQ, ZZ
 
 RINGS = {"Z": ZZ, "Q": QQ, "F2": GF(2), "F5": GF(5)}
@@ -170,3 +179,136 @@ class TestAgainstReference:
             _axpy(ring, got, src, c)
             assert got == want
             assert all(canonical(ring, x) for x in got.values())
+
+
+class HermiteBasis:
+    """Row lattice (or subspace) in Hermite normal form: after every
+    insertion each pivot is positive (1 over a field) and every entry
+    above a pivot lies in [0, pivot) (is 0 over a field)."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.pivots = {}
+
+    def add(self, vec):
+        ring = self.ring
+        row = {j: x for j, x in vec.items() if x}
+        while row:
+            c = min(row)
+            lead = row[c]
+            piv = self.pivots.get(c)
+            if piv is None:
+                if ring.is_field:
+                    row = {j: ring.mul(ring.inv(lead), x) for j, x in row.items()}
+                elif lead < 0:
+                    row = {j: -x for j, x in row.items()}
+                self.pivots[c] = row
+                break
+            if ring.is_field:
+                ref_axpy(ring, row, piv, ring.neg(ring.mul(lead, ring.inv(piv[c]))))
+                continue
+            # the gcd of the two leads becomes the pivot; the rest goes on
+            a = piv[c]
+            g, x, y = _xgcd(a, lead)
+            new_piv, rem = {}, {}
+            for j in set(piv) | set(row):
+                u, v = piv.get(j, 0), row.get(j, 0)
+                if x * u + y * v:
+                    new_piv[j] = x * u + y * v
+                if (a // g) * v - (lead // g) * u:
+                    rem[j] = (a // g) * v - (lead // g) * u
+            self.pivots[c] = new_piv
+            row = rem
+        self._reduce_above_pivots()
+
+    def _reduce_above_pivots(self):
+        ring = self.ring
+        cols = sorted(self.pivots)
+        for i, b in enumerate(cols):
+            row = self.pivots[b]
+            for d in cols[i + 1:]:
+                x = row.get(d)
+                if x is None:
+                    continue
+                piv = self.pivots[d]
+                q = ring.mul(x, ring.inv(piv[d])) if ring.is_field else x // piv[d]
+                ref_axpy(ring, row, piv, ring.neg(q))
+
+    def rows(self):
+        return [self.pivots[c] for c in sorted(self.pivots)]
+
+
+def hermite_rows(ring, vecs):
+    basis = HermiteBasis(ring)
+    for vec in vecs:
+        basis.add(vec)
+    return basis.rows()
+
+
+def reference_preimage(A, L):
+    """{x : A x in the span of L's columns}, from the Hermite form of the
+    rows (column_j(A), e_j) and (column_k(L), 0): its rows with zero left
+    part span the vectors (0, x) with A x + L y = 0 for some y."""
+    m = A.rows
+    rows = [{**col, m + j: A.ring.one} for j, col in enumerate(A.vecs)] + list(L.vecs)
+    return [{j - m: x for j, x in row.items()}
+            for row in hermite_rows(A.ring, rows) if min(row) >= m]
+
+
+@st.composite
+def matrices(draw, ring, nrows, ncols):
+    def entry():
+        x = draw(st.sampled_from(NUMBERS))
+        if ring is QQ:
+            return Fraction(x, draw(st.sampled_from([1, 1, 2, 3])))
+        return ring.coerce(x)
+
+    cols = [{i: entry() for i in range(nrows)} for _ in range(ncols)]
+    return Matrix.from_columns(ring, [{i: x for i, x in c.items() if x} for c in cols], nrows)
+
+
+@st.composite
+def preimage_cases(draw):
+    ring = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    m = draw(st.integers(0, 5))
+    A = draw(matrices(ring, m, draw(st.integers(1, 6))))
+    L = draw(matrices(ring, m, draw(st.integers(0, 3))))
+    return A, L
+
+
+class TestAgainstHermiteReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), vectors(ZZ, n, 8))))
+    def test_reference_is_sympys_hermite_form_over_z(self, case):
+        # sympy's form is column-style and reduces from the right, so the
+        # rows go in as columns with their coordinates reversed
+        n, rows = case
+        want = []
+        if any(rows):
+            H = hermite_normal_form(SympyMatrix(
+                [[row.get(n - 1 - i, 0) for row in rows] for i in range(n)]))
+            want = [{n - 1 - i: int(H[i, j]) for i in range(n) if H[i, j]}
+                    for j in range(H.cols)]
+            want = sorted((col for col in want if col), key=min)
+        assert hermite_rows(ZZ, rows) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(preimage_cases())
+    def test_kernel_basis(self, case):
+        A, _ = case
+        ring = A.ring
+        K = kernel_basis(A)
+        want = reference_preimage(A, Matrix.zeros(ring, A.rows, 0))
+        assert (K.rows, len(K.vecs)) == (A.cols, len(want))
+        assert (A @ K).is_zero()
+        assert hermite_rows(ring, K.vecs) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(preimage_cases())
+    def test_preimage_basis(self, case):
+        A, L = case
+        ring = A.ring
+        P = preimage_basis(A, L)
+        want = reference_preimage(A, L)
+        assert (P.rows, len(P.vecs)) == (A.cols, len(want))
+        assert hermite_rows(ring, P.vecs) == want
