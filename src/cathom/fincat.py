@@ -3,7 +3,11 @@
 Provides validation, isomorphism classes and automorphism data, the
 EI/left-free predicates, chains of isomorphism classes with their bisets,
 and the non-degenerate simplices of the two-sided tilde nerve (diagram
-classes modulo objectwise isomorphism).
+classes modulo objectwise isomorphism).  Bisets and balanced triples are
+found as union-find orbits; a nerve class is named by the least diagram
+of its orbit, which is built one position at a time without listing the
+orbit (canonical orbit representatives, as in Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, ch. 4).
 
 For a finite category, any non-invertible endomorphism yields arbitrarily
 long composable strings of non-isomorphisms, so chain enumeration is only
@@ -12,6 +16,7 @@ defined for EI categories; everything else raises UnboundedChains.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import product
 
 
@@ -24,11 +29,12 @@ class UnionFind:
         self.parent: dict = {}
 
     def find(self, x):
-        p = self.parent.setdefault(x, x)
-        if p == x:
-            return x
-        root = self.find(p)
-        self.parent[x] = root
+        parent = self.parent
+        root = parent.setdefault(x, x)
+        while parent[root] != root:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
         return root
 
     def union(self, a, b):
@@ -194,8 +200,8 @@ class FiniteCategory:
 
         ``noniso_out[a]`` maps each b with mor(a, b) holding a
         non-isomorphism to those morphisms in hom order (b in object
-        order); ``iso_out[a]`` lists (u, u^-1) for every non-identity
-        isomorphism u leaving a.
+        order); ``iso_out[a]`` lists (u, u^-1) for every isomorphism u
+        leaving a, the identity first.
         """
         if self._graph is not None:
             return self._graph
@@ -204,13 +210,14 @@ class FiniteCategory:
         noniso_out: dict[str, dict[str, list[str]]] = {}
         iso_out: dict[str, list[tuple[str, str]]] = {}
         for a in self.objects:
+            ida = self.identity[a]
             out = noniso_out[a] = {}
-            inv = iso_out[a] = []
+            inv = iso_out[a] = [(ida, ida)]
             for b in self.objects:
                 for f in self.hom[(a, b)]:
                     if f not in isos:
                         out.setdefault(b, []).append(f)
-                    elif f != self.identity.get(a):
+                    elif f != ida:
                         inv.append((f, self._inverse[f]))
         self._graph = (noniso_out, iso_out)
         return self._graph
@@ -452,7 +459,7 @@ class ChainBiset:
         compose = cat.compose_table
         factor_sets = [noniso_out[reps[i]].get(reps[i + 1], []) for i in range(p)]
         # the identity only unions a string with itself, so leave it out
-        auts = [[(a, ainv) for a, ainv in iso_out[c] if cat.tgt(a) == c] for c in reps]
+        auts = [[(a, ainv) for a, ainv in iso_out[c][1:] if cat.tgt(a) == c] for c in reps]
         uf = UnionFind()
         all_strings = list(product(*factor_sets))
         for s in all_strings:
@@ -494,16 +501,24 @@ class NerveCell:
 
     A diagram is (alpha, (phi_0, ..., phi_{p-1}), beta) with alpha:
     src -> c_0, beta: c_p -> tgt and no interior phi_i an isomorphism;
-    classes are orbits under objectwise isomorphisms, found by explicit
-    orbit enumeration.
+    classes are orbits under objectwise isomorphisms, each named by its
+    least diagram in the lexicographic order on (alpha, phi_0, ..., beta).
 
-    The object strings c_0 -> ... -> c_p are walks of length p in the
-    category's cached non-isomorphism graph (``_noniso_graph``).  A walk
-    starts at an object c_0 with mor(src, c_0) nonempty and steps only to
-    objects with a morphism to tgt, so every walk ends at a c_p with
-    mor(c_p, tgt) nonempty; by composition no string outside these walks
-    carries a diagram.  The orbit relation moves one object c_i along each
-    non-identity isomorphism u leaving it, read from the same cached table.
+    A move u: c_i -> c_i' changes only the two morphisms beside c_i, so the
+    least diagram of an orbit is fixed one position at a time: the moves at
+    c_i that reach the least prefix (a stabiliser coset, one move when the
+    category is left-free) are extended over the moves at c_{i+1}.  The
+    moves at c are ``iso_out[c]`` of the category's cached
+    ``_noniso_graph``, the identity first; src and tgt never move.
+
+    The classes are found by a depth-first walk over the non-isomorphisms
+    of the same cached graph.  A walk starts at an object c_0 with
+    mor(src, c_0) nonempty and steps only to objects with a morphism to
+    tgt, so every walk ends at a c_p with mor(c_p, tgt) nonempty; by
+    composition no string outside these walks carries a diagram.  A prefix
+    is dropped as soon as some move makes it smaller, and the diagrams that
+    survive to the end are exactly the orbit minima.  ``class_of`` finds
+    the least diagram of its argument on first use and keeps the answer.
     """
 
     def __init__(self, cat: FiniteCategory, p: int, src: str, tgt: str):
@@ -514,38 +529,29 @@ class NerveCell:
         noniso_out, iso_out = cat._noniso_graph()
         hom = cat.hom
         compose = cat.compose_table
-        walks = [((c,), ()) for c in cat.objects if hom[(src, c)] and hom[(c, tgt)]]
-        for _ in range(p):
-            walks = [
-                (objs + (b,), sets + (fs,))
-                for objs, sets in walks
-                for b, fs in noniso_out[objs[-1]].items()
-                if hom[(b, tgt)]
-            ]
-        uf = UnionFind()
-        for objs, sets in walks:
-            for alpha in hom[(src, objs[0])]:
-                for phis in product(*sets):
-                    for beta in hom[(objs[p], tgt)]:
-                        d = (alpha, phis, beta)
-                        uf.find(d)
-                        for i in range(p + 1):
-                            for u, uinv in iso_out[objs[i]]:
-                                a2, ph2, b2 = alpha, list(phis), beta
-                                if i == 0:
-                                    a2 = compose[(u, alpha)]
-                                    if p > 0:
-                                        ph2[0] = compose[(phis[0], uinv)]
-                                    else:
-                                        b2 = compose[(beta, uinv)]
-                                elif i < p:
-                                    ph2[i - 1] = compose[(u, phis[i - 1])]
-                                    ph2[i] = compose[(phis[i], uinv)]
-                                else:
-                                    ph2[i - 1] = compose[(u, phis[i - 1])]
-                                    b2 = compose[(beta, uinv)]
-                                uf.union(d, (a2, tuple(ph2), b2))
-        self.classes, self.index = uf.classes()
+        fixed_tgt = iso_out[tgt][:1]
+        src_out = [(b, hom[(src, b)]) for b in cat.objects]
+        found = []
+
+        def walk(string, c, stab):
+            # string runs from src to c; stab holds u^-1 for the moves u at c
+            # that leave it as it is
+            if len(string) > p:
+                for f in hom[(c, tgt)]:
+                    if _least_step(compose, f, stab, fixed_tgt)[0] == f:
+                        found.append((string[0], string[1:], f))
+                return
+            for b, fs in noniso_out[c].items() if string else src_out:
+                if hom[(b, tgt)]:
+                    moves = iso_out[b]
+                    for f in fs:
+                        least, stab2 = _least_step(compose, f, stab, moves)
+                        if least == f:
+                            walk(string + (f,), b, stab2)
+
+        walk((), src, {cat.identity[src]})
+        self.classes = sorted(found)
+        self._class = {}
 
     def _objects_of(self, alpha, phis, beta):
         cat = self.cat
@@ -558,7 +564,27 @@ class NerveCell:
         return len(self.classes)
 
     def class_of(self, diagram: tuple) -> int:
-        return self.index[diagram]
+        k = self._class.get(diagram)
+        if k is None:
+            least = self._least(diagram)
+            k = bisect_left(self.classes, least)
+            if k == len(self.classes) or self.classes[k] != least:
+                raise KeyError(diagram)
+            self._class[diagram] = k
+        return k
+
+    def _least(self, diagram: tuple) -> tuple:
+        """The least diagram in the orbit of diagram."""
+        cat = self.cat
+        iso_out = cat._noniso_graph()[1]
+        alpha, phis, beta = diagram
+        stab = {cat.identity[self.src]}
+        string = []
+        for f in (alpha, *phis):
+            least, stab = _least_step(cat.compose_table, f, stab, iso_out[cat.tgt(f)])
+            string.append(least)
+        least, _ = _least_step(cat.compose_table, beta, stab, iso_out[self.tgt][:1])
+        return (string[0], tuple(string[1:]), least)
 
     def chain_key(self, k: int) -> tuple[int, ...]:
         """Iso classes of the interior objects of class k."""
@@ -566,6 +592,21 @@ class NerveCell:
         alpha, phis, beta = self.classes[k]
         objs = self._objects_of(alpha, phis, beta)
         return tuple(data.class_of[c] for c in objs)
+
+
+def _least_step(compose: dict, f: str, stab, moves) -> tuple[str, set]:
+    """(least, stab'): the least u o f o v^-1 over v^-1 in stab and (u,
+    u^-1) in moves, and the u^-1 of the moves u that reach it."""
+    least, out = None, set()
+    for vinv in stab:
+        x = compose[(f, vinv)]
+        for u, uinv in moves:
+            y = compose[(u, x)]
+            if least is None or y < least:
+                least, out = y, {uinv}
+            elif y == least:
+                out.add(uinv)
+    return least, out
 
 
 def nd_tilde_nerve(cat: FiniteCategory, p: int, src: str, tgt: str) -> NerveCell:

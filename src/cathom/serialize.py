@@ -28,6 +28,14 @@ class ParseError(ValueError):
     pass
 
 
+def _object(value, name: str) -> dict:
+    """value itself when it is a JSON object; otherwise a ParseError that
+    names it."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{name} must be an object, not {type(value).__name__}")
+    return value
+
+
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -140,20 +148,22 @@ def module_to_json(M: CatModule) -> dict:
 def module_from_json(cat: FiniteCategory, d: dict) -> CatModule:
     try:
         ring = ring_from_json(d)
+        values_json = _object(d["values"], "'values'")
         values = {}
         for c in cat.objects:
-            v = d["values"][c]
+            v = _object(values_json[c], f"'values' at {c!r}")
             if type(v["rank"]) is not int or v["rank"] < 0:
                 raise ParseError(f"rank at {c!r} is {v['rank']!r}, not a non-negative integer")
             values[c] = (v["rank"], v.get("relations", []))
             if any(len(row) > v["rank"] for row in values[c][1]):
                 raise ParseError(f"a relation row at {c!r} is longer than its rank {v['rank']}")
-        unknown = sorted(set(d["action"]) - set(cat.morphisms))
+        action = _object(d["action"], "'action'")
+        unknown = sorted(set(action) - set(cat.morphisms))
         if unknown:
             raise ParseError(f"action names unknown morphism {unknown[0]!r}")
         raw_action = {}
         for f in cat.morphisms:
-            rows = d["action"][f]
+            rows = action[f]
             a, b = cat.morphisms[f]
             src = b if d["variance"] == "contra" else a
             tgt = a if d["variance"] == "contra" else b
@@ -213,10 +223,7 @@ class Workspace:
 
 def _section(d: dict, name: str) -> dict:
     """The bundle's ``name`` object (empty when absent)."""
-    out = d.get(name, {})
-    if not isinstance(out, dict):
-        raise ParseError(f"{name!r} must be an object, not {type(out).__name__}")
-    return out
+    return _object(d.get(name, {}), repr(name))
 
 
 def workspace_from_json(d: dict, source: str = "<memory>",
@@ -266,11 +273,11 @@ def workspace_from_json(d: dict, source: str = "<memory>",
     if report.ok:
         for k, m in modules_json.items():
             try:
-                modules[k] = module_from_json(cat, m)
+                modules[k] = module_from_json(cat, _object(m, f"module {k!r}"))
             except ParseError as e:
                 if strict:
                     raise
-                violations.append(f"module {k!r}: {e}")
+                violations.append(f"module {k!r}: {e}" if isinstance(m, dict) else str(e))
     return Workspace(cat, modules, groups, families, source, digest, violations)
 
 

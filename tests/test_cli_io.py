@@ -672,6 +672,25 @@ class TestBundleSections:
         err = capsys.readouterr().err
         assert err == f"INPUT ERROR: rank at {obj!r} is {rank!r}, not a non-negative integer\n"
 
+    @pytest.mark.parametrize("edit,named", [
+        (lambda d, obj: d["modules"].update(Mconst=[]), "module 'Mconst'"),
+        (lambda d, obj: d["modules"]["Mconst"].update(values=[]), "'values'"),
+        (lambda d, obj: d["modules"]["Mconst"]["values"].update({obj: [1]}),
+         "'values' at {obj!r}"),
+        (lambda d, obj: d["modules"]["Mconst"].update(action=[[1]]), "'action'"),
+    ], ids=["module", "values", "value-at-object", "action"])
+    def test_module_part_not_an_object(self, orz2_bundle, tmp_path, capsys, edit, named):
+        doc = json.loads(open(orz2_bundle).read())
+        obj = doc["category"]["objects"][0]
+        edit(doc, obj)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        want = named.format(obj=obj) + " must be an object, not list"
+        assert main(["validate", str(p)]) == 1
+        assert want in capsys.readouterr().err
+        assert main(["tor", str(p), "-M", "Mconst", "-N", "Nconst"]) == 4
+        assert capsys.readouterr().err == f"INPUT ERROR: {want}\n"
+
     def test_family_entry_not_an_object(self, orz2_bundle, tmp_path, capsys):
         doc = json.loads(open(orz2_bundle).read())
         doc["families"]["all"] = []
