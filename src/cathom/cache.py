@@ -4,8 +4,12 @@ Keys are hex digests; values are JSON documents.  Writes go through a
 temporary file in the same directory followed by os.replace, so readers
 never see partial content.  Format-versioned: the version participates
 in every key.  Each resolution entry carries the sha256 of its payload;
-an entry whose digest does not match, or whose payload does not parse as
-a resolution, is a miss and is recomputed and overwritten.
+an entry that is not UTF-8 JSON, whose digest does not match, or whose
+payload does not parse as a resolution over the module's category (every
+summand an object, every term index a summand of the level below, every
+morphism one between the right objects) is a miss and is recomputed and
+overwritten.  An entry path that cannot be written, such as a directory,
+is an input error.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ import json
 import os
 import tempfile
 
-from .catmod import CatModule
+from .catmod import CO, CatModule, FreeCatModule
 from .resolve import Resolution, free_resolution
-from .serialize import category_to_json, content_hash, module_to_json
+from .serialize import ParseError, category_to_json, content_hash, module_to_json
 
 CACHE_FORMAT = "cathom-cache-v2"
 
@@ -31,23 +35,27 @@ class DiskCache:
 
     def get(self, key: str):
         try:
-            with open(self._path(key)) as fh:
+            with open(self._path(key), encoding="utf-8") as fh:
                 return json.load(fh)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # ValueError: not UTF-8, or not JSON
             return None
 
     def put(self, key: str, payload) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        path = self._path(key)
         try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, sort_keys=True)
-            os.replace(tmp, self._path(key))
-        except BaseException:
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+                with os.fdopen(fd, "w") as fh:
+                    json.dump(payload, fh, sort_keys=True)
+                os.replace(tmp, path)
+            except BaseException:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+                raise
+        except OSError as e:
+            raise ParseError(f"cache entry {path!r} cannot be written: {e.strerror or e}") from None
 
 
 def resolution_to_json(res: Resolution) -> dict:
@@ -72,21 +80,38 @@ def resolution_to_json(res: Resolution) -> dict:
 
 
 def resolution_from_json(M: CatModule, d: dict) -> Resolution:
-    from .catmod import FreeCatModule
-
+    """The resolution a payload describes, checked in one pass: a ValueError
+    unless it names only M's objects and morphisms, fits M's ranks and
+    has one generator image, over the level below, per summand."""
     res = Resolution(M)
-    ring = M.ring
-    res.levels = [
-        FreeCatModule(M.cat, ring, M.variance, summands) for summands in d["levels"]
-    ]
-    res.aug_images = [
-        {i: x for i, x in enumerate(map(ring.entry_from_json, v)) if x} for v in d["aug"]
-    ]
+    cat, ring = M.cat, M.ring
+    levels = d["levels"]
+    for summands in levels:
+        if not all(c in cat.identity for c in summands):
+            raise ValueError("a summand is not an object of the category")
+    res.levels = [FreeCatModule(cat, ring, M.variance, summands) for summands in levels]
+    if len(d["aug"]) != len(levels[0]) or len(d["gen_images"]) != len(levels) - 1:
+        raise ValueError("the payload's levels do not match its images")
+    res.aug_images = []
+    for c, v in zip(levels[0], d["aug"]):
+        if len(v) != M.rank(c):
+            raise ValueError(f"an augmentation image is not a vector of M({c})")
+        res.aug_images.append({i: x for i, x in enumerate(map(ring.entry_from_json, v)) if x})
     res.gen_images = [[]]
-    for level in d["gen_images"]:
+    for k, level in enumerate(d["gen_images"], start=1):
+        below = levels[k - 1]
+        if len(level) != len(levels[k]):
+            raise ValueError(f"level {k} has {len(level)} images for {len(levels[k])} summands")
         out = []
-        for terms in level:
-            out.append({(j, psi): ring.entry_from_json(c) for j, psi, c in terms})
+        for c, terms in zip(levels[k], level):
+            image = {}
+            for j, psi, x in terms:
+                # psi: c -> below[j] (contravariant) or below[j] -> c (covariant)
+                if not (0 <= j < len(below) and cat.morphisms.get(psi) == (
+                        (below[j], c) if M.variance == CO else (c, below[j]))):
+                    raise ValueError(f"a term of level {k} names no morphism of the category")
+                image[(j, psi)] = ring.entry_from_json(x)
+            out.append(image)
         res.gen_images.append(out)
     return res
 
@@ -105,7 +130,9 @@ def cached_free_resolution(M: CatModule, length: int, cache: DiskCache | None) -
     hit = cache.get(key)
     if isinstance(hit, dict) and hit.get("digest") == content_hash(hit.get("resolution")):
         try:
-            return resolution_from_json(M, hit["resolution"])
+            res = resolution_from_json(M, hit["resolution"])
+            if res.length == length:
+                return res
         except (KeyError, TypeError, ValueError, IndexError):
             pass  # an entry that does not parse is a miss
     res = free_resolution(M, length)

@@ -14,7 +14,11 @@ chain's biset.  This module computes both sides:
   M(c_p) (x)_{R aut(c_p)} RS(chain) are a ``catmod.TensorResult``, not
   the engine's ``Cell`` coequalizer, so the two sides share no code there,
 
-plus the d^1 component maps.  Components for i >= 1 are biset
+plus the d^1 component maps.  The group-level side runs once per distinct
+chain datum within a call: ``chain_oracle`` keys each chain's data by its
+bottom object and coefficient module, and chains with equal keys share
+one oracle call.  The rows stay per chain, and the engine side is still
+computed per chain.  Components for i >= 1 are biset
 concatenations transported through the explicit chain/biset bijection of
 the nerve; the i = 0 component is the change-of-groups composite, which
 on the free resolution summands evaluates to pushing the bottom leg
@@ -106,9 +110,26 @@ class ChainGroupData:
             self.A = CatModule.from_quotients(sub, CONTRA, ring, {c0: T.quot}, raw_action,
                                               check=False)
         self.B = restrict(inc, N)
+        # B is N restricted to c_0 and the ring is fixed by fc, so c_0 and
+        # A's annihilators and action columns fix every input of an oracle
+        self.key = (c0, tuple(self.A.anns[c0]), tuple(
+            tuple(tuple(sorted(v.items())) for v in self.A.act(g).vecs)
+            for g in sub.morphisms))
 
-    def tor(self, q_max: int) -> list[FPModule]:
-        return group_tor(self.A, self.B, q_max)
+
+def chain_oracle(fc: FilteredComplex, oracle, n_max: int) -> dict:
+    """oracle(A, B, n_max) on every p-chain's ``ChainGroupData``, keyed by
+    (p, chain).  Chains with equal keys share one call: the memo lives
+    only inside this call."""
+    memo: dict[tuple, list[FPModule]] = {}
+    out = {}
+    for p in sorted(fc.chains):
+        for chain in fc.chains[p]:
+            data = ChainGroupData(fc, chain)
+            if data.key not in memo:
+                memo[data.key] = oracle(data.A, data.B, n_max)
+            out[(p, chain)] = memo[data.key]
+    return out
 
 
 def e1_direct(M: CatModule, N: CatModule, q_max: int = 3,
@@ -119,12 +140,7 @@ def e1_direct(M: CatModule, N: CatModule, q_max: int = 3,
         raise NotLeftFree("the E^1 identification requires a left-free base")
     if fc is None:
         fc = build_filtered_complex(M, N, q_max=q_max + 1)
-    out = {}
-    for p in sorted(fc.chains):
-        for chain in fc.chains[p]:
-            data = ChainGroupData(fc, chain)
-            out[(p, chain)] = data.tor(q_max)
-    return out
+    return chain_oracle(fc, group_tor, q_max)
 
 
 class E1Report:
@@ -155,13 +171,14 @@ def verify_e1(M: CatModule, N: CatModule, q_max: int = 3,
     band = min(q_max, fc.q_max - 1)
     pages = spectral_pages(fc, r_max=1)
     e1 = pages[1]
+    direct_tor = chain_oracle(fc, group_tor, band)
     rows = []
     ring = fc.ring
     for p in sorted(fc.chains):
         columns = {}
         for chain in fc.chains[p]:
             col = ChainColumn(fc, p, chain)
-            direct = ChainGroupData(fc, chain).tor(band)
+            direct = direct_tor[(p, chain)]
             columns[chain] = col
             for q in range(band + 1):
                 engine = col.homology(q).module

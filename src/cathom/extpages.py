@@ -21,14 +21,15 @@ of bidegree (+r, 1-r)), the total cohomology and the E_inf-versus-
 filtration check are spectral.py's, the same code that computes homology.
 E_1^{p,q} = Ext^q(W_p, N) splits as the product over p-chains of
 group-level Ext: the Ext oracle on ``e1data.ChainGroupData``'s modules over
-the one-object subcategory on the chain's bottom object.  The total
-cohomology is compared against the Ext oracle too.
+the one-object subcategory on the chain's bottom object, run once per
+distinct chain datum by ``e1data.chain_oracle``; every p still gets its
+own row.  The total cohomology is compared against the Ext oracle too.
 """
 
 from __future__ import annotations
 
 from .catmod import CONTRA, CatModule, VarianceMismatch
-from .e1data import ChainGroupData
+from .e1data import chain_oracle
 from .fpmod import CanonicalQuotient, FPModule, Subquotient, _ann_columns, induced_map
 from .intlin import preimage_basis
 from .matrix import Matrix
@@ -185,18 +186,15 @@ def ext_pages(M: CatModule, N: CatModule, p_max: int | None = None,
     degrees, cells = compare_with_oracle(fcx, pages[-1], ext(M, N, band), "n")
     ring = fcx.ring
     e1 = pages[1]
+    # Ext^q over R[aut(c_0)] of each chain's data, by the Ext oracle over the
+    # one-object subcategory, independent of the page machinery
+    direct = chain_oracle(fcx, ext, band)
     e1_rows = []
     for p in sorted(fcx.chains):
-        direct = []
-        for chain in fcx.chains[p]:
-            # Ext^q over R[aut(c_0)] of the chain data, by the Ext oracle over
-            # the one-object subcategory, independent of the page machinery
-            data = ChainGroupData(fcx, chain)
-            direct.append(ext(data.A, data.B, band))
         for q in range(band + 1):
             total = FPModule(ring, 0)
-            for groups in direct:
-                total = total.direct_sum(groups[q])
+            for chain in fcx.chains[p]:
+                total = total.direct_sum(direct[(p, chain)][q])
             page_entry = e1.entry(p, q)
             e1_rows.append({"p": p, "q": q, "page": page_entry.pretty(),
                             "product_form": total.pretty(),

@@ -19,7 +19,7 @@ from .catmod import CatModule
 from .fincat import FiniteCategory
 from .groups import FiniteGroup, SubgroupFamily
 from .matrix import Matrix
-from .rings import ring_from_json
+from .rings import ring_from_tag
 
 BUNDLE_FORMAT = "cathom-bundle-v1"
 
@@ -34,6 +34,14 @@ def _object(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise ParseError(f"{name} must be an object, not {type(value).__name__}")
     return value
+
+
+def _field(value, where: str, key: str):
+    """value[key] for a JSON object value; otherwise a ParseError that
+    names value, or the key it lacks."""
+    if key not in _object(value, where):
+        raise ParseError(f"{where} has no {key!r}")
+    return value[key]
 
 
 def canonical_json(obj) -> str:
@@ -63,11 +71,16 @@ def category_to_json(cat: FiniteCategory) -> dict:
 
 def category_from_json(d: dict) -> FiniteCategory:
     try:
-        mors = {m["id"]: (m["src"], m["tgt"]) for m in d["morphisms"]}
-        comp = {(g, f): gf for g, f, gf in d["compose"]}
-        return FiniteCategory(
-            d["objects"], mors, comp, d["identity"], name=d.get("name", "C")
-        )
+        objects, morphisms, compose, identity = (
+            _field(d, "'category'", key) for key in ("objects", "morphisms", "compose", "identity"))
+        mors = {}
+        for i, m in enumerate(morphisms):
+            where = f"morphism entry {i}"
+            mors[_field(m, where, "id")] = (_field(m, where, "src"), _field(m, where, "tgt"))
+        comp = {(g, f): gf for g, f, gf in compose}
+        return FiniteCategory(objects, mors, comp, identity, name=d.get("name", "C"))
+    except ParseError:
+        raise
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad category JSON: {e}") from e
 
@@ -147,26 +160,28 @@ def module_to_json(M: CatModule) -> dict:
 
 def module_from_json(cat: FiniteCategory, d: dict) -> CatModule:
     try:
-        ring = ring_from_json(d)
-        values_json = _object(d["values"], "'values'")
+        ring = ring_from_tag(_field(d, "module", "ring"), d.get("p"))
+        values_json = _field(d, "module", "values")
         values = {}
         for c in cat.objects:
-            v = _object(values_json[c], f"'values' at {c!r}")
-            if type(v["rank"]) is not int or v["rank"] < 0:
-                raise ParseError(f"rank at {c!r} is {v['rank']!r}, not a non-negative integer")
-            values[c] = (v["rank"], v.get("relations", []))
-            if any(len(row) > v["rank"] for row in values[c][1]):
-                raise ParseError(f"a relation row at {c!r} is longer than its rank {v['rank']}")
-        action = _object(d["action"], "'action'")
+            v = _field(values_json, "'values'", c)
+            rank = _field(v, f"'values' at {c!r}", "rank")
+            if type(rank) is not int or rank < 0:
+                raise ParseError(f"rank at {c!r} is {rank!r}, not a non-negative integer")
+            values[c] = (rank, v.get("relations", []))
+            if any(len(row) > rank for row in values[c][1]):
+                raise ParseError(f"a relation row at {c!r} is longer than its rank {rank}")
+        action = _object(_field(d, "module", "action"), "'action'")
+        variance = _field(d, "module", "variance")
         unknown = sorted(set(action) - set(cat.morphisms))
         if unknown:
             raise ParseError(f"action names unknown morphism {unknown[0]!r}")
         raw_action = {}
         for f in cat.morphisms:
-            rows = action[f]
+            rows = _field(action, "'action'", f)
             a, b = cat.morphisms[f]
-            src = b if d["variance"] == "contra" else a
-            tgt = a if d["variance"] == "contra" else b
+            src = b if variance == "contra" else a
+            tgt = a if variance == "contra" else b
             if rows:
                 raw_action[f] = Matrix(ring, rows)
                 shape = (values[tgt][0], values[src][0])
@@ -178,9 +193,7 @@ def module_from_json(cat: FiniteCategory, d: dict) -> CatModule:
                 raw_action[f] = Matrix.zeros(
                     ring, values[tgt][0], values[src][0]
                 )
-        return CatModule.from_presentations(
-            cat, d["variance"], ring, values, raw_action
-        )
+        return CatModule.from_presentations(cat, variance, ring, values, raw_action)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as e:
@@ -235,7 +248,7 @@ def workspace_from_json(d: dict, source: str = "<memory>",
         raise ParseError(f"not a {BUNDLE_FORMAT} document")
     digest = content_hash(d)
     violations: list[str] = []
-    cat = category_from_json(d.get("category"))
+    cat = category_from_json(_field(d, "bundle", "category"))
     report = cat.validate()
     if not report.ok:
         if strict:

@@ -144,6 +144,51 @@ class TestCacheEntries:
         assert out.read_bytes() == cold.read_bytes()
         assert json.loads(path.read_text()) == entry
 
+    @pytest.mark.parametrize("how", ["not-utf8", "unknown-object", "unknown-morphism",
+                                     "term-index-past-level"])
+    def test_entry_that_would_fail_later_is_a_miss(self, orz2_bundle, tmp_path, capsys, how):
+        cachedir = tmp_path / "cache"
+        argv = ["ss", orz2_bundle, "-M", "Mconst", "-N", "Naug", "--nmax", "2"]
+        cold = tmp_path / "cold.json"
+        assert main([*argv, "--cache-dir", str(cachedir), "--out", str(cold)]) == 0
+        (name,) = os.listdir(cachedir)
+        path = cachedir / name
+        entry = json.loads(path.read_text())
+        if how == "not-utf8":
+            path.write_bytes(b'{"digest": "\xff\xfe"}' + bytes([0xff, 0xfe]))
+        else:
+            altered = json.loads(path.read_text())
+            payload = altered["resolution"]
+            if how == "unknown-object":
+                payload["levels"] = [["nope"]]
+            elif how == "unknown-morphism":
+                payload["gen_images"][0][0][0][1] = "nope"
+            else:
+                payload["gen_images"][0][0][0][0] = len(payload["levels"][0])
+            altered["digest"] = content_hash(payload)
+            path.write_text(json.dumps(altered))
+        out = tmp_path / "altered.json"
+        assert main([*argv, "--cache-dir", str(cachedir), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert out.read_bytes() == cold.read_bytes()
+        assert json.loads(path.read_text()) == entry
+
+    def test_entry_path_that_is_a_directory_is_an_input_error(self, orz2_bundle, tmp_path,
+                                                               capsys):
+        cachedir = tmp_path / "cache"
+        argv = ["ss", orz2_bundle, "-M", "Mconst", "-N", "Naug", "--nmax", "2",
+                "--cache-dir", str(cachedir)]
+        assert main([*argv, "--out", str(tmp_path / "w.json")]) == 0
+        (name,) = os.listdir(cachedir)
+        (cachedir / name).unlink()
+        (cachedir / name).mkdir()
+        out = tmp_path / "out.json"
+        assert main([*argv, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("INPUT ERROR: cache entry ") and err.count("\n") == 1
+        assert not out.exists()
+        assert os.listdir(cachedir) == [name]
+
 
 class TestCLI:
     def test_validate_ok(self, orz2_bundle, capsys):
@@ -688,6 +733,38 @@ class TestBundleSections:
         want = named.format(obj=obj) + " must be an object, not list"
         assert main(["validate", str(p)]) == 1
         assert want in capsys.readouterr().err
+        assert main(["tor", str(p), "-M", "Mconst", "-N", "Nconst"]) == 4
+        assert capsys.readouterr().err == f"INPUT ERROR: {want}\n"
+
+    @pytest.mark.parametrize("edit,want,validate_rc", [
+        (lambda d, obj, f: d["modules"]["Mconst"]["values"].pop(obj),
+         "'values' has no {obj!r}", 1),
+        (lambda d, obj, f: d["modules"]["Mconst"]["values"][obj].pop("rank"),
+         "'values' at {obj!r} has no 'rank'", 1),
+        (lambda d, obj, f: d["modules"]["Mconst"]["action"].pop(f),
+         "'action' has no {f!r}", 1),
+        (lambda d, obj, f: d["modules"]["Mconst"].pop("variance"), "module has no 'variance'", 1),
+        (lambda d, obj, f: d["modules"]["Mconst"].pop("ring"), "module has no 'ring'", 1),
+        (lambda d, obj, f: d.pop("category"), "bundle has no 'category'", 4),
+        (lambda d, obj, f: d["category"].pop("compose"), "'category' has no 'compose'", 4),
+        (lambda d, obj, f: d["category"]["morphisms"][0].pop("src"),
+         "morphism entry 0 has no 'src'", 4),
+        (lambda d, obj, f: d["category"]["morphisms"].__setitem__(0, [f, obj, obj]),
+         "morphism entry 0 must be an object, not list", 4),
+    ], ids=["value", "rank", "action", "variance", "ring", "category", "compose",
+            "morphism-src", "morphism-list"])
+    def test_error_names_the_missing_field(self, orz2_bundle, tmp_path, capsys, edit, want,
+                                           validate_rc):
+        doc = json.loads(open(orz2_bundle).read())
+        obj = doc["category"]["objects"][0]
+        f = doc["category"]["morphisms"][0]["id"]
+        edit(doc, obj, f)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        want = want.format(obj=obj, f=f)
+        assert main(["validate", str(p)]) == validate_rc
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.rstrip("\n").endswith(want)
         assert main(["tor", str(p), "-M", "Mconst", "-N", "Nconst"]) == 4
         assert capsys.readouterr().err == f"INPUT ERROR: {want}\n"
 

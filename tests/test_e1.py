@@ -5,6 +5,7 @@ from cathom.e1data import (
     ChainGroupData,
     NotLeftFree,
     TransportTables,
+    chain_oracle,
     d1_components,
     d1_face_block,
     e1_direct,
@@ -225,6 +226,92 @@ class TestVerifyE1:
         for row in rep.rows:
             if row["q"] > 0:
                 assert row["engine"] == "0"
+
+
+class TestChainOracleOnce:
+    """The group-level oracle runs once per distinct chain datum, and every
+    chain still gets the answer of its own data."""
+
+    @pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=["Z", "F2"])
+    @pytest.mark.parametrize("pair", [("const", "const"), ("alt", "aug")])
+    @pytest.mark.parametrize("name", ["OrZ4", "OrV4", "OrS3"])
+    def test_every_chain_gets_its_own_answer(self, name, pair, ring):
+        cat = fixture_category(name)
+        Ms, Ns = fixture_modules(cat, ring)
+        M, N = Ms[pair[0]], Ns[pair[1]]
+        fc = build_filtered_complex(M, N, q_max=3)
+        table = e1_direct(M, N, 2, fc=fc)
+        rows = {(r["p"], r["chain"], r["q"]): r["group_tor"]
+                for r in verify_e1(M, N, 2, fc=fc).rows}
+        assert set(table) == {(p, chain) for p in fc.chains for chain in fc.chains[p]}
+        for (p, chain), answer in table.items():
+            data = ChainGroupData(fc, chain)
+            fresh = group_tor(data.A, data.B, 2)
+            assert answer == fresh
+            assert [rows[(p, repr(chain), q)] for q in range(3)] == [m.pretty() for m in fresh]
+
+    @pytest.mark.parametrize("pair, calls", [(("const", "const"), 5), (("alt", "aug"), 8)])
+    def test_once_per_distinct_key(self, monkeypatch, pair, calls):
+        import cathom.e1data as e1data
+
+        cat = fixture_category("OrS3")
+        Ms, Ns = fixture_modules(cat, ZZ)
+        M, N = Ms[pair[0]], Ns[pair[1]]
+        fc = build_filtered_complex(M, N, q_max=4)
+        chains = [chain for p in fc.chains for chain in fc.chains[p]]
+        seen = []
+        real_group_tor = e1data.group_tor
+
+        def counting(A, B, q_max):
+            seen.append(A)
+            return real_group_tor(A, B, q_max)
+
+        monkeypatch.setattr(e1data, "group_tor", counting)
+        assert verify_e1(M, N, 3, fc=fc).all_match
+        assert (len(seen), len(chains)) == (calls, 11)
+        seen.clear()
+        e1_direct(M, N, 3, fc=fc)
+        assert len(seen) == calls
+        if pair == ("alt", "aug"):
+            # chains with one bottom object but different coefficients
+            keys = {ChainGroupData(fc, chain).key for chain in chains}
+            assert len({key[0] for key in keys}) < len(keys)
+
+    def test_key_tells_actions_apart(self):
+        # Or(Z/2) with M(G/e) the sign module, M(G/G) = Z and zero restriction:
+        # the 0-chain at G/e and the 1-chain G/e < G/G both have A of rank 1
+        # at G/e, with the sign and the trivial action respectively
+        cat = fixture_category("OrZ2")
+        free, fixed = cat.objects
+        action = {}
+        for f, (a, b) in cat.morphisms.items():
+            if f == cat.identity.get(a) or a != b:
+                action[f] = Matrix(ZZ, [[1 if a == b else 0]])
+            else:
+                action[f] = Matrix(ZZ, [[-1]])
+        M = CatModule(cat, CONTRA, ZZ, {free: [0], fixed: [0]}, action)
+        N = CatModule.constant(cat, ZZ, CO)
+        fc = build_filtered_complex(M, N, q_max=4)
+        by_reps = {ch.reps: [m.pretty() for m in vals]
+                   for (p, ch), vals in e1_direct(M, N, 3, fc=fc).items()}
+        assert by_reps[(free,)] == ["Z/2", "0", "Z/2", "0"]
+        assert by_reps[(free, fixed)] == ["Z", "Z/2", "0", "Z/2"]
+        assert verify_e1(M, N, 3, fc=fc).all_match
+
+    def test_memo_does_not_outlive_the_call(self):
+        cat = fixture_category("OrZ2")
+        Ms, Ns = fixture_modules(cat, ZZ)
+        fc = build_filtered_complex(Ms["const"], Ns["const"], q_max=3)
+        calls = []
+
+        def oracle(A, B, n_max):
+            calls.append(A)
+            return group_tor(A, B, n_max)
+
+        first = chain_oracle(fc, oracle, 2)
+        n = len(calls)
+        assert chain_oracle(fc, oracle, 2) == first
+        assert len(calls) == 2 * n
 
 
 class TestColumnHomologyOnce:

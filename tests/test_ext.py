@@ -1,9 +1,11 @@
 import pytest
 
 from cathom.catmod import CatModule, CONTRA, VarianceMismatch
+from cathom.e1data import ChainGroupData, chain_oracle
 from cathom.extpages import ExtFilteredComplex, ext_pages
 from cathom.fixtures import FIXTURE_NAMES, alternative_contravariant, fixture_category
 from cathom.fpmod import FPModule
+from cathom.resolve import ext
 from cathom.rings import GF, ZZ
 
 
@@ -70,6 +72,58 @@ class TestExtPages:
         for page in pages:
             for (p, q), mat in page.diffs.items():
                 assert (p + page.r, q - page.r + 1) in page.entries
+
+
+class TestExtChainOracle:
+    """The E_1 product-form rows call the Ext oracle once per distinct
+    chain datum; each chain's answer is a fresh Ext of its own data."""
+
+    @pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=["Z", "F2"])
+    @pytest.mark.parametrize("coeff", ["const", "alt"])
+    @pytest.mark.parametrize("name", ["OrZ4", "OrV4", "OrS3"])
+    def test_product_form_is_fresh_ext_per_chain(self, name, coeff, ring):
+        cat = fixture_category(name)
+        M = CatModule.constant(cat, ring, CONTRA)
+        N = M if coeff == "const" else alternative_contravariant(cat, ring)
+        pages, rep = ext_pages(M, N, q_max=3, n_max=2)
+        assert rep.all_match, rep.to_json()
+        fcx = ExtFilteredComplex(M, N, q_max=3)
+        table = chain_oracle(fcx, ext, rep.band)
+        for p in sorted(fcx.chains):
+            fresh = []
+            for chain in fcx.chains[p]:
+                data = ChainGroupData(fcx, chain)
+                fresh.append(ext(data.A, data.B, rep.band))
+                assert table[(p, chain)] == fresh[-1]
+            for row in rep.e1_rows:
+                if row["p"] == p:
+                    total = FPModule(ring, 0)
+                    for groups in fresh:
+                        total = total.direct_sum(groups[row["q"]])
+                    assert row["product_form"] == total.pretty()
+
+    def test_once_per_distinct_key(self, monkeypatch):
+        import cathom.extpages as extpages
+
+        cat = fixture_category("OrS3")
+        M = CatModule.constant(cat, ZZ, CONTRA)
+        N = alternative_contravariant(cat, ZZ)
+        fcx = ExtFilteredComplex(M, N, q_max=3)
+        keys = {ChainGroupData(fcx, chain).key for p in fcx.chains for chain in fcx.chains[p]}
+        n_chains = sum(len(fcx.chains[p]) for p in fcx.chains)
+        assert len(keys) < n_chains
+        calls = []
+        real_ext = extpages.ext
+
+        def counting(A, B, n_max):
+            calls.append(A)
+            return real_ext(A, B, n_max)
+
+        monkeypatch.setattr(extpages, "ext", counting)
+        pages, rep = ext_pages(M, N, q_max=3, n_max=2)
+        assert rep.all_match
+        # one call per distinct chain datum, plus the total-cohomology oracle
+        assert len(calls) == len(keys) + 1
 
 
 class TestCEColumns:
