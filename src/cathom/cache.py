@@ -7,9 +7,11 @@ in every key.  Each resolution entry carries the sha256 of its payload;
 an entry that is not UTF-8 JSON, whose digest does not match, or whose
 payload does not parse as a resolution over the module's category (every
 summand an object, every term index a summand of the level below, every
-morphism one between the right objects) is a miss and is recomputed and
-overwritten.  An entry path that cannot be written, such as a directory,
-is an input error.
+morphism one between the right objects), or whose maps do not form a
+complex over the module (``Resolution.is_complex``: aug . d1 = 0 modulo the
+module's relations and d.d = 0 at every object), is a miss and is
+recomputed and overwritten.  An entry path that cannot be written, such as
+a directory, is an input error.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def cached_free_resolution(M: CatModule, length: int, cache: DiskCache | None) -
     if isinstance(hit, dict) and hit.get("digest") == content_hash(hit.get("resolution")):
         try:
             res = resolution_from_json(M, hit["resolution"])
-            if res.length == length:
+            if res.length == length and res.is_complex():
                 return res
         except (KeyError, TypeError, ValueError, IndexError):
             pass  # an entry that does not parse is a miss

@@ -7,7 +7,9 @@ chain's biset.  This module computes both sides:
 
 * per-chain column homology inside the engine's filtered complex: each
   column restricts the engine's ``spectral.Cell`` to the chain's raw
-  generators, so it is the presentation the pages see, and
+  generators, so it is the presentation the pages see.  A cell is split by
+  chain once, block by block (``spectral.Block.chains``), and every chain
+  of the cell reads its part of that partition, and
 * the group-level Tor via the truncated bar complex (independent route):
   ``ChainGroupData`` builds its two modules as ``CatModule``s over the
   one-object subcategory on the chain's bottom object; the coefficients
@@ -18,11 +20,14 @@ plus the d^1 component maps.  The group-level side runs once per distinct
 chain datum within a call: ``chain_oracle`` keys each chain's data by its
 bottom object and coefficient module, and chains with equal keys share
 one oracle call.  The rows stay per chain, and the engine side is still
-computed per chain.  Components for i >= 1 are biset
-concatenations transported through the explicit chain/biset bijection of
-the nerve; the i = 0 component is the change-of-groups composite, which
-on the free resolution summands evaluates to pushing the bottom leg
-through the module structure (the partial assembly at module level).
+computed per chain.  ``verify_e1`` checks the chain sums against the E^1
+entries read one by one (``spectral.page_entry``) for q up to the band,
+so it builds no other page, no d^0 or d^1 map and no q = q_max row.
+Components for i >= 1 are biset concatenations transported through the
+explicit chain/biset bijection of the nerve; the i = 0 component is the
+change-of-groups composite, which on the free resolution summands
+evaluates to pushing the bottom leg through the module structure (the
+partial assembly at module level).
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .fpmod import FPModule, Subquotient, induced_map
 from .groupbar import group_tor
 from .matrix import Matrix
 from .resolve import PresentedComplex
-from .spectral import Cell, FilteredComplex, build_filtered_complex, spectral_pages
+from .spectral import Cell, FilteredComplex, build_filtered_complex, page_entry
 
 
 class NotLeftFree(Exception):
@@ -169,8 +174,7 @@ def verify_e1(M: CatModule, N: CatModule, q_max: int = 3,
     if fc is None:
         fc = build_filtered_complex(M, N, q_max=q_max + 1)
     band = min(q_max, fc.q_max - 1)
-    pages = spectral_pages(fc, r_max=1)
-    e1 = pages[1]
+    e1_built: dict = {}  # the entry memo of page_entry
     direct_tor = chain_oracle(fc, group_tor, band)
     rows = []
     ring = fc.ring
@@ -194,14 +198,14 @@ def verify_e1(M: CatModule, N: CatModule, q_max: int = 3,
             total = FPModule(ring, 0)
             for chain in fc.chains[p]:
                 total = total.direct_sum(columns[chain].homology(q).module)
-            page_entry = e1.entry(p, q)
+            entry = page_entry(fc, 1, p, q, e1_built).module
             rows.append({
                 "p": p,
                 "chain": "(sum)",
                 "q": q,
-                "engine": page_entry.pretty(),
+                "engine": entry.pretty(),
                 "group_tor": total.pretty(),
-                "match": page_entry == total,
+                "match": entry == total,
             })
     return E1Report(rows, band)
 

@@ -45,7 +45,7 @@ class WModule:
         cat = owner.cat
         one = owner.ring.one
         self.cells: dict[str, Cell] = {
-            s: Cell(cat, owner.M, owner.nerve, p, [s]) for s in cat.objects
+            s: Cell.over(owner.M, owner.nerve, p, s) for s in cat.objects
         }
         anns = {s: self.cells[s].module.anns() for s in cat.objects}
         # contravariant: g: s2 -> s acts W(s) -> W(s2) by alpha-precomposition

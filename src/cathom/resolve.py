@@ -129,26 +129,38 @@ class Resolution:
         ]
         return Matrix.from_columns(self.ring, cols, nrows=Fprev.rank(obj))
 
+    def _maps(self, obj: str) -> list[Matrix]:
+        """[aug, d_1, ..., d_len] at obj."""
+        return [self.eval_aug(obj)] + [self.eval_diff(k, obj) for k in range(1, self.length + 1)]
+
+    def _complex_violations(self, obj: str, maps: list[Matrix]) -> list[str]:
+        out = []
+        for k in range(1, len(maps)):
+            prod = maps[k - 1] @ maps[k]
+            if k == 1:
+                zero = Matrix.zeros(self.ring, prod.rows, prod.cols)
+                if not mats_equal_mod(prod, zero, self.M.anns[obj]):
+                    out.append(f"aug . d1 != 0 at {obj}")
+            elif not prod.is_zero():
+                out.append(f"d{k-1} . d{k} != 0 at {obj}")
+        return out
+
+    def is_complex(self) -> bool:
+        """aug . d1 = 0 modulo M's relations and d_{k-1} . d_k = 0 at every
+        object: the first half of ``verify``, without the exactness."""
+        return not any(self._complex_violations(obj, self._maps(obj))
+                       for obj in self.cat.objects)
+
     def verify(self) -> list[str]:
         """Check d.d = 0 and exactness objectwise below the top level."""
         out = []
         for obj in self.cat.objects:
-            aug = self.eval_aug(obj)
-            manns = self.M.anns[obj]
-            for k in range(1, self.length + 1):
-                d = self.eval_diff(k, obj)
-                if k == 1:
-                    zero = Matrix.zeros(self.ring, aug.rows, d.cols)
-                    if not mats_equal_mod(aug @ d, zero, manns):
-                        out.append(f"aug . d1 != 0 at {obj}")
-                else:
-                    if not (self.eval_diff(k - 1, obj) @ d).is_zero():
-                        out.append(f"d{k-1} . d{k} != 0 at {obj}")
+            maps = self._maps(obj)
+            out.extend(self._complex_violations(obj, maps))
             for k in range(self.length):
-                d_out = aug if k == 0 else self.eval_diff(k, obj)
-                anns_next = manns if k == 0 else []
-                zeros = [0] * d_out.cols
-                if not is_exact(d_out, self.eval_diff(k + 1, obj), zeros, anns_next):
+                anns_next = self.M.anns[obj] if k == 0 else []
+                zeros = [0] * maps[k].cols
+                if not is_exact(maps[k], maps[k + 1], zeros, anns_next):
                     out.append(f"not exact at level {k}, object {obj}")
         return out
 

@@ -288,9 +288,10 @@ def workspace_from_json(d: dict, source: str = "<memory>",
             try:
                 modules[k] = module_from_json(cat, _object(m, f"module {k!r}"))
             except ParseError as e:
+                msg = f"module {k!r}: {e}" if isinstance(m, dict) else str(e)
                 if strict:
-                    raise
-                violations.append(f"module {k!r}: {e}" if isinstance(m, dict) else str(e))
+                    raise ParseError(msg) from None
+                violations.append(msg)
     return Workspace(cat, modules, groups, families, source, digest, violations)
 
 

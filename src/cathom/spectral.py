@@ -11,13 +11,19 @@ Sign convention: horizontal differential = alternating sum of nerve face
 maps; vertical = (-1)^p times the resolution differential.  Degenerate
 faces map to zero (normalized chains).
 
-``Cell`` is the only nerve-tensor cell: M (x)_C D_p(b, -) summed over a
-list of summands b, built by one coequalizer loop.  The homology cells pass
-the summands of Q_q, ``extpages.WModule`` passes one object per cell, and
-``e1data.ChainColumn`` restricts a homology cell to one chain.  All three
-map between cells through ``Cell.map_to``, with the nerve face and the
-alpha-leg precomposition written once each (``face_map``,
-``precompose_map``).
+The filtered complex is a direct sum twice over, and the cells use both
+splits.  A ``Block`` is M (x)_C D_p(b, -) for one object b, in local
+indices: its raw generators, annihilator rows and coequalizer rows, built
+by one coequalizer loop.  ``Cell`` is the only nerve-tensor cell, the join
+of one block per summand b with index offsets.  ``FilteredComplex`` builds
+each (p, b) block once, and its cells over the summands of Q_q share them;
+``extpages.WModule`` builds one single-summand cell per object
+(``Cell.over``).  No coequalizer relation crosses two p-chains, so each
+block splits by chain key in one pass (``Block.chains``), and
+``Cell.restrict``, which ``e1data.ChainColumn`` uses, joins the blocks'
+parts of one chain.  All cells map between each other through
+``Cell.map_to``, with the nerve face and the alpha-leg precomposition
+written once each (``face_map``, ``precompose_map``).
 
 This module is the only page engine.  ``TotalComplex`` holds the total
 complex of a double complex and its column filtration; its class constant
@@ -30,9 +36,12 @@ total (co)homology and E^inf-versus-filtration comparison.  Each cycle
 group is solved once per complex: the ``TotalComplex`` owns their memo
 (``TotalComplex.cycles``), which lives and is freed with it, and the
 pages, the total (co)homology and the filtration comparison all read it.
-A page entry is the ``Subquotient`` of its generators, built once per
-distinct input within one ``spectral_pages`` call, so a page that has
-stabilised shares its entries with the page before.
+``page_entry`` builds one entry E^r_{p,q}, the ``Subquotient`` of its
+generators, once per distinct input in a memo its caller owns;
+``spectral_page`` builds one page, its entries and d^r; ``spectral_pages``
+maps it over r with one memo, so a page that has stabilised shares its
+entries with the page before.  A caller that reads single entries, such as
+``e1data.verify_e1``, calls ``page_entry`` alone.
 ``compare_with_oracle`` is the one comparison of total (co)homology with
 an oracle, the Tor oracle for ``converge_and_compare`` and the Ext oracle
 for ``extpages.ext_pages``.
@@ -383,92 +392,146 @@ class TotalComplex:
 # -- the filtered double complex -------------------------------------------
 
 
-class Cell:
-    """One nerve-tensor cell: M (x)_C D_p(b, -) summed over the summands b.
+class Block:
+    """M (x)_C D_p(b, -) for one summand object b, in local indices.
 
-    Raw generators are (summand index, object d, nerve class, M-generator);
-    the coequalizer relations are the annihilator rows of the raw generators,
-    then, summand by summand, the rows x.M(f) (x) sigma - x (x) f.sigma.
+    ``gens`` are the raw generators (object d, nerve class, M-generator);
+    ``anns`` are their annihilator rows and ``rels`` the coequalizer rows
+    x.M(f) (x) sigma - x (x) f.sigma, both sparse over ``gens``.  A
+    ``Cell`` joins the blocks of its summands; ``chains`` splits a block by
+    chain key, the same three lists for the generators of each chain."""
+
+    def __init__(self, nerve: NerveCache, p: int, b: str, gens: list[tuple],
+                 anns: list[dict], rels: list[dict]):
+        self.nerve = nerve
+        self.p = p
+        self.b = b
+        self.gens = gens
+        self.anns = anns
+        self.rels = rels
+
+    @cached_property
+    def chains(self) -> dict[tuple, "Block"]:
+        """Chain key -> the sub-block on the generators of that chain, its
+        rows in the sub-block's indices.  Every row is checked once: a
+        coequalizer relation must stay inside a chain."""
+        parts: dict[tuple, Block] = {}
+        keys: dict[tuple, tuple] = {}  # (d, cls) -> chain key
+        where = []  # generator -> (its sub-block, its index there)
+        for (d, cls, j) in self.gens:
+            key = keys.get((d, cls))
+            if key is None:
+                key = keys[(d, cls)] = self.nerve(self.p, self.b, d).chain_key(cls)
+            part = parts.get(key)
+            if part is None:
+                part = parts[key] = Block(self.nerve, self.p, self.b, [], [], [])
+            where.append((part, len(part.gens)))
+            part.gens.append((d, cls, j))
+        for rows, field in ((self.anns, "anns"), (self.rels, "rels")):
+            for row in rows:
+                part = where[next(iter(row))][0]
+                out = {}
+                for u, c in row.items():
+                    part_u, k = where[u]
+                    if part_u is not part:
+                        raise AssertionError("coequalizer relation straddles chains")
+                    out[k] = c
+                getattr(part, field).append(out)
+        return parts
+
+
+def _build_block(M: CatModule, nerve: NerveCache, p: int, b: str) -> Block:
+    """The block M (x)_C D_p(b, -), built by one coequalizer loop."""
+    cat = nerve.cat
+    ring = M.ring
+    gens = [
+        (d, cls, j)
+        for d in cat.objects
+        if M.rank(d)
+        for cls in range(nerve(p, b, d).size())
+        for j in range(M.rank(d))
+    ]
+    index = {g: k for k, g in enumerate(gens)}
+    anns = [{k: M.anns[d][j]} for k, (d, cls, j) in enumerate(gens) if M.anns[d][j]]
+    rels: list[dict] = []
+    z = ring.zero
+    for f, (d, dprime) in cat.morphisms.items():
+        # no relation lands where M vanishes
+        if M.rank(dprime) == 0 or (f == cat.id_of(d) and d == dprime):
+            continue
+        Mf = M.act(f)  # M(d') -> M(d)
+        cell_d = nerve(p, b, d)
+        cell_dp = nerve(p, b, dprime)
+        for cls in range(cell_d.size()):
+            alpha, phis, beta = cell_d.classes[cls]
+            cls2 = cell_dp.class_of((alpha, phis, cat.compose(f, beta)))
+            for j in range(M.rank(dprime)):
+                row: dict = {}
+                for a, c in Mf.vecs[j].items():
+                    u = index[(d, cls, a)]
+                    row[u] = ring.add(row.get(u, z), c)
+                v = index[(dprime, cls2, j)]
+                row[v] = ring.sub(row.get(v, z), ring.one)
+                if row:
+                    rels.append(row)
+    return Block(nerve, p, b, gens, anns, rels)
+
+
+class Cell:
+    """One nerve-tensor cell: M (x)_C D_p(b, -) summed over the summands b,
+    the join of one ``Block`` per summand.
+
+    Raw generators are (summand index, object d, nerve class, M-generator),
+    the blocks' generators in summand order; the coequalizer relations
+    (``rows``) are the annihilator rows of every summand, then, summand by
+    summand, its relation rows, each shifted by its block's offset.
     ``map_to`` carries a map of raw generators to the canonical generators of
     another cell; ``face_map`` and ``precompose_map`` are the two raw maps
     every page is built from."""
 
-    def __init__(self, cat: FiniteCategory, M: CatModule, nerve: NerveCache,
-                 p: int, summands: list[str]):
-        self.cat = cat
-        self.ring = ring = M.ring
+    def __init__(self, ring: Ring, nerve: NerveCache, p: int, blocks: list[Block]):
+        self.cat = nerve.cat
+        self.ring = ring
         self.nerve = nerve
         self.p = p
-        self.summands = summands
-        raw_gens = [
-            (i, d, cls, j)
-            for i, b in enumerate(summands)
-            for d in cat.objects
-            if M.rank(d)
-            for cls in range(nerve(p, b, d).size())
-            for j in range(M.rank(d))
-        ]
-        index = {g: k for k, g in enumerate(raw_gens)}
-        rows: list[dict] = [
-            {k: M.anns[d][j]} for k, (i, d, cls, j) in enumerate(raw_gens) if M.anns[d][j]
-        ]
-        z = ring.zero
-        for i, b in enumerate(summands):
-            for f, (d, dprime) in cat.morphisms.items():
-                # no relation lands where M vanishes
-                if M.rank(dprime) == 0 or (f == cat.id_of(d) and d == dprime):
-                    continue
-                Mf = M.act(f)  # M(d') -> M(d)
-                cell_d = nerve(p, b, d)
-                cell_dp = nerve(p, b, dprime)
-                for cls in range(cell_d.size()):
-                    alpha, phis, beta = cell_d.classes[cls]
-                    cls2 = cell_dp.class_of((alpha, phis, cat.compose(f, beta)))
-                    for j in range(M.rank(dprime)):
-                        row: dict = {}
-                        for a, c in Mf.vecs[j].items():
-                            u = index[(i, d, cls, a)]
-                            row[u] = ring.add(row.get(u, z), c)
-                        v = index[(i, dprime, cls2, j)]
-                        row[v] = ring.sub(row.get(v, z), ring.one)
-                        if row:
-                            rows.append(row)
-        self._settle(raw_gens, index, rows)
-
-    def _settle(self, raw_gens: list[tuple], raw_index: dict, rows: list[dict]) -> None:
-        self.raw_gens = raw_gens
-        self.raw_index = raw_index
-        self.rows = rows  # coequalizer relations, sparse over raw generators
-        self.quot = MergedQuotient(self.ring, len(raw_gens), rows)
+        self.blocks = blocks
+        self.summands = [blk.b for blk in blocks]
+        self.raw_gens = [(i, *g) for i, blk in enumerate(blocks) for g in blk.gens]
+        self.raw_index = {g: k for k, g in enumerate(self.raw_gens)}
+        self.quot = MergedQuotient(ring, len(self.raw_gens), self.rows)
         self.module = self.quot.module
+
+    @classmethod
+    def over(cls, M: CatModule, nerve: NerveCache, p: int, b: str) -> "Cell":
+        """The cell over the single summand b: its one block."""
+        return cls(M.ring, nerve, p, [_build_block(M, nerve, p, b)])
+
+    @property
+    def rows(self) -> list[dict]:
+        """The coequalizer relations, sparse over the raw generators."""
+        offsets = []
+        total = 0
+        for blk in self.blocks:
+            offsets.append(total)
+            total += len(blk.gens)
+        return [
+            row if off == 0 else {u + off: c for u, c in row.items()}
+            for field in ("anns", "rels")
+            for off, blk in zip(offsets, self.blocks)
+            for row in getattr(blk, field)
+        ]
 
     @property
     def dim(self) -> int:
         return self.module.n_gens
 
-    @cached_property
-    def chain_keys(self) -> list[tuple]:
-        """Per raw generator: the iso classes of its diagram's objects."""
-        return [self.nerve(self.p, self.summands[i], d).chain_key(cls)
-                for (i, d, cls, j) in self.raw_gens]
-
     def restrict(self, chain_key: tuple) -> "Cell":
-        """The sub-cell on the raw generators of one chain; every
-        coequalizer relation must stay inside a chain."""
-        gens = [g for g, k in zip(self.raw_gens, self.chain_keys) if k == chain_key]
-        index = {g: k for k, g in enumerate(gens)}
-        rows = []
-        for row in self.rows:
-            touched = [self.raw_gens[u] for u in row]
-            if any(t in index for t in touched):
-                if not all(t in index for t in touched):
-                    raise AssertionError("coequalizer relation straddles chains")
-                rows.append({index[self.raw_gens[u]]: c for u, c in row.items()})
-        sub = Cell.__new__(Cell)
-        sub.cat, sub.ring, sub.nerve, sub.p = self.cat, self.ring, self.nerve, self.p
-        sub.summands = self.summands
-        sub._settle(gens, index, rows)
-        return sub
+        """The sub-cell on the raw generators of one chain: the join of the
+        blocks' parts of that chain."""
+        return Cell(self.ring, self.nerve, self.p, [
+            blk.chains.get(chain_key) or Block(self.nerve, self.p, blk.b, [], [], [])
+            for blk in self.blocks
+        ])
 
     def map_to(self, dst: "Cell", raw_fn) -> Matrix:
         """The matrix, on canonical generators, of the map that sends each
@@ -543,8 +606,18 @@ class FilteredComplex(TotalComplex):
             raise VarianceMismatch("M and N live over different categories")
         super().__init__(M, N, p_max, q_max)
         self.Q: Resolution = Q if Q is not None else free_resolution(N, q_max)
+        # each (p, b) block is built once; the cells share them
+        blocks: dict[tuple[int, str], Block] = {}
+
+        def block(p: int, b: str) -> Block:
+            out = blocks.get((p, b))
+            if out is None:
+                out = blocks[(p, b)] = _build_block(M, self.nerve, p, b)
+            return out
+
         self.cells: dict[tuple[int, int], Cell] = {
-            (p, q): Cell(self.cat, M, self.nerve, p, self.Q.levels[q].summands)
+            (p, q): Cell(self.ring, self.nerve, p,
+                         [block(p, b) for b in self.Q.levels[q].summands])
             for q in range(q_max + 1)
             for p in range(self.p_max + 1)
         }
@@ -624,60 +697,67 @@ def _ann_gen_cols(fc: TotalComplex, n: int, p: int) -> list[dict]:
     return [{c: anns[c]} for c in fc.filtration_cols(n, p) if anns[c]]
 
 
-def spectral_pages(fc: TotalComplex, r_max: int | None = None) -> list[Page]:
-    """E^0 .. E^{r_max}; pages stabilize once r exceeds the column range.
+def page_entry(fc: TotalComplex, r: int, p: int, q: int, built: dict) -> Subquotient:
+    """E^r_{p,q} = Z(r, p, q) / (Z(max(r-1, 0), p-s, q+s) + D Z(r-1, p+s(r-1),
+    q-s(r-2)) + relations), with s = fc.step and the D term for r >= 1 only.
 
-    With s = fc.step, E^r_{p,q} = Z(r, p, q) / (Z(max(r-1, 0), p-s, q+s)
-    + D Z(r-1, p+s(r-1), q-s(r-2)) + relations), the D term for r >= 1 only,
-    and d^r runs from (p, q) to (p-sr, q+s(r-1))."""
-    ring = fc.ring
+    ``built`` is the caller's memo: one Subquotient per distinct input.  The
+    cycle groups are one object per distinct group, so (Z, Z_prev, Z_src) by
+    identity name them; the annihilator generators are the first (step +1)
+    or last (step -1) of their degree, so their number names them."""
     s = fc.step
-    r_stab = fc.p_max + 1
-    r_top = r_stab if r_max is None else min(r_max, r_stab)
-    grid = [(p, q) for p in range(fc.p_max + 1) for q in range(fc.q_max + 1)]
-    # one Subquotient per distinct input.  The cycle groups are one object
-    # per distinct group, so (Z, Z_prev, Z_src) by identity name them; the
-    # annihilator generators are the first (step +1) or last (step -1) of
-    # their degree, so their number names them
-    built: dict[tuple, Subquotient] = {}
+    n = p + q
 
     def Z(r, p, q):
         # the group {x in F_p T_{p+q} : D x in F_{p-sr}}
         return fc.cycles(p + q, p, p - s * r)
 
-    pages = []
-    for r in range(r_top + 1):
-        page = Page(r, {}, {}, r >= r_stab, s)
-        for (p, q) in grid:
-            n = p + q
-            zr, zprev = Z(r, p, q), Z(max(r - 1, 0), p - s, q + s)
-            zsrc = Z(r - 1, p + s * (r - 1), q - s * (r - 2)) if r >= 1 else None
-            if zsrc is not None and not zsrc.cols:
-                zsrc = None
-            anns = _ann_gen_cols(fc, n, p)
-            key = (n, id(zr), id(zprev), id(zsrc), len(anns))
-            entry = built.get(key)
-            if entry is None:
-                total = fc.total_dim(n)
-                b_cols = list(zprev.vecs)
-                if zsrc is not None:
-                    Dsrc = fc.total_diff(n + s)
-                    b_cols.extend(Dsrc.apply(vec) for vec in zsrc.vecs)
-                b_cols.extend(anns)
-                gens_B = Matrix.from_columns(ring, b_cols, nrows=total)
-                entry = built[key] = Subquotient(ring, total, zr, gens_B)
-            page.entries[(p, q)] = entry
-        for (p, q) in grid:
-            src = page.entries[(p, q)]
-            tgt = page.target(p, q)
-            if tgt not in page.entries or src.module.n_gens == 0:
-                continue
-            dst = page.entries[tgt]
-            if dst.module.n_gens == 0:
-                continue
-            page.diffs[(p, q)] = induced_map(src, dst, fc.total_diff(p + q))
-        pages.append(page)
-    return pages
+    zr, zprev = Z(r, p, q), Z(max(r - 1, 0), p - s, q + s)
+    zsrc = Z(r - 1, p + s * (r - 1), q - s * (r - 2)) if r >= 1 else None
+    if zsrc is not None and not zsrc.cols:
+        zsrc = None
+    anns = _ann_gen_cols(fc, n, p)
+    key = (n, id(zr), id(zprev), id(zsrc), len(anns))
+    entry = built.get(key)
+    if entry is None:
+        total = fc.total_dim(n)
+        b_cols = list(zprev.vecs)
+        if zsrc is not None:
+            Dsrc = fc.total_diff(n + s)
+            b_cols.extend(Dsrc.apply(vec) for vec in zsrc.vecs)
+        b_cols.extend(anns)
+        gens_B = Matrix.from_columns(fc.ring, b_cols, nrows=total)
+        entry = built[key] = Subquotient(fc.ring, total, zr, gens_B)
+    return entry
+
+
+def spectral_page(fc: TotalComplex, r: int, built: dict) -> Page:
+    """E^r: every entry (``page_entry`` with the memo ``built``) and d^r,
+    which runs from (p, q) to (p-sr, q+s(r-1))."""
+    grid = [(p, q) for p in range(fc.p_max + 1) for q in range(fc.q_max + 1)]
+    page = Page(r, {}, {}, r >= fc.p_max + 1, fc.step)
+    for (p, q) in grid:
+        page.entries[(p, q)] = page_entry(fc, r, p, q, built)
+    for (p, q) in grid:
+        src = page.entries[(p, q)]
+        tgt = page.target(p, q)
+        if tgt not in page.entries or src.module.n_gens == 0:
+            continue
+        dst = page.entries[tgt]
+        if dst.module.n_gens == 0:
+            continue
+        page.diffs[(p, q)] = induced_map(src, dst, fc.total_diff(p + q))
+    return page
+
+
+def spectral_pages(fc: TotalComplex, r_max: int | None = None) -> list[Page]:
+    """E^0 .. E^{r_max}; pages stabilize once r exceeds the column range.
+    The pages share one entry memo, so a page that has stabilised shares
+    its entries with the page before."""
+    r_stab = fc.p_max + 1
+    r_top = r_stab if r_max is None else min(r_max, r_stab)
+    built: dict[tuple, Subquotient] = {}
+    return [spectral_page(fc, r, built) for r in range(r_top + 1)]
 
 
 # -- convergence -------------------------------------------------------------
@@ -815,8 +895,7 @@ def two_column_les(M: CatModule, N: CatModule, n_max: int = 3,
         )
     ring = fc.ring
     band = min(fc.certified_band(), n_max)
-    pages = spectral_pages(fc, r_max=1)
-    e1 = pages[1]
+    e1 = spectral_page(fc, 1, {})
 
     zero_entry = Subquotient(ring, 0, Matrix.zeros(ring, 0, 0), Matrix.zeros(ring, 0, 0))
 

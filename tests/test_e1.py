@@ -1,5 +1,6 @@
 import pytest
 
+from cathom import e1data
 from cathom.catmod import CatModule, CO, CONTRA
 from cathom.e1data import (
     ChainGroupData,
@@ -367,6 +368,44 @@ class TestColumnHomologyOnce:
                     for comp in d1_components(fc, p, chain, q, tables, cols):
                         d1_face_block(fc, p, chain, comp["i"], q, cols)
         assert len(column_homology_calls) == 2 * len(cols)
+
+
+class TestE1EntryByEntry:
+    """verify_e1 reads the E^1 entries it compares and nothing else: no
+    pages, no E^0 entry, no d^0 or d^1 map and no q = q_max row."""
+
+    @pytest.mark.parametrize("pair", [("const", "const"), ("alt", "aug")])
+    def test_reads_only_e1_entries(self, monkeypatch, pair):
+        import cathom.spectral as spectral
+
+        cat = fixture_category("OrS3")
+        Ms, Ns = fixture_modules(cat, ZZ)
+        M, N = Ms[pair[0]], Ns[pair[1]]
+        fc = build_filtered_complex(M, N, q_max=4)
+        calls = {"spectral_pages": 0, "spectral_page": 0, "induced_map": 0}
+        read = []
+        real_entry = spectral.page_entry
+
+        def counter(name):
+            real = getattr(spectral, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return counting
+
+        def entry(fc, r, p, q, built):
+            read.append((r, p, q))
+            return real_entry(fc, r, p, q, built)
+
+        for name in calls:
+            monkeypatch.setattr(spectral, name, counter(name))
+        monkeypatch.setattr(spectral, "page_entry", entry)
+        monkeypatch.setattr(e1data, "page_entry", entry)
+        rep = verify_e1(M, N, 3, fc=fc)
+        assert rep.all_match
+        assert calls == {"spectral_pages": 0, "spectral_page": 0, "induced_map": 0}
+        assert sorted(read) == [(1, p, q) for p in sorted(fc.chains) for q in range(4)]
 
 
 class TestD1Components:

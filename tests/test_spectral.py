@@ -1,17 +1,21 @@
 import pytest
 
 from cathom.catmod import CatModule, CO, CONTRA
-from cathom.fixtures import fixture_category, fixture_modules, group_category
+from cathom.fixtures import FIXTURE_NAMES, fixture_category, fixture_modules, group_category
 from cathom.fpmod import FPModule, presented_homology
 from cathom.groups import FiniteGroup, orbit_category
 from cathom.matrix import Matrix
 from cathom.resolve import tor
 from cathom.rings import GF, QQ, ZZ
 from cathom.spectral import (
+    Cell,
+    MergedQuotient,
     NotTwoColumn,
     build_filtered_complex,
     build_nerve_complex,
     converge_and_compare,
+    page_entry,
+    spectral_page,
     spectral_pages,
     total_homology,
     two_column_les,
@@ -312,3 +316,162 @@ class TestTwoColumnLES:
         M, N = constants(cat)
         rep = two_column_les(M, N, 3)
         assert rep.all_exact
+
+
+# -- cells from blocks -------------------------------------------------------
+
+
+def _d8():
+    return FiniteGroup.from_permutations([[(0, 1, 2, 3)], [(0, 2)]], 4, name="D8")
+
+
+BLOCK_CATEGORIES = [*FIXTURE_NAMES, "Or(Z2xZ4)", "Or(D8)"]
+
+
+def _block_category(name):
+    if name == "Or(Z2xZ4)":
+        return orbit_category(FiniteGroup.direct_product(FiniteGroup.cyclic(2),
+                                                         FiniteGroup.cyclic(4)))
+    if name == "Or(D8)":
+        return orbit_category(_d8())
+    return fixture_category(name)
+
+
+def reference_cell(cat, M, nerve, p, summands):
+    """(raw generators, rows) of M (x)_C D_p(b, -) summed over the
+    summands, built directly over the whole cell by one coequalizer loop."""
+    ring = M.ring
+    gens = [(i, d, cls, j) for i, b in enumerate(summands) for d in cat.objects if M.rank(d)
+            for cls in range(nerve(p, b, d).size()) for j in range(M.rank(d))]
+    index = {g: k for k, g in enumerate(gens)}
+    rows = [{k: M.anns[d][j]} for k, (i, d, cls, j) in enumerate(gens) if M.anns[d][j]]
+    for i, b in enumerate(summands):
+        for f, (d, dprime) in cat.morphisms.items():
+            if M.rank(dprime) == 0 or (f == cat.id_of(d) and d == dprime):
+                continue
+            for cls in range(nerve(p, b, d).size()):
+                alpha, phis, beta = nerve(p, b, d).classes[cls]
+                cls2 = nerve(p, b, dprime).class_of((alpha, phis, cat.compose(f, beta)))
+                for j in range(M.rank(dprime)):
+                    row = {}
+                    for a, c in M.act(f).vecs[j].items():
+                        u = index[(i, d, cls, a)]
+                        row[u] = ring.add(row.get(u, ring.zero), c)
+                    v = index[(i, dprime, cls2, j)]
+                    row[v] = ring.sub(row.get(v, ring.zero), ring.one)
+                    rows.append(row)
+    return gens, rows
+
+
+def reference_restrict(cell, gens, rows, key):
+    """(raw generators, rows) of the chain's sub-cell, by scanning every
+    row of the whole cell."""
+    keys = [cell.nerve(cell.p, cell.summands[i], d).chain_key(cls) for (i, d, cls, j) in gens]
+    sub = [g for g, k in zip(gens, keys) if k == key]
+    index = {g: k for k, g in enumerate(sub)}
+    out = []
+    for row in rows:
+        touched = [gens[u] in index for u in row]
+        if any(touched):
+            assert all(touched)
+            out.append({index[gens[u]]: c for u, c in row.items()})
+    return sub, out
+
+
+def _same_cell(cell, gens, rows):
+    """The cell has these raw generators and rows, row order and entry
+    order included, and the quotient they present."""
+    ring = cell.ring
+    assert cell.raw_gens == gens
+    assert [list(row.items()) for row in cell.rows] == [list(row.items()) for row in rows]
+    ref = MergedQuotient(ring, len(gens), rows)
+    assert cell.module == ref.module
+    for u in range(len(gens)):
+        assert cell.quot.project_raw({u: ring.one}) == ref.project_raw({u: ring.one})
+    for j in range(cell.dim):
+        assert cell.quot.lift(j) == ref.lift(j)
+
+
+class TestCellBlocks:
+    """Cells joined from per-(p, object) blocks, and their chain sub-cells,
+    equal the cells built directly over all their summands."""
+
+    @pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=["Z", "F2"])
+    @pytest.mark.parametrize("coeff", ["const", "alt"])
+    @pytest.mark.parametrize("name", BLOCK_CATEGORIES)
+    def test_cells_and_restrictions_match_a_direct_build(self, name, coeff, ring):
+        cat = _block_category(name)
+        Ms, Ns = fixture_modules(cat, ring)
+        self._check(cat, Ms[coeff], Ns["aug"])
+
+    @pytest.mark.parametrize("name", BLOCK_CATEGORIES)
+    def test_torsion_coefficients(self, name):
+        # constant Z/3: every raw generator has an annihilator row, so the
+        # rows of a cell with several summands interleave two kinds
+        cat = _block_category(name)
+        M = CatModule.from_presentations(
+            cat, CONTRA, ZZ, {c: (1, [[3]]) for c in cat.objects},
+            {f: Matrix.identity(ZZ, 1) for f in cat.morphisms})
+        self._check(cat, M, fixture_modules(cat, ZZ)[1]["aug"])
+
+    @staticmethod
+    def _check(cat, M, N):
+        fc = build_filtered_complex(M, N, q_max=2)
+        for (p, q), cell in fc.cells.items():
+            gens, rows = reference_cell(cat, M, fc.nerve, p, fc.Q.levels[q].summands)
+            _same_cell(cell, gens, rows)
+            keys = {cell.nerve(p, cell.summands[i], d).chain_key(cls)
+                    for (i, d, cls, j) in gens}
+            for key in sorted(keys) + [(-1,)]:
+                _same_cell(cell.restrict(key), *reference_restrict(cell, gens, rows, key))
+        # the single-summand cells of the cohomology row complex
+        for p in range(fc.p_max + 1):
+            for s in cat.objects:
+                _same_cell(Cell.over(M, fc.nerve, p, s),
+                           *reference_cell(cat, M, fc.nerve, p, [s]))
+
+    def test_each_block_built_once_per_complex(self):
+        cat = fixture_category("OrS3")
+        Ms, Ns = fixture_modules(cat, ZZ)
+        fcs = [build_filtered_complex(Ms[m], Ns["aug"], q_max=3) for m in ("const", "alt")]
+        blocks = []
+        for fc in fcs:
+            mine = {id(blk): blk for cell in fc.cells.values() for blk in cell.blocks}
+            # one block per (p, b), shared by every cell with b as a summand
+            assert len({(blk.p, blk.b) for blk in mine.values()}) == len(mine)
+            blocks.append(set(mine))
+        # two complexes with different M share no block
+        assert not blocks[0] & blocks[1]
+
+    def test_straddling_relation_raises(self):
+        cat = fixture_category("OrZ4")
+        Ms, Ns = fixture_modules(cat, ZZ)
+        fc = build_filtered_complex(Ms["const"], Ns["const"], q_max=2)
+        cell = fc.cells[(1, 0)]
+        blk = cell.blocks[0]
+        keys = [fc.nerve(blk.p, blk.b, d).chain_key(cls) for (d, cls, j) in blk.gens]
+        u, v = 0, next(k for k, key in enumerate(keys) if key != keys[0])
+        blk.rels.append({u: ZZ.one, v: ZZ.neg(ZZ.one)})
+        with pytest.raises(AssertionError, match="straddles chains"):
+            cell.restrict(keys[0])
+
+
+class TestPageEntries:
+    """E^r_{p,q} read entry by entry equals the entry of the full pages."""
+
+    @pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=["Z", "F2"])
+    @pytest.mark.parametrize("name", ["OrZ4", "OrV4", "OrS3"])
+    def test_entry_equals_page_entry(self, name, ring):
+        cat = fixture_category(name)
+        Ms, Ns = fixture_modules(cat, ring)
+        fc = build_filtered_complex(Ms["alt"], Ns["aug"], q_max=3)
+        pages = spectral_pages(fc)
+        fresh = build_filtered_complex(Ms["alt"], Ns["aug"], q_max=3)
+        built = {}
+        for page in reversed(pages):
+            for (p, q), want in page.entries.items():
+                got = page_entry(fresh, page.r, p, q, built)
+                assert got.ambient == want.ambient
+                assert got.module == want.module
+                assert got.lifts() == want.lifts()
+        assert spectral_page(fresh, 1, {}).to_json() == pages[1].to_json()
