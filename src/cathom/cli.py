@@ -290,14 +290,16 @@ def cmd_assembly(args):
     if N.variance != CO:
         raise ParseError("assembly needs a covariant coefficient module")
     objs = args.objects.split(",")
-    for o in objs:
+    for k, o in enumerate(objs):
         if o not in ws.category.obj_index:
             raise ParseError(f"object {o!r} not in the category")
+        if o in objs[:k]:
+            raise ParseError(f"object {o!r} given twice in --objects")
     sub, inc = full_subcategory(ws.category, objs)
     res = assembly_tor(inc, N, args.nmax)
     doc = {
         "bundle_hash": ws.digest,
-        "subcategory": objs,
+        "subcategory": sub.objects,
         "N": args.module_n,
         "maps": [
             {"q": q, "source": res.source[q].pretty(),

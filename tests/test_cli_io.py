@@ -43,6 +43,15 @@ def orz2_bundle(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def ors3_bundle(tmp_path):
+    cat = fixture_category("OrS3")
+    doc = bundle_to_json(cat, modules={"Nconst": fixture_modules(cat, ZZ)[1]["const"]})
+    path = tmp_path / "ors3.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestRoundTrips:
     @pytest.mark.parametrize("name", ["point", "arrow", "OrZ2", "OrZ4"])
     def test_category_round_trip(self, name):
@@ -449,6 +458,28 @@ class TestCLI:
         doc = json.loads(out.read_text())
         assert doc["maps"][0]["iso"] is True
         assert doc["maps"][1]["iso"] is False
+
+    @pytest.mark.parametrize("objects", ["G/H0,G/H0", "G/H1,G/H3,G/H1"])
+    def test_assembly_repeated_object_exit_4(self, ors3_bundle, objects, tmp_path, capsys):
+        out = tmp_path / "asm.json"
+        rc = main(["assembly", ors3_bundle, "-N", "Nconst", "--objects", objects,
+                   "--nmax", "1", "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("INPUT ERROR: ") and err.count("\n") == 1
+        assert "given twice" in err
+        assert not out.exists()
+
+    def test_assembly_names_the_subcategory_in_category_order(self, ors3_bundle, tmp_path):
+        docs = []
+        for k, objects in enumerate(["G/H1,G/H3", "G/H3,G/H1"]):
+            out = tmp_path / f"asm{k}.json"
+            rc = main(["assembly", ors3_bundle, "-N", "Nconst", "--objects", objects,
+                       "--nmax", "1", "--out", str(out)])
+            assert rc == 0
+            docs.append(out.read_bytes())
+        assert docs[0] == docs[1]
+        assert json.loads(docs[0])["subcategory"] == ["G/H1", "G/H3"]
 
     def test_ext_command(self, orz2_bundle, tmp_path):
         out = tmp_path / "ext.json"

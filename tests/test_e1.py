@@ -1,3 +1,6 @@
+from itertools import product
+from math import gcd
+
 import pytest
 
 from cathom import e1data
@@ -14,13 +17,81 @@ from cathom.e1data import (
 )
 from cathom.fixtures import FIXTURE_NAMES, fixture_category, fixture_modules
 from cathom.fpmod import FPModule
-from cathom.groupbar import bar_complex, group_tor
-from cathom.groups import FiniteGroup, group_category
+from cathom.groupbar import bar_complex, generators_and_splits, group_tor
+from cathom.groups import FiniteGroup, group_category, group_from_aut
 from cathom.matrix import Matrix
 from cathom import resolve
 from cathom.resolve import free_resolution, hom_complex, tensor_complex
 from cathom.rings import GF, QQ, ZZ
 from cathom.spectral import build_filtered_complex
+
+
+def normalized_bar(A: CatModule, B: CatModule, top: int) -> resolve.PresentedComplex:
+    """The plain normalized two-sided bar complex up to level ``top``, with
+    (|G|-1)^q group tuples at level q: the reference the Morse-reduced
+    ``bar_complex`` is checked against.  Cells (i, t, j) are ordered
+    lexicographically."""
+    (obj,) = A.cat.objects
+    G, elems = group_from_aut(A.cat, obj)
+    ring = A.ring
+    a_anns, b_anns = A.anns[obj], B.anns[obj]
+    a_act = [A.act(g) for g in elems]
+    b_act = [B.act(g) for g in elems]
+    anns = []
+    gens_per_level = []
+    for q in range(top + 1):
+        # q-tuples of non-identity elements (the identity is element 0)
+        tuples = list(product(range(1, G.n), repeat=q))
+        gens = [(i, t, j) for i in range(len(a_anns)) for t in tuples
+                for j in range(len(b_anns))]
+        gens_per_level.append(gens)
+        if ring.is_field:
+            anns.append([ring.zero] * len(gens))
+        else:
+            anns.append([gcd(a_anns[i], b_anns[j]) for (i, t, j) in gens])
+    diffs = []
+    z = ring.zero
+    p = ring.p if ring.kind == "Fp" else 0
+    for q in range(1, top + 1):
+        tgt_index = {g: k for k, g in enumerate(gens_per_level[q - 1])}
+        cols = []
+        for (i, t, j) in gens_per_level[q]:
+            col: dict = {}
+            # a.g1 (x) rest
+            for r, c in a_act[t[0]].vecs[i].items():
+                row = tgt_index[(r, t[1:], j)]
+                col[row] = col.get(row, z) + c
+            # interior multiplications
+            sign = 1
+            for k in range(q - 1):
+                sign = -sign
+                g = G.mul(t[k], t[k + 1])
+                if g == G.e:
+                    continue  # a degenerate face, zero in the normalized complex
+                merged = t[:k] + (g,) + t[k + 2 :]
+                row = tgt_index[(i, merged, j)]
+                col[row] = col.get(row, z) + sign
+            # last (x) g_q . b
+            sign = -sign
+            for r, c in b_act[t[-1]].vecs[j].items():
+                row = tgt_index[(i, t[:-1], r)]
+                col[row] = col.get(row, z) + sign * c
+            if p:
+                cols.append({row: x for row, x in ((row, x % p) for row, x in col.items()) if x})
+            else:
+                cols.append({row: x for row, x in col.items() if x})
+        diffs.append(Matrix.from_columns(ring, cols, len(gens_per_level[q - 1])))
+    return resolve.PresentedComplex(ring, anns, diffs, 1)
+
+
+def critical_counts(BG, top: int) -> list[int]:
+    """Critical cells per (i, j) of the bar complex over BG at levels
+    0..top, for top >= 1: 1, |X|, then (|X||G| - (|G|-1)) (|G|-1)^(q-2)."""
+    G, _ = group_from_aut(BG, "*")
+    X, _ = generators_and_splits(G)
+    n = G.n
+    return [1, len(X), *((len(X) * n - (n - 1)) * (n - 1) ** (q - 2)
+                         for q in range(2, top + 1))]
 
 
 class TestGroupBar:
@@ -61,9 +132,12 @@ class TestGroupBar:
         B = CatModule.constant(BG, ring, CO)
         bar = group_tor(A, B, 3)
         assert bar == resolve.tor(A, B, 3)
-        cx = bar_complex(A, B, 4)
-        assert [len(a) for a in cx.anns] == [
-            A.rank("*") * B.rank("*") * (G.n - 1) ** q for q in range(5)
+        ranks = A.rank("*") * B.rank("*")
+        assert [len(a) for a in normalized_bar(A, B, 4).anns] == [
+            ranks * (G.n - 1) ** q for q in range(5)
+        ]
+        assert [len(a) for a in bar_complex(A, B, 4).anns] == [
+            ranks * c for c in critical_counts(BG, 4)
         ]
 
 
@@ -80,6 +154,118 @@ GROUPS = {"C2": lambda: FiniteGroup.cyclic(2), "C3": lambda: FiniteGroup.cyclic(
           "C4": lambda: FiniteGroup.cyclic(4), "S3": lambda: FiniteGroup.symmetric(3)}
 
 
+MORSE_GROUPS = {
+    **GROUPS,
+    "D8": lambda: FiniteGroup.from_permutations([[(0, 1, 2, 3)], [(0, 2)]], 4, name="D8"),
+    "Z2xZ4": lambda: FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)),
+}
+
+
+def bar_modules(ring, G, BG, modules):
+    """(A, B) for the bar complex: constant modules, with R[G] on the
+    left ("regular-left", B) or on the right ("regular-right", A)."""
+    A = (regular_group_module(ring, G, BG, CONTRA) if modules == "regular-right"
+         else CatModule.constant(BG, ring, CONTRA))
+    B = (regular_group_module(ring, G, BG, CO) if modules == "regular-left"
+         else CatModule.constant(BG, ring, CO))
+    return A, B
+
+
+class TestMorseBar:
+    """``bar_complex`` is the Morse reduction of ``normalized_bar`` along
+    the matching [h | rest] <-> [x(h) | y(h) | rest]."""
+
+    @pytest.mark.parametrize("group", sorted(MORSE_GROUPS))
+    @pytest.mark.parametrize("ring", [ZZ, GF(2), GF(3), QQ], ids=str)
+    @pytest.mark.parametrize("modules", ["trivial", "regular-left", "regular-right"])
+    def test_same_homology_as_the_plain_complex(self, group, ring, modules):
+        G = MORSE_GROUPS[group]()
+        BG = group_category(G)
+        A, B = bar_modules(ring, G, BG, modules)
+        top = 3
+        want = [normalized_bar(A, B, top).homology(q) for q in range(top)]
+        assert [bar_complex(A, B, top).homology(q) for q in range(top)] == want
+        assert group_tor(A, B, top - 1) == want
+
+    @pytest.mark.parametrize("group", sorted(MORSE_GROUPS))
+    @pytest.mark.parametrize("torsion", [(4, 0), (0, 6), (4, 6)], ids=["Z/4-Z", "Z-Z/6", "Z/4-Z/6"])
+    def test_torsion_coefficients(self, group, torsion):
+        # trivial actions on Z/4 or Z/6; the levels carry annihilators, so
+        # the types come from witnesses
+        BG = group_category(MORSE_GROUPS[group]())
+        identities = {f: Matrix.identity(ZZ, 1) for f in BG.morphisms}
+        A = CatModule(BG, CONTRA, ZZ, {"*": [torsion[0]]}, identities)
+        B = CatModule(BG, CO, ZZ, {"*": [torsion[1]]}, identities)
+        top = 3
+        want = [normalized_bar(A, B, top).homology(q) for q in range(top)]
+        assert [bar_complex(A, B, top).homology(q) for q in range(top)] == want
+        if 0 in torsion:  # otherwise the bar complex is no resolution
+            assert group_tor(A, B, top - 1) == want
+
+    @pytest.mark.parametrize("group", sorted(MORSE_GROUPS))
+    @pytest.mark.parametrize("modules", ["trivial", "regular-right"])
+    def test_matching_invariants(self, group, modules):
+        G0 = MORSE_GROUPS[group]()
+        BG = group_category(G0)
+        A, B = bar_modules(ZZ, G0, BG, modules)
+        G, _ = group_from_aut(BG, "*")  # the element order bar_complex uses
+        X, split = generators_and_splits(G)
+        assert all(x not in G.subgroup_closure(X[:k]) for k, x in enumerate(X))
+        assert G.subgroup_closure(X) == frozenset(range(G.n))
+        assert all(g in G.subgroup_closure([x for x in X if x < g]) for g in range(G.n)
+                   if g not in X)
+        length = {G.e: 0}  # word length under left multiplication by X
+        queue = [G.e]
+        for y in queue:
+            for x in X:
+                if G.mul(x, y) not in length:
+                    length[G.mul(x, y)] = length[y] + 1
+                    queue.append(G.mul(x, y))
+        assert sorted(split) == sorted(h for h in length if length[h] >= 2)
+        for h, (x, y) in split.items():
+            assert x in X and G.mul(x, y) == h and length[y] == length[h] - 1
+
+        top = 3
+        nA, nB = A.rank("*"), B.rank("*")
+        cells = [[(i, t, j) for i in range(nA) for t in product(range(1, G.n), repeat=q)
+                  for j in range(nB)] for q in range(top + 1)]
+        index = [{c: k for k, c in enumerate(level)} for level in cells]
+
+        def kind(t):
+            if t and length[t[0]] >= 2:
+                return "lower"
+            if len(t) >= 2 and split.get(G.mul(t[0], t[1])) == t[:2]:
+                return "upper"
+            return "critical"
+
+        ref = normalized_bar(A, B, top)
+        reduced = bar_complex(A, B, top)
+        counts = critical_counts(BG, top)
+        for q in range(top + 1):
+            kinds = [kind(t) for (i, t, j) in cells[q]]
+            assert kinds.count("critical") == nA * nB * counts[q] == len(reduced.anns[q])
+            if q == top:
+                continue
+            uppers = {c for c in cells[q + 1] if kind(c[1]) == "upper"}
+            partners = {}
+            for (i, t, j) in cells[q]:
+                if kind(t) != "lower":
+                    continue
+                tau = (i, t, j)
+                sigma = (i, split[t[0]] + t[1:], j)
+                assert sigma in uppers and sigma not in partners
+                partners[sigma] = tau
+                col = ref.diffs[q].vecs[index[q + 1][sigma]]
+                assert col[index[q][tau]] == -1
+                for row in col:
+                    rho = cells[q][row]
+                    if rho != tau and kind(rho[1]) == "lower":
+                        # only a d0 face leads on, to a shorter first letter
+                        assert rho[1] == split[t[0]][1:] + t[1:]
+                        assert length[rho[1][0]] == length[t[0]] - 1
+            assert set(partners) == uppers
+
+
 class TestTypeOnlyHomology:
     """PresentedComplex.homology/cohomology (ranks and invariant factors)
     against the Subquotient witnesses they replace."""
@@ -90,10 +276,7 @@ class TestTypeOnlyHomology:
     def test_bar_complexes(self, group, ring, modules):
         G = GROUPS[group]()
         BG = group_category(G)
-        A = (regular_group_module(ring, G, BG, CONTRA) if modules == "regular-right"
-             else CatModule.constant(BG, ring, CONTRA))
-        B = (regular_group_module(ring, G, BG, CO) if modules == "regular-left"
-             else CatModule.constant(BG, ring, CO))
+        A, B = bar_modules(ring, G, BG, modules)
         assert A.validate() == [] and B.validate() == []
         cx = bar_complex(A, B, 3)
         for q in range(3):  # level 3 is the truncation, with no d_4
@@ -120,12 +303,14 @@ class TestTypeOnlyHomology:
                     assert cx.homology(q) == cx.witness(q).module
 
     def test_level_out_of_range(self):
-        # the trivial C3 bar complex has levels 0..3 of rank 1, 2, 4, 8;
-        # the Ext complex of Or(Z/2) runs the other way (step -1)
+        # the trivial C3 bar complex has levels 0..3 of rank 1, 2, 4, 8,
+        # and its Morse reduction 1, 1, 1, 2; the Ext complex of Or(Z/2)
+        # runs the other way (step -1)
         BG = group_category(FiniteGroup.cyclic(3))
-        bar = bar_complex(CatModule.constant(BG, ZZ, CONTRA),
-                          CatModule.constant(BG, ZZ, CO), 3)
-        assert [len(a) for a in bar.anns] == [1, 2, 4, 8]
+        A, B = CatModule.constant(BG, ZZ, CONTRA), CatModule.constant(BG, ZZ, CO)
+        assert [len(a) for a in normalized_bar(A, B, 3).anns] == [1, 2, 4, 8]
+        bar = bar_complex(A, B, 3)
+        assert [len(a) for a in bar.anns] == [1, 1, 1, 2]
         cat = fixture_category("OrZ2")
         M = fixture_modules(cat, ZZ)[0]["const"]
         cochains = hom_complex(free_resolution(M, 3), M)
