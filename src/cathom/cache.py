@@ -39,7 +39,8 @@ class DiskCache:
         try:
             with open(self._path(key), encoding="utf-8") as fh:
                 return json.load(fh)
-        except (OSError, ValueError):  # ValueError: not UTF-8, or not JSON
+        # ValueError: not UTF-8, or not JSON; RecursionError: nested too deeply
+        except (OSError, ValueError, RecursionError):
             return None
 
     def put(self, key: str, payload) -> None:

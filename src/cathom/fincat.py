@@ -3,11 +3,14 @@
 Provides validation, isomorphism classes and automorphism data, the
 EI/left-free predicates, chains of isomorphism classes with their bisets,
 and the non-degenerate simplices of the two-sided tilde nerve (diagram
-classes modulo objectwise isomorphism).  Bisets and balanced triples are
-found as union-find orbits; a nerve class is named by the least diagram
-of its orbit, which is built one position at a time without listing the
-orbit (canonical orbit representatives, as in Holt, Eick and O'Brien,
-Handbook of Computational Group Theory, ch. 4).
+classes modulo objectwise isomorphism).
+
+Every orbit class is named by its least member (canonical orbit
+representatives, as in Holt, Eick and O'Brien, Handbook of Computational
+Group Theory, ch. 4): an isomorphism class by its first object, a biset
+element and a nerve class by the least string of morphisms, built one
+position at a time by ``_least_string`` without listing the orbit, and a
+balanced triple by the least triple of its listed orbit.
 
 For a finite category, any non-invertible endomorphism yields arbitrarily
 long composable strings of non-isomorphisms, so chain enumeration is only
@@ -22,40 +25,6 @@ from itertools import product
 
 class UnboundedChains(Exception):
     pass
-
-
-class UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        parent = self.parent
-        root = parent.setdefault(x, x)
-        while parent[root] != root:
-            root = parent[root]
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def groups(self) -> dict:
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
-
-    def classes(self) -> tuple[list, dict]:
-        """(classes, index): the classes as their sorted minima, and every
-        element mapped to the position of its class."""
-        groups = self.groups()
-        classes = sorted(min(g) for g in groups.values())
-        rep_of = {root: min(g) for root, g in groups.items()}
-        position = {rep: k for k, rep in enumerate(classes)}
-        return classes, {x: position[rep_of[self.find(x)]] for x in self.parent}
 
 
 class FiniteCategory:
@@ -284,31 +253,24 @@ class IsoClassData:
 
     def __init__(self, cat: FiniteCategory):
         self.cat = cat
-        uf = UnionFind()
-        for c in cat.objects:
-            uf.find(cat.obj_index[c])
-        for f, (a, b) in cat.morphisms.items():
-            if cat.is_iso(f):
-                uf.union(cat.obj_index[a], cat.obj_index[b])
-        groups = uf.groups()
-        reps_idx = sorted(groups)
-        self.classes: list[list[str]] = [
-            [cat.objects[i] for i in sorted(groups[r])] for r in reps_idx
-        ]
-        self.representative: list[str] = [cat.objects[r] for r in reps_idx]
+        self.classes: list[list[str]] = []
+        self.representative: list[str] = []
         self.class_of: dict[str, int] = {}
-        for k, cls in enumerate(self.classes):
-            for c in cls:
-                self.class_of[c] = k
-        # witnesses: iso c -> representative (identity when c is the rep)
+        # witnesses: the first iso c -> representative in hom order
         self.witness: dict[str, str] = {}
-        for k, cls in enumerate(self.classes):
-            rep = self.representative[k]
-            for c in cls:
+        for c in cat.objects:
+            for k, rep in enumerate(self.representative):
                 isos = cat.isos_between(c, rep)
-                if not isos:
-                    raise AssertionError(f"no iso from {c} to its representative {rep}")
-                self.witness[c] = isos[0]
+                if isos:
+                    break
+            else:
+                k = len(self.classes)
+                self.classes.append([])
+                self.representative.append(c)
+                isos = cat.isos_between(c, c)
+            self.classes[k].append(c)
+            self.class_of[c] = k
+            self.witness[c] = isos[0]
 
     @property
     def count(self) -> int:
@@ -444,8 +406,10 @@ class ChainBiset:
     middle automorphism actions, with the residual left aut(c_p)- and
     right aut(c_0)-actions.
 
-    Element witnesses are canonical representative strings
-    (phi_0, ..., phi_{p-1}) with phi_i: rep_i -> rep_{i+1}.
+    Elements are the least strings (phi_0, ..., phi_{p-1}) of their
+    orbits, phi_i: rep_i -> rep_{i+1}, found by ``_least_string`` with the
+    automorphisms of c_1, ..., c_{p-1} as moves; c_0 and c_p stay fixed.
+    ``index`` maps every string to the position of its class.
     """
 
     def __init__(self, cat: FiniteCategory, chain: PChain):
@@ -458,20 +422,13 @@ class ChainBiset:
         noniso_out, iso_out = cat._noniso_graph()
         compose = cat.compose_table
         factor_sets = [noniso_out[reps[i]].get(reps[i + 1], []) for i in range(p)]
-        # the identity only unions a string with itself, so leave it out
-        auts = [[(a, ainv) for a, ainv in iso_out[c][1:] if cat.tgt(a) == c] for c in reps]
-        uf = UnionFind()
-        all_strings = list(product(*factor_sets))
-        for s in all_strings:
-            uf.find(s)
-        for s in all_strings:
-            for i in range(1, p):
-                for a, ainv in auts[i]:
-                    t = list(s)
-                    t[i] = compose[(t[i], a)]
-                    t[i - 1] = compose[(ainv, t[i - 1])]
-                    uf.union(s, tuple(t))
-        self.elements, self.index = uf.classes()
+        moves = [[(a, ainv) for a, ainv in iso_out[c] if cat.tgt(a) == c] for c in reps[1:-1]]
+        moves.append(iso_out[reps[-1]][:1])
+        fixed_c0 = {cat.identity[reps[0]]}
+        least = {s: _least_string(compose, s, fixed_c0, moves) for s in product(*factor_sets)}
+        self.elements = sorted(set(least.values()))
+        position = {s: k for k, s in enumerate(self.elements)}
+        self.index = {s: position[t] for s, t in least.items()}
 
     def size(self) -> int:
         return len(self.elements)
@@ -578,13 +535,11 @@ class NerveCell:
         cat = self.cat
         iso_out = cat._noniso_graph()[1]
         alpha, phis, beta = diagram
-        stab = {cat.identity[self.src]}
-        string = []
-        for f in (alpha, *phis):
-            least, stab = _least_step(cat.compose_table, f, stab, iso_out[cat.tgt(f)])
-            string.append(least)
-        least, _ = _least_step(cat.compose_table, beta, stab, iso_out[self.tgt][:1])
-        return (string[0], tuple(string[1:]), least)
+        moves = [iso_out[cat.tgt(f)] for f in (alpha, *phis)]
+        moves.append(iso_out[self.tgt][:1])
+        least = _least_string(cat.compose_table, (alpha, *phis, beta),
+                              {cat.identity[self.src]}, moves)
+        return (least[0], least[1:-1], least[-1])
 
     def chain_key(self, k: int) -> tuple[int, ...]:
         """Iso classes of the interior objects of class k."""
@@ -607,6 +562,19 @@ def _least_step(compose: dict, f: str, stab, moves) -> tuple[str, set]:
             elif y == least:
                 out.add(uinv)
     return least, out
+
+
+def _least_string(compose: dict, string, stab, moves) -> tuple:
+    """The least string in the orbit of string under f_i -> u o f_i o v^-1,
+    where (u, u^-1) runs over moves[i], the moves at the target of f_i, and
+    v is the move at its source (v^-1 in stab for f_0).  Each position in
+    turn takes its least value over the moves that keep the prefix least
+    (see ``NerveCell``)."""
+    out = []
+    for f, m in zip(string, moves):
+        least, stab = _least_step(compose, f, stab, m)
+        out.append(least)
+    return tuple(out)
 
 
 def nd_tilde_nerve(cat: FiniteCategory, p: int, src: str, tgt: str) -> NerveCell:
@@ -667,30 +635,37 @@ class BalancedTriples:
             triples = [(b, None, a) for b in betas for a in alphas]
         else:
             self.biset = biset if biset is not None else ChainBiset(cat, chain)
+            left, right = self.biset.left_act, self.biset.right_act
             triples = [
                 (b, k, a)
                 for b in betas
                 for k in range(self.biset.size())
                 for a in alphas
             ]
-        uf = UnionFind()
+        compose = cat.compose_table
+        aut_p = [(u, cat.inverse(u)) for u in cat.aut(cp)]
+        aut_0 = [(w, cat.inverse(w)) for w in cat.aut(c0)]
+        # each orbit, {(beta o u, u^-1 . s . w, w^-1 o alpha)}, is listed
+        # once, from its first triple, and named by its least member
+        name: dict = {}
         for t in triples:
-            uf.find(t)
-        aut_p = cat.aut(cp)
-        aut_0 = cat.aut(c0)
-        for b, k, a in triples:
+            if t in name:
+                continue
+            b, k, a = t
             if p == 0:
-                for u in aut_0:
-                    # (beta o u, alpha) ~ (beta, u o alpha)
-                    uf.union((cat.compose(b, u), k, a), (b, k, cat.compose(u, a)))
+                orbit = {(compose[(b, u)], k, compose[(uinv, a)]) for u, uinv in aut_p}
             else:
-                for u in aut_p:
-                    # (beta o u, s, alpha) ~ (beta, u . s, alpha)
-                    uf.union((cat.compose(b, u), k, a), (b, self.biset.left_act(u, k), a))
-                for u in aut_0:
-                    # (beta, s . u, alpha) ~ (beta, s, u o alpha)
-                    uf.union((b, self.biset.right_act(k, u), a), (b, k, cat.compose(u, a)))
-        self.classes, self.index = uf.classes()
+                orbit = {
+                    (compose[(b, u)], left(uinv, right(k, w)), compose[(winv, a)])
+                    for u, uinv in aut_p
+                    for w, winv in aut_0
+                }
+            least = min(orbit)
+            for x in orbit:
+                name[x] = least
+        self.classes = sorted(set(name.values()))
+        position = {t: k for k, t in enumerate(self.classes)}
+        self.index = {t: position[least] for t, least in name.items()}
 
     def size(self) -> int:
         return len(self.classes)

@@ -297,10 +297,14 @@ def workspace_from_json(d: dict, source: str = "<memory>",
 
 def load_bundle(path: str, strict: bool = True) -> Workspace:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 at byte {e.start}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
     return workspace_from_json(d, source=path, strict=strict)

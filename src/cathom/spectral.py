@@ -2,10 +2,10 @@
 
 The engine computes pages from an explicit filtered double complex: the
 cellular bimodule complex of the two-sided tilde nerve is tensored with a
-contravariant module M (honest coequalizer, with a union-find fast path
-for unit moves) and with a free resolution Q of the covariant module N
-(collapsed by co-Yoneda, so the vertical direction is indexed by the
-resolution's free summands).
+contravariant module M (honest coequalizer, in which a unit move merges
+two raw generators into one named by the lesser) and with a free
+resolution Q of the covariant module N (collapsed by co-Yoneda, so the
+vertical direction is indexed by the resolution's free summands).
 
 Sign convention: horizontal differential = alternating sum of nerve face
 maps; vertical = (-1)^p times the resolution differential.  Degenerate
@@ -61,7 +61,6 @@ from .fincat import (
     FiniteCategory,
     NerveCache,
     NerveCell,
-    UnionFind,
     chain_bound,
     enumerate_chains,
     face,
@@ -158,15 +157,25 @@ def build_nerve_complex(cat: FiniteCategory, p_max: int | None = None) -> NerveB
 
 
 class MergedQuotient:
-    """Quotient of a free module by relations, with a union-find fast
-    path for two-term unit relations (e_u = e_v)."""
+    """Quotient of a free module by relations.  A two-term unit relation
+    (e_u = e_v) merges two raw generators instead of becoming a row; each
+    merged generator is named by the least raw generator it holds."""
 
     def __init__(self, ring: Ring, n_raw: int, sparse_rows: list[dict]):
         self.ring = ring
         self.n_raw = n_raw
-        uf = UnionFind()
-        for u in range(n_raw):
-            uf.find(u)
+        # a forest on the raw generators whose roots are the least members
+        # of their classes, so parent[u] <= u
+        parent = list(range(n_raw))
+
+        def root(u):
+            r = u
+            while parent[r] != r:
+                r = parent[r]
+            while parent[u] != r:
+                parent[u], u = r, parent[u]
+            return r
+
         kept = []
         one = ring.one
         neg_one = ring.neg(one)
@@ -174,18 +183,23 @@ class MergedQuotient:
             if len(row) == 2:
                 (u, cu), (v, cv) = sorted(row.items())
                 if (cu, cv) in ((one, neg_one), (neg_one, one)):
-                    uf.union(u, v)
+                    ru, rv = root(u), root(v)
+                    if ru < rv:
+                        parent[rv] = ru
+                    elif rv < ru:
+                        parent[ru] = rv
                     continue
             if row:
                 kept.append(row)
-        reps = sorted({uf.find(u) for u in range(n_raw)})
-        self._merged_index = {rep: i for i, rep in enumerate(reps)}
-        self._rep_of_raw = [self._merged_index[uf.find(u)] for u in range(n_raw)]
-        self._raw_rep = [None] * len(reps)
-        for u in range(n_raw):
-            m = self._rep_of_raw[u]
-            if self._raw_rep[m] is None:
-                self._raw_rep[m] = u
+        # in increasing order the parent of u is already numbered
+        self._raw_rep = []
+        self._rep_of_raw = []
+        for u, r in enumerate(parent):
+            if r == u:
+                self._rep_of_raw.append(len(self._raw_rep))
+                self._raw_rep.append(u)
+            else:
+                self._rep_of_raw.append(self._rep_of_raw[r])
         merged_rows = []
         z = ring.zero
         for row in kept:
@@ -199,7 +213,7 @@ class MergedQuotient:
                     out[m] = v
             if out:
                 merged_rows.append(out)
-        self.quot = CanonicalQuotient(ring, len(reps), merged_rows)
+        self.quot = CanonicalQuotient(ring, len(self._raw_rep), merged_rows)
         self.module = self.quot.module
 
     def project_raw(self, sparse: dict) -> dict:
@@ -750,14 +764,13 @@ def spectral_page(fc: TotalComplex, r: int, built: dict) -> Page:
     return page
 
 
-def spectral_pages(fc: TotalComplex, r_max: int | None = None) -> list[Page]:
-    """E^0 .. E^{r_max}; pages stabilize once r exceeds the column range.
-    The pages share one entry memo, so a page that has stabilised shares
-    its entries with the page before."""
-    r_stab = fc.p_max + 1
-    r_top = r_stab if r_max is None else min(r_max, r_stab)
+def spectral_pages(fc: TotalComplex) -> list[Page]:
+    """E^0 .. E^{p_max+1}: the pages stabilize once r exceeds the column
+    range, so the last is E^inf; a caller that wants fewer slices the
+    list.  The pages share one entry memo, so a page that has stabilised
+    shares its entries with the page before."""
     built: dict[tuple, Subquotient] = {}
-    return [spectral_page(fc, r, built) for r in range(r_top + 1)]
+    return [spectral_page(fc, r, built) for r in range(fc.p_max + 2)]
 
 
 # -- convergence -------------------------------------------------------------

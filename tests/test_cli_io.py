@@ -153,8 +153,9 @@ class TestCacheEntries:
         assert out.read_bytes() == cold.read_bytes()
         assert json.loads(path.read_text()) == entry
 
-    @pytest.mark.parametrize("how", ["not-utf8", "unknown-object", "unknown-morphism",
-                                     "term-index-past-level", "coefficient-rehashed"])
+    @pytest.mark.parametrize("how", ["not-utf8", "too-deep", "unknown-object",
+                                     "unknown-morphism", "term-index-past-level",
+                                     "coefficient-rehashed"])
     def test_entry_that_would_fail_later_is_a_miss(self, orz2_bundle, tmp_path, capsys, how):
         cachedir = tmp_path / "cache"
         argv = ["ss", orz2_bundle, "-M", "Mconst", "-N", "Naug", "--nmax", "2"]
@@ -165,6 +166,8 @@ class TestCacheEntries:
         entry = json.loads(path.read_text())
         if how == "not-utf8":
             path.write_bytes(b'{"digest": "\xff\xfe"}' + bytes([0xff, 0xfe]))
+        elif how == "too-deep":
+            path.write_text("[" * 200_000)
         else:
             altered = json.loads(path.read_text())
             payload = altered["resolution"]
@@ -233,6 +236,21 @@ class TestCLI:
         p.write_text(json.dumps(doc))
         assert main(["validate", str(p)]) == 1
         assert "closed under conjugation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 200_000],
+                             ids=["not-utf8", "too-deep"])
+    @pytest.mark.parametrize("command,flags,prefix", [
+        ("validate", [], "PARSE ERROR: "),
+        ("tor", ["-M", "Mconst", "-N", "Nconst"], "INPUT ERROR: "),
+        ("chains", [], "INPUT ERROR: "),
+    ], ids=["validate", "tor", "chains"])
+    def test_unreadable_bundle_exit_4(self, command, flags, prefix, content, tmp_path,
+                                      capsys):
+        p = tmp_path / "bad.json"
+        p.write_bytes(content)
+        assert main([command, str(p), *flags]) == 4
+        err = capsys.readouterr().err
+        assert prefix in err and err.count("\n") == 1 and "Traceback" not in err
 
     def test_chains_counts(self, tmp_path, capsys):
         cat = fixture_category("OrZ4")

@@ -9,7 +9,6 @@ from cathom.fincat import (
     NerveCell,
     PChain,
     UnboundedChains,
-    UnionFind,
     chain_bound,
     chain_biset,
     enumerate_chains,
@@ -120,17 +119,6 @@ class TestValidation:
         rep = cat.validate()
         assert not rep.ok
         assert any("i1" in v and "a" in v for v in rep.violations)
-
-
-class TestUnionFind:
-    def test_long_chain_does_not_recurse(self):
-        # unions in decreasing order link k -> k-1, one link per union
-        uf = UnionFind()
-        for k in range(3000, 0, -1):
-            uf.union(k - 1, k)
-        assert uf.find(3000) == 0
-        classes, index = uf.classes()
-        assert classes == [0] and set(index.values()) == {0}
 
 
 class TestIsoClasses:
@@ -380,10 +368,9 @@ def reference_nerve(cat: FiniteCategory, p: int, src: str, tgt: str):
             for phis in product(*interior_sets):
                 for beta in cat.hom[(objs[p], tgt)]:
                     diagrams.append((alpha, tuple(phis), beta))
-    uf = UnionFind()
-    for d in diagrams:
-        uf.find(d)
-    for alpha, phis, beta in diagrams:
+
+    def moves(diagram):
+        alpha, phis, beta = diagram
         objs = [cat.tgt(alpha)] + [cat.tgt(f) for f in phis]
         for i in range(p + 1):
             c = objs[i]
@@ -405,12 +392,32 @@ def reference_nerve(cat: FiniteCategory, p: int, src: str, tgt: str):
                     else:
                         ph2[i - 1] = cat.compose(u, phis[i - 1])
                         b2 = cat.compose(beta, uinv)
-                    uf.union((alpha, phis, beta), (a2, tuple(ph2), b2))
-    groups = uf.groups()
-    classes = sorted(min(g) for g in groups.values())
-    rep_of = {root: min(g) for root, g in groups.items()}
-    elem_index = {rep: k for k, rep in enumerate(classes)}
-    return classes, {d: elem_index[rep_of[uf.find(d)]] for d in diagrams}
+                    yield (a2, tuple(ph2), b2)
+
+    return orbit_classes(diagrams, moves)
+
+
+def orbit_classes(elements, moves):
+    """(classes, index) by brute force: the orbit of each element is
+    closed under ``moves`` (its images under a generating set) by a
+    search and named by its least member; classes are the sorted names,
+    and index maps each element to the position of its class."""
+    name = {}
+    for x in elements:
+        if x in name:
+            continue
+        orbit, todo = {x}, [x]
+        while todo:
+            for y in moves(todo.pop()):
+                if y not in orbit:
+                    orbit.add(y)
+                    todo.append(y)
+        least = min(orbit)
+        for y in orbit:
+            name[y] = least
+    classes = sorted(set(name.values()))
+    position = {c: k for k, c in enumerate(classes)}
+    return classes, {x: position[name[x]] for x in elements}
 
 
 def _z2xz4_orbit_category():
@@ -444,3 +451,110 @@ class TestNerveAgainstReference:
                     cell = NerveCell(cat, p, s, t)
                     assert cell.classes == classes, (p, s, t)
                     assert {d: cell.class_of(d) for d in index} == index, (p, s, t)
+
+
+def _d8_orbit_category():
+    D8 = FiniteGroup.from_permutations([[(0, 1, 2, 3)], [(0, 2)]], 4, name="D8")
+    return orbit_category(D8)
+
+
+def _s4_orbit_category():
+    G = FiniteGroup.symmetric(4)
+    return orbit_category(G, SubgroupFamily(G, G.subgroups(24), closure=False))
+
+
+def reference_biset(cat: FiniteCategory, chain: PChain):
+    """(elements, index) of S(chain) by brute force: every string of
+    non-isomorphisms along the chain, orbits under the automorphisms of
+    the interior objects."""
+    reps, p = chain.reps, chain.p
+    strings = list(product(*[
+        [f for f in cat.hom[(reps[i], reps[i + 1])] if not cat.is_iso(f)]
+        for i in range(p)
+    ]))
+
+    def moves(s):
+        for i in range(1, p):
+            for a in cat.aut(reps[i]):
+                t = list(s)
+                t[i] = cat.compose(s[i], a)
+                t[i - 1] = cat.compose(cat.inverse(a), s[i - 1])
+                yield tuple(t)
+
+    return orbit_classes(strings, moves)
+
+
+def reference_triples(cat: FiniteCategory, chain: PChain, src: str, tgt: str):
+    """(classes, index) of the balanced triples (beta, k, alpha) by brute
+    force over reference_biset: (beta o u, s, alpha) ~ (beta, u . s, alpha)
+    for u in aut(c_p), (beta, s . w, alpha) ~ (beta, s, w o alpha) for w
+    in aut(c_0)."""
+    c0, cp = chain.reps[0], chain.reps[-1]
+    if chain.p == 0:
+        ks = [None]
+
+        def moves(t):
+            b, k, a = t
+            for u in cat.aut(c0):
+                yield (cat.compose(b, u), k, cat.compose(cat.inverse(u), a))
+    else:
+        strings, index = reference_biset(cat, chain)
+        ks = range(len(strings))
+
+        def moves(t):
+            b, k, a = t
+            s = strings[k]
+            for u in cat.aut(cp):
+                us = s[:-1] + (cat.compose(cat.inverse(u), s[-1]),)
+                yield (cat.compose(b, u), index[us], a)
+            for w in cat.aut(c0):
+                sw = (cat.compose(s[0], w),) + s[1:]
+                yield (b, index[sw], cat.compose(cat.inverse(w), a))
+
+    triples = [(b, k, a) for b in cat.hom[(cp, tgt)] for k in ks for a in cat.hom[(src, c0)]]
+    return orbit_classes(triples, moves)
+
+
+class TestOrbitNamesAgainstReference:
+    """Iso classes, biset elements and balanced triples are the orbit
+    minima of a brute-force closure, and every index agrees with it."""
+
+    @pytest.mark.parametrize("catf,p_max", [
+        *[((lambda name=name: fixture_category(name)), None) for name in FIXTURE_NAMES],
+        (_d8_orbit_category, 2),
+        (_z2xz4_orbit_category, 2),
+        (_s4_orbit_category, 1),
+        (lambda: double(fixture_category("OrZ4")), None),
+    ], ids=[*FIXTURE_NAMES, "OrD8", "OrZ2xZ4", "OrS4", "doubledOrZ4"])
+    def test_same_classes_and_index(self, catf, p_max):
+        cat = catf()
+        objects = cat.objects
+        iso_moves = {
+            cat.obj_index[a]: [cat.obj_index[b] for f, (a2, b) in cat.morphisms.items()
+                               if a2 == a and cat.is_iso(f)]
+            for a in objects
+        }
+        classes, index = orbit_classes(range(len(objects)), iso_moves.__getitem__)
+        data = cat.iso_classes()
+        assert data.representative == [objects[i] for i in classes]
+        assert data.class_of == {c: index[i] for i, c in enumerate(objects)}
+        assert data.classes == [[c for c in objects if data.class_of[c] == k]
+                                for k in range(len(classes))]
+        for c in objects:
+            rep = data.representative[data.class_of[c]]
+            assert data.witness[c] == min(f for f in cat.hom[(c, rep)] if cat.is_iso(f))
+
+        chains = enumerate_chains(cat, chain_bound(cat) if p_max is None else p_max)
+        for p, plist in chains.items():
+            for chain in plist:
+                biset = ChainBiset(cat, chain) if p >= 1 else None
+                if biset is not None:
+                    elements, index = reference_biset(cat, chain)
+                    assert biset.elements == elements, chain
+                    assert {s: biset.index[s] for s in index} == index, chain
+                for s in objects:
+                    for t in objects:
+                        classes, index = reference_triples(cat, chain, s, t)
+                        bt = BalancedTriples(cat, chain, s, t, biset)
+                        assert bt.classes == classes, (chain, s, t)
+                        assert {x: bt.index[x] for x in index} == index, (chain, s, t)

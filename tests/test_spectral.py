@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cathom.catmod import CatModule, CO, CONTRA
 from cathom.fixtures import FIXTURE_NAMES, fixture_category, fixture_modules, group_category
-from cathom.fpmod import FPModule, presented_homology
+from cathom.fpmod import CanonicalQuotient, FPModule, presented_homology
 from cathom.groups import FiniteGroup, orbit_category
 from cathom.matrix import Matrix
 from cathom.resolve import tor
@@ -475,3 +477,64 @@ class TestPageEntries:
                 assert got.module == want.module
                 assert got.lifts() == want.lifts()
         assert spectral_page(fresh, 1, {}).to_json() == pages[1].to_json()
+
+
+@st.composite
+def merge_cases(draw):
+    """(ring, n_raw, rows): two-term unit rows e_u - e_v, mixed with rows
+    of one to three entries from {1, -1, 2, 3}, some of them two-term."""
+    ring = draw(st.sampled_from([ZZ, GF(2)]))
+    n = draw(st.integers(1, 12))
+    one, neg_one = ring.one, ring.neg(ring.one)
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        if n > 1 and draw(st.booleans()):
+            u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            rows.append({u: one, v: neg_one} if draw(st.booleans()) else {u: neg_one, v: one})
+        else:
+            support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+            row = {u: ring.coerce(draw(st.sampled_from([1, -1, 2, 3]))) for u in support}
+            rows.append({u: c for u, c in row.items() if c != ring.zero})
+    return ring, n, rows
+
+
+class TestMergedQuotient:
+    """Generators joined by two-term unit rows merge into one, named by the
+    least raw generator of the component."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(merge_cases())
+    def test_components_named_by_least_member(self, case):
+        ring, n, rows = case
+        one, neg_one = ring.one, ring.neg(ring.one)
+        links = {u: [] for u in range(n)}
+        for row in rows:
+            if len(row) == 2 and sorted(row.values()) == sorted([one, neg_one]):
+                u, v = row
+                links[u].append(v)
+                links[v].append(u)
+        least = {}
+        for u in range(n):
+            if u not in least:
+                component, todo = {u}, [u]
+                while todo:
+                    for v in links[todo.pop()]:
+                        if v not in component:
+                            component.add(v)
+                            todo.append(v)
+                for v in component:
+                    least[v] = u
+        mq = MergedQuotient(ring, n, rows)
+        assert mq.quot.ambient == len(set(least.values()))
+        assert [mq._raw_rep[mq._rep_of_raw[u]] for u in range(n)] == [least[u] for u in range(n)]
+        for u in range(n):
+            assert mq.project_raw({u: one}) == mq.project_raw({least[u]: one})
+        assert mq.module == CanonicalQuotient(ring, n, rows).module
+
+    def test_long_chain_does_not_recurse(self):
+        # rows in decreasing order link k to k-1, one link per row
+        n = 3001
+        rows = [{k - 1: ZZ.one, k: ZZ.neg(ZZ.one)} for k in range(n - 1, 0, -1)]
+        mq = MergedQuotient(ZZ, n, rows)
+        assert mq._raw_rep == [0] and mq._rep_of_raw == [0] * n
+        assert mq.module == FPModule(ZZ, 1)
