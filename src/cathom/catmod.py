@@ -19,8 +19,8 @@ whose raw generator order fixes the page bases.)
 from __future__ import annotations
 
 from .fincat import FiniteCategory
-from .fpmod import CanonicalQuotient, FPModule, _ann_columns, induced_map
-from .matrix import Matrix, _axpy
+from .fpmod import CanonicalQuotient, FPModule, _ann_columns, _mod_anns, induced_map
+from .matrix import Matrix, _canonical, _sum_terms
 from .rings import Ring
 
 
@@ -45,33 +45,17 @@ CO = "co"
 
 
 def _reduce_mod_anns(mat: Matrix, anns: list) -> Matrix:
-    """Normalize entries of a matrix into canonical range mod target anns."""
-    if mat.ring.is_field:
+    """The matrix with every column reduced modulo the target anns, its
+    canonical form over Z; over a field or with no relations, mat itself."""
+    if mat.ring.is_field or not any(anns):
         return mat
-    cols = []
-    for vec in mat.vecs:
-        out = {}
-        for i, x in vec.items():
-            if anns[i]:
-                x %= anns[i]
-            if x:
-                out[i] = x
-        cols.append(out)
-    return Matrix.from_columns(mat.ring, cols, mat.rows)
+    return Matrix.from_columns(mat.ring, [_mod_anns(vec, anns) for vec in mat.vecs], mat.rows)
 
 
 def mats_equal_mod(A: Matrix, B: Matrix, anns: list) -> bool:
-    if (A.rows, A.cols) != (B.rows, B.cols):
-        return False
-    ring = A.ring
-    z = ring.zero
-    for a, b in zip(A.vecs, B.vecs):
-        for i in a.keys() | b.keys():
-            diff = ring.sub(a.get(i, z), b.get(i, z))
-            d = anns[i] if not ring.is_field else z
-            if diff % d if d else diff:
-                return False
-    return True
+    """Whether A and B, with canonical entries, agree modulo the target anns."""
+    return (A.rows, A.cols) == (B.rows, B.cols) and (
+        A.vecs == B.vecs or _reduce_mod_anns(A, anns).vecs == _reduce_mod_anns(B, anns).vecs)
 
 
 class CatModule:
@@ -259,16 +243,15 @@ class FreeCatModule:
         contra, f: a -> b: F(b) -> F(a), (i, psi) -> (i, psi o f);
         co, f: a -> b: F(a) -> F(b), (i, psi) -> (i, f o psi).
         """
-        cat = self.cat
+        # a tight loop like Matrix.apply's: it runs for every resolution column
+        compose = self.cat.compose
+        contra = self.variance == CONTRA
+        z = self.ring.zero
         out: dict = {}
-        for (i, psi), coeff in pairs.items():
-            key = (
-                (i, cat.compose(psi, f))
-                if self.variance == CONTRA
-                else (i, cat.compose(f, psi))
-            )
-            out[key] = self.ring.add(out.get(key, self.ring.zero), coeff)
-        return out
+        for (i, psi), c in pairs.items():
+            key = (i, compose(psi, f) if contra else compose(f, psi))
+            out[key] = out.get(key, z) + c
+        return _canonical(self.ring, out)
 
     def to_keys(self, obj: str, vec: dict) -> dict:
         """The vector {k: coeff} over basis(obj) as {basis(obj)[k]: coeff}."""
@@ -276,20 +259,18 @@ class FreeCatModule:
         return {basis[k]: x for k, x in vec.items()}
 
     def to_coords(self, obj: str, keyed: dict) -> dict:
-        """The vector {(i, psi): coeff} as a zero-free vector over the
+        """The zero-free vector {(i, psi): coeff} as a vector over the
         positions of basis(obj)."""
         idx = self.basis_index(obj)
-        return {idx[key]: coeff for key, coeff in keyed.items() if coeff}
+        return {idx[key]: coeff for key, coeff in keyed.items()}
 
     def push(self, obj: str, image: dict, vecs: list[dict]) -> dict:
         """sum of coeff * transport(psi, vecs[j]) over the terms
         ((j, psi), coeff) of image, as a vector over basis(obj)."""
-        ring = self.ring
-        acc: dict = {}
-        for (j, psi), coeff in image.items():
-            for key, c in self.transport(psi, vecs[j]).items():
-                acc[key] = ring.add(acc.get(key, ring.zero), ring.mul(coeff, c))
-        return self.to_coords(obj, acc)
+        return self.to_coords(obj, _sum_terms(self.ring, [
+            (key, coeff * c)
+            for (j, psi), coeff in image.items()
+            for key, c in self.transport(psi, vecs[j]).items()]))
 
     def action_matrix(self, f: str) -> Matrix:
         cat = self.cat
@@ -352,10 +333,9 @@ class TensorResult:
             for j in range(M.rank(b)):
                 for k in range(N.rank(a)):
                     # (x phi) (x) y - x (x) (phi y)
-                    row = {gid(a, a_i, k): c for a_i, c in Mf.vecs[j].items()}
-                    _axpy(ring, row, {gid(b, j, b_i): c for b_i, c in Nf.vecs[k].items()},
-                          ring.neg(ring.one))
-                    rows.append(row)
+                    rows.append(_sum_terms(
+                        ring, [(gid(a, a_i, k), c) for a_i, c in Mf.vecs[j].items()]
+                        + [(gid(b, j, b_i), -c) for b_i, c in Nf.vecs[k].items()]))
         self.quot = CanonicalQuotient(ring, n, rows)
         self.module = self.quot.module
 

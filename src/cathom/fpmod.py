@@ -5,9 +5,13 @@ CanonicalQuotient and Subquotient carry the witness data (projection and
 lifts) needed to push maps through quotients, which is what the homology
 and spectral-page machinery is built on.  Vectors in and out of them are
 the zero-free {index: value} dicts of ``matrix``, relations included, and
-generator sets are matrix columns.  A quotient whose relations already
-span the whole ambient lattice is the zero module without an SNF.  ``is_exact`` is the one test of
-exactness: the homology of ``presented_homology`` is zero.
+generator sets are matrix columns.  ``_mod_anns`` is the one reduction of
+a vector modulo the diagonal relations of a canonical presentation: it
+gives ``CanonicalQuotient.project`` and the action matrices of
+``catmod.CatModule`` their canonical entries.  A quotient whose relations
+already span the whole ambient lattice is the zero module without an SNF.
+``is_exact`` is the one test of exactness: the homology of
+``presented_homology`` is zero.
 """
 
 from __future__ import annotations
@@ -166,15 +170,7 @@ class CanonicalQuotient:
     def project(self, vec: dict) -> dict:
         """Canonical coordinates of the class of an ambient vector."""
         w = self._proj.apply(vec)
-        if self.module.torsion:
-            anns = self._anns
-            for t in [t for t in w if anns[t]]:
-                x = w[t] % anns[t]
-                if x:
-                    w[t] = x
-                else:
-                    del w[t]
-        return w
+        return _mod_anns(w, self._anns) if self.module.torsion else w
 
     def lift(self, j: int) -> dict:
         """An ambient representative of canonical generator j (shared:
@@ -255,6 +251,12 @@ def _ann_columns(ring: Ring, anns: list) -> Matrix:
     """The relation vectors d e_i of a diagonal presentation, one column
     for each nonzero annihilator d, in order."""
     return Matrix.from_columns(ring, [{i: d} for i, d in enumerate(anns) if d], len(anns))
+
+
+def _mod_anns(vec: dict, anns: list) -> dict:
+    """vec with entry i reduced modulo the annihilator anns[i] (0: none),
+    zeros dropped: one canonical representative of its class over Z."""
+    return {i: y for i, y in ((i, x % anns[i] if anns[i] else x) for i, x in vec.items()) if y}
 
 
 def presented_homology(

@@ -29,7 +29,9 @@ memo local to each level and each call, so the reduction uses no
 ``StairBasis``, ``Subquotient`` or ``CanonicalQuotient`` and the oracle
 stays independent of the page engine.  Cells are ordered
 lexicographically in (A-generator, group tuple, B-generator), so all
-presentations are deterministic.
+presentations are deterministic.  Columns and Morse images are summed
+with plain + in tight loops and made canonical once per vector by
+``matrix._canonical``, the tail of ``Matrix.apply``.
 
 Only the isomorphism type of each Tor group is computed.  Over a field,
 or over Z when the bar levels carry no annihilators, it comes from the
@@ -50,7 +52,7 @@ from math import gcd
 from .catmod import CO, CONTRA, CatModule, VarianceMismatch
 from .fpmod import FPModule
 from .groups import FiniteGroup, group_from_aut
-from .matrix import Matrix
+from .matrix import Matrix, _canonical
 from .resolve import PresentedComplex, tor
 
 
@@ -92,15 +94,7 @@ def bar_complex(A: CatModule, B: CatModule, top: int) -> PresentedComplex:
     a_anns, b_anns = A.anns[obj], B.anns[obj]
     a_act = [A.act(g) for g in elems]
     b_act = [B.act(g) for g in elems]
-    # plain + and * from ring.zero (a Fraction over Q), reduced mod p once
-    # per vector over F_p, as in Matrix.apply
-    z = ring.zero
-    p = ring.p if ring.kind == "Fp" else 0
-
-    def clean(vec: dict) -> dict:
-        if p:
-            return {k: x for k, x in ((k, x % p) for k, x in vec.items()) if x}
-        return {k: x for k, x in vec.items() if x}
+    z = ring.zero  # sums start from it: a Fraction over Q
 
     def faces(i, t, j):
         """(cell, coefficient) for every face of the cell (i, t, j)."""
@@ -155,7 +149,7 @@ def bar_complex(A: CatModule, B: CatModule, top: int) -> PresentedComplex:
                         vec[k] = vec.get(k, z) + c * x
                 if own != -1:
                     raise AssertionError(f"bar cell {cell} meets its partner with {own}, not -1")
-                vec = clean(vec)
+                vec = _canonical(ring, vec)
             memo[cell] = vec
             return vec
 
@@ -165,7 +159,7 @@ def bar_complex(A: CatModule, B: CatModule, top: int) -> PresentedComplex:
             for face, c in faces(i, t, j):
                 for k, x in image(face).items():
                     col[k] = col.get(k, z) + c * x
-            cols.append(clean(col))
+            cols.append(_canonical(ring, col))
         diffs.append(Matrix.from_columns(ring, cols, len(gens_per_level[q - 1])))
     return PresentedComplex(ring, anns, diffs, 1)
 

@@ -11,7 +11,8 @@ ring calls.
 
 Vectors are the zero-free {index: value} dicts of ``matrix``, and matrices
 are read and built through their column dicts; only ``det_int``, the
-independent determinant used by the tests, works on a dense copy.
+independent determinant used by the tests, works on a dense copy.  SNF and
+``invariant_factors`` add in place, canonical entry by entry, as ``_axpy``.
 """
 
 from __future__ import annotations
@@ -126,7 +127,6 @@ class StairBasis:
         vec = sum coeff * pivot_row + residual.
         """
         ring = self.ring
-        z = ring.zero
         row = dict(vec)
         heap = sorted(row)
         while heap:
@@ -144,7 +144,7 @@ class StairBasis:
                     continue  # stuck: the entry stays
             _axpy(ring, row, piv, ring.neg(q), heap)
             if record is not None:
-                record[c] = ring.add(record.get(c, z), q)
+                record[c] = q  # column c is cleared at most once
         return row
 
     def contains(self, vec: dict) -> bool:

@@ -10,6 +10,14 @@ takes column dicts that are canonical and zero-free already.  Column dicts
 may be shared between matrices and the exact kernel, so nothing mutates
 one it did not build.  ``data`` is a dense list-of-rows copy for the
 renderers and the tests.
+
+Sums become canonical vectors here and nowhere else: ``_axpy`` adds a
+multiple of one vector into another in place, ``_sum_terms`` adds up
+(index, value) terms, and both it and the tight loops that sum with plain
+``+`` (``Matrix.apply``, ``catmod.FreeCatModule.transport``, the bar
+complex of ``groupbar``) end in ``_canonical``, which reduces mod p once
+over F_p and drops zeros.  (Reducing modulo a presented module's
+annihilators is ``fpmod._mod_anns``.)
 """
 
 from __future__ import annotations
@@ -49,6 +57,28 @@ def _axpy(ring: Ring, dst: dict, src: dict, c, heap: list | None = None) -> None
                 heappush(heap, k)
         elif y is not None:
             del dst[k]
+
+
+def _canonical(ring: Ring, acc: dict) -> dict:
+    """acc, a fresh dict of plain sums of canonical entries, as a canonical
+    vector: reduced mod p once over F_p (in place), zeros dropped."""
+    if ring.kind == "Fp":
+        p = ring.p
+        for k, v in acc.items():
+            acc[k] = v % p
+    return acc if all(acc.values()) else {k: v for k, v in acc.items() if v}
+
+
+def _sum_terms(ring: Ring, terms) -> dict:
+    """The canonical vector sum of c e_k over the (k, c) terms, each c a
+    canonical entry or a product or negation of them.  Sums start from
+    ``ring.zero`` (a Fraction over Q)."""
+    z = ring.zero
+    acc: dict = {}
+    get = acc.get
+    for k, c in terms:
+        acc[k] = get(k, z) + c
+    return _canonical(ring, acc)
 
 
 class Matrix:
@@ -115,11 +145,8 @@ class Matrix:
 
     def apply(self, vec: dict) -> dict:
         """The product with a column vector, summed over the vector's
-        nonzero entries (vec may hold zeros; apply is where a vector with
-        cancelled entries becomes zero-free again).  The result is
-        zero-free and canonical: sums start from
-        ``ring.zero`` (a Fraction over Q) and are reduced mod p once, at
-        the end, over F_p."""
+        nonzero entries (vec may hold zeros).  The sums start from
+        ``ring.zero`` (a Fraction over Q) and end in ``_canonical``."""
         z = self.ring.zero
         vecs = self.vecs
         acc: dict = {}
@@ -132,27 +159,16 @@ class Matrix:
             raise DimensionMismatch(
                 f"matrix {self.rows}x{self.cols} applied to a vector with index {k}"
             ) from None
-        if self.ring.kind == "Fp":
-            p = self.ring.p
-            return {i: v for i, v in ((i, v % p) for i, v in acc.items()) if v}
-        return {i: v for i, v in acc.items() if v}
+        return _canonical(self.ring, acc)
 
     def add_block(self, r0: int, c0: int, blk: "Matrix", coeff=None) -> None:
         """Add coeff * blk (blk itself when coeff is None) into this matrix
         in place, with blk's top-left entry at (r0, c0).  The target's
         columns must be its own."""
-        ring = self.ring
-        z = ring.zero
-        for c, bvec in enumerate(blk.vecs):
-            col = self.vecs[c0 + c]
-            for r, x in bvec.items():
-                if coeff is not None:
-                    x = ring.mul(coeff, x)
-                v = ring.add(col.get(r0 + r, z), x)
-                if v:
-                    col[r0 + r] = v
-                else:
-                    col.pop(r0 + r, None)
+        c = self.ring.one if coeff is None else coeff
+        for j, bvec in enumerate(blk.vecs):
+            _axpy(self.ring, self.vecs[c0 + j],
+                  {r0 + r: x for r, x in bvec.items()} if r0 else bvec, c)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:

@@ -50,7 +50,7 @@ from .fpmod import (
     solve_mod,
 )
 from .intlin import ColumnOps, StairBasis, invariant_factors, kernel_basis, preimage_basis
-from .matrix import Matrix, _axpy
+from .matrix import Matrix, _sum_terms
 from .rings import Ring
 
 
@@ -389,13 +389,6 @@ def horseshoe(iota: dict[str, Matrix], pi: dict[str, Matrix],
         out.aug_images.append(v)
         sigma0.append(v)
 
-    def sigma_extend(obj, keyed):
-        """Extend sigma_0 to F(C)_0(obj) by the middle module's action."""
-        val: dict = {}
-        for (j, psi), coeff in keyed.items():
-            _axpy(ring, val, middle.act(psi).apply(sigma0[j]), coeff)
-        return val
-
     h_prev: list[dict] = []  # per C-generator of level k-1: sparse over F(A)_{k-1}
     for k in range(1, depth + 1):
         lenA_prev = len(resA.levels[k - 1].summands)
@@ -407,7 +400,9 @@ def horseshoe(iota: dict[str, Matrix], pi: dict[str, Matrix],
         for i, obj in enumerate(resC.levels[k].summands):
             dC = resC.gen_images[k][i]
             if k == 1:
-                rhs = {t: ring.neg(x) for t, x in sigma_extend(obj, dC).items()}
+                # minus sigma_0 extended to F(C)_0(obj) by the middle module's action
+                rhs = _sum_terms(ring, [(t, -coeff * x) for (j, psi), coeff in dC.items()
+                                        for t, x in middle.act(psi).apply(sigma0[j]).items()])
                 mat = iota[obj] @ resA.eval_aug(obj)
                 hvec = solve_mod(mat, middle.anns[obj], rhs)
             else:
@@ -442,14 +437,9 @@ def induce_free(F: Functor, res: Resolution) -> Resolution:
     out.aug_images = res.aug_images
     out.gen_images = [[]]
     for k in range(1, res.length + 1):
-        level = []
-        for sparse in res.gen_images[k]:
-            moved: dict = {}
-            for (j, psi), coeff in sparse.items():
-                key = (j, F.mor_map[psi])
-                moved[key] = res.ring.add(moved.get(key, res.ring.zero), coeff)
-            level.append(moved)
-        out.gen_images.append(level)
+        out.gen_images.append([
+            _sum_terms(res.ring, (((j, F.mor_map[psi]), c) for (j, psi), c in sparse.items()))
+            for sparse in res.gen_images[k]])
     return out
 
 

@@ -10,14 +10,29 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+P_LIMIT = 1 << 64  # prime fields are taken only below this size
+
+
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 12 primes as bases, which is exact for
+    n < P_LIMIT (Sorenson and Webster, Math. Comp. 86 (2017))."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % a == 0:
+            return n == a
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -102,10 +117,13 @@ class RationalRing(Ring):
     def coerce(self, x):
         if isinstance(x, Fraction):
             return x
-        if isinstance(x, int):
+        if isinstance(x, int) and not isinstance(x, bool):
             return Fraction(x)
         if isinstance(x, str):
-            return Fraction(x)
+            try:
+                return Fraction(x)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator: {x!r}") from None
         raise TypeError(f"not a rational: {x!r}")
 
     def inv(self, a):
@@ -125,6 +143,8 @@ class PrimeField(Ring):
     is_field = True
 
     def __init__(self, p: int):
+        if p >= P_LIMIT:
+            raise ValueError(f"p = {p} is too large: prime fields are taken below 2**64")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -132,7 +152,7 @@ class PrimeField(Ring):
         self.one = 1 % p
 
     def coerce(self, x):
-        if isinstance(x, int):
+        if isinstance(x, int) and not isinstance(x, bool):
             return x % self.p
         raise TypeError(f"not a prime-field element: {x!r}")
 
@@ -165,6 +185,8 @@ _FP_CACHE: dict[int, PrimeField] = {}
 
 
 def GF(p: int) -> PrimeField:
+    if type(p) is not int:  # before the cache, where 5.0 would find GF(5)
+        raise ValueError(f"p must be an integer, not {p!r}")
     if p not in _FP_CACHE:
         _FP_CACHE[p] = PrimeField(p)
     return _FP_CACHE[p]

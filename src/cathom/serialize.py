@@ -44,6 +44,13 @@ def _field(value, where: str, key: str):
     return value[key]
 
 
+def _name(value, where: str) -> str:
+    """value itself when it is a string; otherwise a ParseError naming where."""
+    if not isinstance(value, str):
+        raise ParseError(f"{where} must be a string, not {type(value).__name__}")
+    return value
+
+
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -73,11 +80,18 @@ def category_from_json(d: dict) -> FiniteCategory:
     try:
         objects, morphisms, compose, identity = (
             _field(d, "'category'", key) for key in ("objects", "morphisms", "compose", "identity"))
+        objects = [_name(c, f"object entry {i}") for i, c in enumerate(objects)]
         mors = {}
         for i, m in enumerate(morphisms):
-            where = f"morphism entry {i}"
-            mors[_field(m, where, "id")] = (_field(m, where, "src"), _field(m, where, "tgt"))
-        comp = {(g, f): gf for g, f, gf in compose}
+            f, a, b = (_name(_field(m, f"morphism entry {i}", key), f"morphism entry {i} {key!r}")
+                       for key in ("id", "src", "tgt"))
+            mors[f] = (a, b)
+        comp = {}
+        for i, triple in enumerate(compose):
+            g, f, gf = (_name(x, f"compose entry {i}") for x in triple)
+            comp[(g, f)] = gf
+        identity = {c: _name(e, f"identity of {c!r}")
+                    for c, e in _object(identity, "'identity'").items()}
         return FiniteCategory(objects, mors, comp, identity, name=d.get("name", "C"))
     except ParseError:
         raise
@@ -88,6 +102,11 @@ def category_from_json(d: dict) -> FiniteCategory:
 # -- groups and families ---------------------------------------------------
 
 
+def _is_index(x, n) -> bool:
+    """Whether x is an integer in 0..n-1 (a JSON boolean is not)."""
+    return type(x) is int and 0 <= x < n
+
+
 def group_to_json(G: FiniteGroup) -> dict:
     return {"order": G.n, "table": [list(r) for r in G.table], "name": G.name}
 
@@ -96,7 +115,7 @@ def group_from_json(d: dict) -> FiniteGroup:
     try:
         if "table" in d:
             n = len(d["table"])
-            if any(len(row) != n or not all(0 <= x < n for x in row) for row in d["table"]):
+            if any(len(row) != n or not all(_is_index(x, n) for x in row) for row in d["table"]):
                 raise ParseError(f"group table must be {n} x {n} with entries 0..{n - 1}")
             G = FiniteGroup(d["table"], name=d.get("name", "G"))
             if "order" in d and d["order"] != G.n:
@@ -104,7 +123,7 @@ def group_from_json(d: dict) -> FiniteGroup:
             return G
         if "perm_gens" in d:
             gens = [[tuple(c) for c in g] for g in d["perm_gens"]]
-            if any(not 0 <= x < d["degree"] for g in gens for c in g for x in c):
+            if any(not _is_index(x, d["degree"]) for g in gens for c in g for x in c):
                 raise ParseError(f"perm_gens name a point outside 0..{d['degree'] - 1}")
             return FiniteGroup.from_permutations(
                 gens, d["degree"], name=d.get("name", "G")
@@ -127,7 +146,7 @@ def family_from_json(G: FiniteGroup, d: dict) -> SubgroupFamily:
     try:
         closure = d.get("closure", "auto") == "auto"
         members = [frozenset(H) for H in d["subgroups"]]
-        if any(not 0 <= x < G.n for H in members for x in H):
+        if any(not _is_index(x, G.n) for H in members for x in H):
             raise ParseError(f"a subgroup names an element outside 0..{G.n - 1}")
         return SubgroupFamily(G, members, closure=closure)
     except ParseError:
@@ -269,7 +288,7 @@ def workspace_from_json(d: dict, source: str = "<memory>",
     families = {}
     for k, f in families_json.items():
         gname = f.get("group") if isinstance(f, dict) else None
-        if gname not in groups:
+        if not (isinstance(gname, str) and gname in groups):
             msg = (f"family {k!r} references unknown group {gname!r}"
                    if isinstance(f, dict) else f"family {k!r} must be an object")
             if strict:

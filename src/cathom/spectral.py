@@ -75,7 +75,7 @@ from .fpmod import (
     is_exact,
 )
 from .intlin import preimage_basis
-from .matrix import Matrix
+from .matrix import Matrix, _sum_terms
 from .resolve import Resolution, free_resolution, tor
 from .rings import Ring
 
@@ -189,8 +189,7 @@ class MergedQuotient:
                     elif rv < ru:
                         parent[ru] = rv
                     continue
-            if row:
-                kept.append(row)
+            kept.append(row)  # an empty row is no relation: the staircase skips it
         # in increasing order the parent of u is already numbered
         self._raw_rep = []
         self._rep_of_raw = []
@@ -200,30 +199,16 @@ class MergedQuotient:
                 self._raw_rep.append(u)
             else:
                 self._rep_of_raw.append(self._rep_of_raw[r])
-        merged_rows = []
-        z = ring.zero
-        for row in kept:
-            out: dict = {}
-            for u, c in row.items():
-                m = self._rep_of_raw[u]
-                v = ring.add(out.get(m, z), c)
-                if v == z:
-                    out.pop(m, None)
-                else:
-                    out[m] = v
-            if out:
-                merged_rows.append(out)
-        self.quot = CanonicalQuotient(ring, len(self._raw_rep), merged_rows)
+        rep = self._rep_of_raw
+        self.quot = CanonicalQuotient(ring, len(self._raw_rep), [
+            _sum_terms(ring, [(rep[u], c) for u, c in row.items()]) for row in kept])
         self.module = self.quot.module
 
-    def project_raw(self, sparse: dict) -> dict:
-        ring = self.ring
-        z = ring.zero
+    def project_raw(self, terms) -> dict:
+        """Canonical coordinates of the class of the sum of c e_u over the
+        (raw generator u, c) terms, such as a raw vector's items()."""
         rep = self._rep_of_raw
-        merged: dict = {}
-        for u, c in sparse.items():
-            merged[rep[u]] = ring.add(merged.get(rep[u], z), c)
-        return self.quot.project(merged)
+        return self.quot.project(_sum_terms(self.ring, [(rep[u], c) for u, c in terms]))
 
     def lift(self, j: int) -> dict:
         """A raw-coordinate representative of canonical generator j."""
@@ -468,7 +453,7 @@ def _build_block(M: CatModule, nerve: NerveCache, p: int, b: str) -> Block:
     index = {g: k for k, g in enumerate(gens)}
     anns = [{k: M.anns[d][j]} for k, (d, cls, j) in enumerate(gens) if M.anns[d][j]]
     rels: list[dict] = []
-    z = ring.zero
+    neg_one = ring.neg(ring.one)
     for f, (d, dprime) in cat.morphisms.items():
         # no relation lands where M vanishes
         if M.rank(dprime) == 0 or (f == cat.id_of(d) and d == dprime):
@@ -480,12 +465,8 @@ def _build_block(M: CatModule, nerve: NerveCache, p: int, b: str) -> Block:
             alpha, phis, beta = cell_d.classes[cls]
             cls2 = cell_dp.class_of((alpha, phis, cat.compose(f, beta)))
             for j in range(M.rank(dprime)):
-                row: dict = {}
-                for a, c in Mf.vecs[j].items():
-                    u = index[(d, cls, a)]
-                    row[u] = ring.add(row.get(u, z), c)
-                v = index[(dprime, cls2, j)]
-                row[v] = ring.sub(row.get(v, z), ring.one)
+                row = _sum_terms(ring, [(index[(d, cls, a)], c) for a, c in Mf.vecs[j].items()]
+                                 + [(index[(dprime, cls2, j)], neg_one)])
                 if row:
                     rels.append(row)
     return Block(nerve, p, b, gens, anns, rels)
@@ -550,21 +531,14 @@ class Cell:
     def map_to(self, dst: "Cell", raw_fn) -> Matrix:
         """The matrix, on canonical generators, of the map that sends each
         raw generator g to the sum of coeff * h over (h, coeff) in raw_fn(g)."""
-        ring = self.ring
-        z = ring.zero
-        cols = []
-        for jgen in range(self.dim):
-            out: dict = {}
-            for u, c in self.quot.lift(jgen).items():
-                for v_tuple, c2 in raw_fn(self.raw_gens[u]):
-                    v = dst.raw_index[v_tuple]
-                    val = ring.add(out.get(v, z), ring.mul(c, c2))
-                    if val == z:
-                        out.pop(v, None)
-                    else:
-                        out[v] = val
-            cols.append(dst.quot.project_raw(out))
-        return Matrix.from_columns(ring, cols, nrows=dst.dim)
+        index, raw_gens = dst.raw_index, self.raw_gens
+        cols = [
+            dst.quot.project_raw([
+                (index[v], c * c2)
+                for u, c in self.quot.lift(jgen).items()
+                for v, c2 in raw_fn(raw_gens[u])])
+            for jgen in range(self.dim)]
+        return Matrix.from_columns(self.ring, cols, nrows=dst.dim)
 
     def face_map(self, dst: "Cell", i: int) -> Matrix:
         """The i-th nerve face onto dst, the cell at p - 1 over the same

@@ -51,6 +51,19 @@ class TestCatModule:
         F = FreeCatModule(cat, ZZ, CONTRA, [cat.objects[0], cat.objects[2]])
         assert F.as_catmodule().validate() == []
 
+    def test_transport_collision_cancels_to_the_zero_vector(self):
+        # covariantly, both automorphisms of G/H0 compose with G/H0 -> G/H1
+        # to the one map, so e_id - e_sigma is carried to 0, with no entry
+        cat = fixture_category("OrZ2")
+        ident, sigma = cat.hom[("G/H0", "G/H0")]
+        (f,) = cat.hom[("G/H0", "G/H1")]
+        for ring in (ZZ, QQ, GF(3)):
+            F = FreeCatModule(cat, ring, CO, ["G/H0"])
+            pairs = {(0, ident): ring.one, (0, sigma): ring.neg(ring.one)}
+            assert F.transport(f, pairs) == {}
+            assert F.transport(f, {(0, ident): ring.one, (0, sigma): ring.one}) == {
+                (0, f): ring.add(ring.one, ring.one)}
+
     def test_presented_load_canonicalizes(self):
         cat = trivial_category()
         values = {"*": (2, [[2, 0], [0, 1]])}  # Z/2 + killed generator

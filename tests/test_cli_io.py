@@ -1,7 +1,13 @@
+import copy
 import json
 import os
+import random
+import time
 
 import pytest
+import sympy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cathom.cache import DiskCache, cached_free_resolution, resolution_from_json, resolution_to_json
 from cathom.catmod import CatModule, CO, VarianceMismatch
@@ -9,7 +15,7 @@ from cathom.cli import main
 from cathom.fixtures import fixture_category, fixture_modules, klein_four
 from cathom.groups import FiniteGroup, SubgroupFamily
 from cathom.resolve import ext, free_resolution, tor
-from cathom.rings import GF, ZZ
+from cathom.rings import GF, QQ, ZZ
 from cathom.serialize import (
     ParseError,
     bundle_to_json,
@@ -25,21 +31,26 @@ from cathom.serialize import (
 )
 
 
-@pytest.fixture()
-def orz2_bundle(tmp_path):
+def orz2_doc(ring):
+    """The OrZ2 bundle over ring: its four fixture modules and the family
+    of all subgroups of S3."""
     cat = fixture_category("OrZ2")
-    Ms, Ns = fixture_modules(cat, ZZ)
+    Ms, Ns = fixture_modules(cat, ring)
     G = FiniteGroup.symmetric(3)
     fam = SubgroupFamily.all_subgroups(G)
-    doc = bundle_to_json(
+    return bundle_to_json(
         cat,
         modules={"Mconst": Ms["const"], "Malt": Ms["alt"],
                  "Nconst": Ns["const"], "Naug": Ns["aug"]},
         groups={"S3": G},
         families={"all": ("S3", fam)},
     )
+
+
+@pytest.fixture()
+def orz2_bundle(tmp_path):
     path = tmp_path / "orz2.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(orz2_doc(ZZ)))
     return str(path)
 
 
@@ -155,10 +166,13 @@ class TestCacheEntries:
 
     @pytest.mark.parametrize("how", ["not-utf8", "too-deep", "unknown-object",
                                      "unknown-morphism", "term-index-past-level",
-                                     "coefficient-rehashed"])
+                                     "coefficient-rehashed", "zero-denominator"])
     def test_entry_that_would_fail_later_is_a_miss(self, orz2_bundle, tmp_path, capsys, how):
+        if how == "zero-denominator":  # a Q entry
+            orz2_bundle = tmp_path / "orz2-Q.json"
+            orz2_bundle.write_text(json.dumps(orz2_doc(QQ)))
         cachedir = tmp_path / "cache"
-        argv = ["ss", orz2_bundle, "-M", "Mconst", "-N", "Naug", "--nmax", "2"]
+        argv = ["ss", str(orz2_bundle), "-M", "Mconst", "-N", "Naug", "--nmax", "2"]
         cold = tmp_path / "cold.json"
         assert main([*argv, "--cache-dir", str(cachedir), "--out", str(cold)]) == 0
         (name,) = os.listdir(cachedir)
@@ -178,6 +192,8 @@ class TestCacheEntries:
             elif how == "coefficient-rehashed":
                 # parses, but d1 no longer maps into the kernel of aug
                 payload["gen_images"][0][0][0][2] += 1
+            elif how == "zero-denominator":
+                payload["gen_images"][0][0][0][2] = "1/0"
             else:
                 payload["gen_images"][0][0][0][0] = len(payload["levels"][0])
             altered["digest"] = content_hash(payload)
@@ -823,6 +839,17 @@ class TestBundleSections:
         assert main(["tor", str(p), "-M", "Mconst", "-N", "Nconst"]) == 4
         assert capsys.readouterr().err == f"INPUT ERROR: {want}\n"
 
+    @pytest.mark.parametrize("group", [[], {}], ids=["array", "object"])
+    def test_family_group_not_a_name(self, orz2_bundle, tmp_path, capsys, group):
+        doc = json.loads(open(orz2_bundle).read())
+        doc["families"]["all"]["group"] = group
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == 1
+        assert "family 'all' references unknown group" in capsys.readouterr().err
+        assert main(["ss", str(p), "-M", "Mconst", "-N", "Nconst"]) == 4
+        assert "family 'all' references unknown group" in capsys.readouterr().err
+
     def test_family_entry_not_an_object(self, orz2_bundle, tmp_path, capsys):
         doc = json.loads(open(orz2_bundle).read())
         doc["families"]["all"] = []
@@ -833,3 +860,138 @@ class TestBundleSections:
         assert "family 'all' must be an object" in capsys.readouterr().err
         assert main(["ss", str(p), "-M", "Mconst", "-N", "Nconst"]) == 4
         assert "family 'all' must be an object" in capsys.readouterr().err
+
+
+COMMANDS = ["validate", "tor", "ss", "ext", "family", "chains"]
+
+
+def run_each_command(path, commands, capsys):
+    """{command: (exit code, stderr)} for each command run on the bundle
+    at path with the arguments that make it run on the OrZ2 bundle."""
+    out = {}
+    for command in commands:
+        args = [] if command == "validate" else TestCLI.valid_args(command)
+        rc = main([command, str(path), *args])
+        out[command] = rc, capsys.readouterr().err
+    return out
+
+
+class TestHostileEntries:
+    """Entries that no ring or category accepts: each is one error line,
+    with exit 1 from validate for a module and 4 otherwise."""
+
+    @pytest.mark.parametrize("where", ["action", "relation"])
+    def test_zero_denominator(self, tmp_path, capsys, where):
+        doc = orz2_doc(QQ)
+        obj = doc["category"]["objects"][0]
+        module = doc["modules"]["Mconst"]
+        if where == "action":
+            module["action"][doc["category"]["identity"][obj]] = [["1/0"]]
+        else:
+            module["values"][obj]["relations"] = [["1/0"]]
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        for command, (rc, err) in run_each_command(p, COMMANDS, capsys).items():
+            assert rc == (1 if command == "validate" else 4), command
+            assert "zero denominator" in err and len(err.splitlines()) == 1, command
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)], ids=["Z", "Q", "F3"])
+    def test_boolean_entry(self, tmp_path, capsys, ring):
+        doc = orz2_doc(ring)
+        obj = doc["category"]["objects"][0]
+        doc["modules"]["Mconst"]["action"][doc["category"]["identity"][obj]] = [[True]]
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        for command, (rc, err) in run_each_command(p, ["validate", "tor"], capsys).items():
+            assert rc == (1 if command == "validate" else 4), command
+            assert "True" in err and len(err.splitlines()) == 1, command
+
+    @pytest.mark.parametrize("value", [[], {}], ids=["array", "object"])
+    @pytest.mark.parametrize("edit,named", [
+        (lambda c, v: c["objects"].__setitem__(1, v), "object entry 1"),
+        (lambda c, v: c["morphisms"][0].update(id=v), "morphism entry 0 'id'"),
+        (lambda c, v: c["morphisms"][0].update(tgt=v), "morphism entry 0 'tgt'"),
+        (lambda c, v: c["compose"][0].__setitem__(2, v), "compose entry 0"),
+        (lambda c, v: c["identity"].update({c["objects"][0]: v}), "identity of"),
+    ], ids=["object", "morphism", "morphism-tgt", "compose", "identity"])
+    def test_name_that_is_no_string(self, orz2_bundle, tmp_path, capsys, value, edit, named):
+        doc = json.loads(open(orz2_bundle).read())
+        edit(doc["category"], value)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        want = f"must be a string, not {type(value).__name__}"
+        for command, (rc, err) in run_each_command(p, COMMANDS, capsys).items():
+            assert rc == 4, command
+            assert named in err and want in err and len(err.splitlines()) == 1, command
+
+    def test_prime_field_sizes(self):
+        from cathom.rings import ring_from_tag
+
+        start = time.perf_counter()
+        assert ring_from_tag("Fp:2305843009213693951").p == 2**61 - 1
+        assert time.perf_counter() - start < 1
+        for p in (2**61 + 1, 2**61 - 3, 3215031751, 3825123056546413051, 2**64 + 13, 2**70):
+            with pytest.raises(ValueError):
+                ring_from_tag(f"Fp:{p}")
+        # against sympy's primality test, up to 2**64
+        rng = random.Random(0)
+        for n in [2**64 - 59, *(rng.randrange(2**32, 2**64) | 1 for _ in range(300))]:
+            try:
+                accepted = ring_from_tag(f"Fp:{n}").p == n
+            except ValueError:
+                accepted = False
+            assert accepted == sympy.isprime(n), n
+        for p in (5.0, True):  # a bundle's "p" must be a JSON integer
+            with pytest.raises(ValueError):
+                ring_from_tag("Fp", p)
+        primes = [n for n in range(200) if all(n % d for d in range(2, n))][2:]
+        for n in range(200):
+            if n in primes:
+                assert ring_from_tag(f"Fp:{n}").p == n
+            else:
+                with pytest.raises(ValueError):
+                    ring_from_tag(f"Fp:{n}")
+
+    @pytest.mark.parametrize("command", ["ss", "tor"])
+    def test_large_prime_flag_is_a_ring_mismatch(self, orz2_bundle, capsys, command):
+        rc = main([command, orz2_bundle, *TestCLI.valid_args(command),
+                   "--ring", f"Fp:{2**61 - 1}"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("INPUT ERROR: ") and len(err.splitlines()) == 1
+
+
+HOSTILE = ["1/0", True, None, [], {}, -1, 1.5, "x"]
+HOSTILE_DOCS = {name: orz2_doc(ring) for name, ring in (("Z", ZZ), ("Q", QQ), ("F3", GF(3)))}
+
+
+def leaf_paths(doc, path=()):
+    """The path of every leaf of a JSON document: a value that is no list
+    or object, or an empty one."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    if not items:
+        yield path
+    for key, value in items:
+        yield from leaf_paths(value, (*path, key))
+
+
+class TestHostileLeaves:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(sorted(HOSTILE_DOCS)), st.data())
+    def test_every_command_exits_0_to_4(self, tmp_path, name, data):
+        doc = copy.deepcopy(HOSTILE_DOCS[name])
+        paths = list(leaf_paths(doc))
+        for _ in range(data.draw(st.integers(1, 2))):
+            *parents, last = data.draw(st.sampled_from(paths))
+            target = doc
+            for key in parents:
+                target = target[key]
+            target[last] = copy.deepcopy(data.draw(st.sampled_from(HOSTILE)))
+        p = tmp_path / "hostile.json"
+        p.write_text(json.dumps(doc))
+        out = str(tmp_path / "out.json")
+        assert main(["validate", str(p)]) in range(5)
+        for command in ("tor", "ss", "ext"):
+            args = TestCLI.valid_args(command)
+            assert main([command, str(p), *args, "--nmax", "1", "--out", out]) in range(5)

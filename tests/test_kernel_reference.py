@@ -1,9 +1,9 @@
 """The staircase kernel against a reference copy of its earlier form.
 
-``RefStairBasis`` and ``ref_axpy`` are the straightforward versions:
-``add`` and ``reduce`` take the next column with ``min`` over the whole
-working row, and ``ref_axpy`` adds every entry through ``ring.add`` and
-``ring.mul``.  The kernel in ``cathom`` takes columns from a heap and has a
+``RefStairBasis``, ``ref_axpy`` and ``ref_sum_terms`` are the
+straightforward versions: ``add`` and ``reduce`` take the next column with
+``min`` over the whole working row, and ``ref_axpy`` and ``ref_sum_terms``
+add every entry through ``ring.add`` and ``ring.mul``.  The kernel in ``cathom`` takes columns from a heap and has a
 loop per ring; both must give the same pivots, growth flags, residuals and
 recorded coefficients, with entries in the ring's canonical form.
 
@@ -23,7 +23,7 @@ from sympy import Matrix as SympyMatrix
 from sympy.matrices.normalforms import hermite_normal_form
 
 from cathom.intlin import StairBasis, _xgcd, kernel_basis, preimage_basis
-from cathom.matrix import Matrix, _axpy
+from cathom.matrix import Matrix, _axpy, _sum_terms
 from cathom.rings import GF, QQ, ZZ
 
 RINGS = {"Z": ZZ, "Q": QQ, "F2": GF(2), "F5": GF(5)}
@@ -37,6 +37,13 @@ def ref_axpy(ring, dst, src, c):
             dst[k] = v
         else:
             dst.pop(k, None)
+
+
+def ref_sum_terms(ring, terms):
+    out = {}
+    for k, c in terms:
+        out[k] = ring.add(out.get(k, ring.zero), c)
+    return {k: x for k, x in out.items() if x}
 
 
 class RefStairBasis:
@@ -179,6 +186,25 @@ class TestAgainstReference:
             _axpy(ring, got, src, c)
             assert got == want
             assert all(canonical(ring, x) for x in got.values())
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["Z", "Q", "F2", "F3"]), st.data())
+    def test_sum_terms(self, name, data):
+        ring = {"Z": ZZ, "Q": QQ, "F2": GF(2), "F3": GF(3)}[name]
+        terms = [(k, Fraction(x, d) if ring is QQ else ring.coerce(x)) for k, x, d in data.draw(
+            st.lists(st.tuples(st.integers(0, 5), st.sampled_from(NUMBERS),
+                               st.sampled_from([1, 2, 3])), max_size=10))]
+        # a term and its negation, or p copies of one term over F_p, cancel
+        if terms:
+            terms += [(k, -c) for k, c in data.draw(st.lists(st.sampled_from(terms), max_size=4))]
+        if ring.kind == "Fp" and terms:
+            terms += [terms[0]] * ring.p
+        data.draw(st.randoms()).shuffle(terms)
+        got = _sum_terms(ring, iter(terms))
+        assert got == ref_sum_terms(ring, terms)
+        assert all(x and canonical(ring, x) for x in got.values())
+        assert _sum_terms(ring, [*terms, *((k, -c) for k, c in terms)]) == {}
 
 
 class HermiteBasis:

@@ -389,7 +389,7 @@ def _same_cell(cell, gens, rows):
     ref = MergedQuotient(ring, len(gens), rows)
     assert cell.module == ref.module
     for u in range(len(gens)):
-        assert cell.quot.project_raw({u: ring.one}) == ref.project_raw({u: ring.one})
+        assert cell.quot.project_raw([(u, ring.one)]) == ref.project_raw([(u, ring.one)])
     for j in range(cell.dim):
         assert cell.quot.lift(j) == ref.lift(j)
 
@@ -528,7 +528,7 @@ class TestMergedQuotient:
         assert mq.quot.ambient == len(set(least.values()))
         assert [mq._raw_rep[mq._rep_of_raw[u]] for u in range(n)] == [least[u] for u in range(n)]
         for u in range(n):
-            assert mq.project_raw({u: one}) == mq.project_raw({least[u]: one})
+            assert mq.project_raw([(u, one)]) == mq.project_raw([(least[u], one)])
         assert mq.module == CanonicalQuotient(ring, n, rows).module
 
     def test_long_chain_does_not_recurse(self):
