@@ -53,7 +53,9 @@ class FiniteCategory:
             (a, b): [] for a in objects for b in objects
         }
         for f, (a, b) in morphisms.items():
-            self.hom[(a, b)].append(f)
+            # a morphism with an unknown endpoint is in no hom-set; validate names it
+            if (a, b) in self.hom:
+                self.hom[(a, b)].append(f)
         for key in self.hom:
             self.hom[key].sort()
         self._iso_cache: set[str] | None = None

@@ -271,7 +271,10 @@ def workspace_from_json(d: dict, source: str = "<memory>",
     report = cat.validate()
     if not report.ok:
         if strict:
-            raise ParseError("invalid category:\n" + "\n".join(report.violations))
+            # one line: the first violation; validate lists them all
+            first, *rest = report.violations
+            more = f" (and {len(rest)} more; validate lists them)" if rest else ""
+            raise ParseError(f"invalid category: {first}{more}")
         violations.extend(report.violations)
     groups_json = _section(d, "groups")
     families_json = _section(d, "families")

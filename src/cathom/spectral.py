@@ -40,8 +40,14 @@ pages, the total (co)homology and the filtration comparison all read it.
 generators, once per distinct input in a memo its caller owns;
 ``spectral_page`` builds one page, its entries and d^r; ``spectral_pages``
 maps it over r with one memo, so a page that has stabilised shares its
-entries with the page before.  A caller that reads single entries, such as
-``e1data.verify_e1``, calls ``page_entry`` alone.
+entries with the page before, and gives each page the page before.  Since
+E^r = H(E^{r-1}, d^{r-1}) (McCleary, A User's Guide to Spectral Sequences,
+Thm 2.6), E^r_{p,q} is zero where E^{r-1}_{p,q} is, and where E^{r-1} is
+exact at (p, q); such an entry is read off the page before as the one zero
+entry of its ambient size, with no cycle kernel and no SNF.  The
+exactness test runs from E^1 on: E^1 is the vertical homology of E^0,
+which the test seldom finds zero.  A caller that reads single entries,
+such as ``e1data.verify_e1``, calls ``page_entry`` alone.
 ``compare_with_oracle`` is the one comparison of total (co)homology with
 an oracle, the Tor oracle for ``converge_and_compare`` and the Ext oracle
 for ``extpages.ext_pages``.
@@ -76,7 +82,7 @@ from .fpmod import (
 )
 from .intlin import preimage_basis
 from .matrix import Matrix, _sum_terms
-from .resolve import Resolution, free_resolution, tor
+from .resolve import PresentedComplex, Resolution, free_resolution, tor
 from .rings import Ring
 
 
@@ -685,6 +691,18 @@ def _ann_gen_cols(fc: TotalComplex, n: int, p: int) -> list[dict]:
     return [{c: anns[c]} for c in fc.filtration_cols(n, p) if anns[c]]
 
 
+def _zero_entry(fc: TotalComplex, n: int, built: dict) -> Subquotient:
+    """The zero entry of total degree n: no Z and no B in the ambient T_n.
+    ``built`` keeps one per ambient size, so every zero entry of that size,
+    read off a page or built by ``page_entry``, is this one object."""
+    total = fc.total_dim(n)
+    entry = built.get(("zero", total))
+    if entry is None:
+        empty = Matrix.zeros(fc.ring, total, 0)
+        entry = built[("zero", total)] = Subquotient(fc.ring, total, empty, empty)
+    return entry
+
+
 def page_entry(fc: TotalComplex, r: int, p: int, q: int, built: dict) -> Subquotient:
     """E^r_{p,q} = Z(r, p, q) / (Z(max(r-1, 0), p-s, q+s) + D Z(r-1, p+s(r-1),
     q-s(r-2)) + relations), with s = fc.step and the D term for r >= 1 only.
@@ -692,7 +710,8 @@ def page_entry(fc: TotalComplex, r: int, p: int, q: int, built: dict) -> Subquot
     ``built`` is the caller's memo: one Subquotient per distinct input.  The
     cycle groups are one object per distinct group, so (Z, Z_prev, Z_src) by
     identity name them; the annihilator generators are the first (step +1)
-    or last (step -1) of their degree, so their number names them."""
+    or last (step -1) of their degree, so their number names them.  With Z
+    and B both empty the entry is ``_zero_entry``."""
     s = fc.step
     n = p + q
 
@@ -705,6 +724,8 @@ def page_entry(fc: TotalComplex, r: int, p: int, q: int, built: dict) -> Subquot
     if zsrc is not None and not zsrc.cols:
         zsrc = None
     anns = _ann_gen_cols(fc, n, p)
+    if not (zr.cols or zprev.cols or zsrc is not None or anns):
+        return _zero_entry(fc, n, built)
     key = (n, id(zr), id(zprev), id(zsrc), len(anns))
     entry = built.get(key)
     if entry is None:
@@ -719,13 +740,47 @@ def page_entry(fc: TotalComplex, r: int, p: int, q: int, built: dict) -> Subquot
     return entry
 
 
-def spectral_page(fc: TotalComplex, r: int, built: dict) -> Page:
+def _dies(fc: TotalComplex, prev: Page, p: int, q: int) -> bool:
+    """Whether E^{r+1}_{p,q} is zero, read off the page prev = E^r alone:
+    E^{r+1} = H(E^r, d^r), so it is zero where E^r_{p,q} is, and where E^r
+    is exact at (p, q) under d^r.  Exactness is not tested on E^0.  The
+    homology type comes from ``PresentedComplex``, which reads it off ranks
+    and invariant factors when no entry involved has torsion."""
+    here = prev.entries[(p, q)].module
+    if here.is_zero():
+        return True
+    if prev.r == 0:
+        return False
+    # d^r out of (p, q) and into it; a d^r that is not on the page is zero
+    tgt = prev.target(p, q)
+    src = (p + prev.step * prev.r, q - prev.step * (prev.r - 1))
+    anns_tgt = prev.entries[tgt].module.anns() if tgt in prev.entries else []
+    anns_src = prev.entries[src].module.anns() if src in prev.entries else []
+    d_out = prev.diffs.get((p, q))
+    if d_out is None:
+        d_out = Matrix.zeros(fc.ring, len(anns_tgt), here.n_gens)
+    d_in = prev.diffs.get(src)
+    if d_in is None:
+        d_in = Matrix.zeros(fc.ring, here.n_gens, len(anns_src))
+    level = PresentedComplex(fc.ring, [anns_tgt, here.anns(), anns_src], [d_out, d_in], 1)
+    return level.homology(1).is_zero()
+
+
+def spectral_page(fc: TotalComplex, r: int, built: dict, prev: Page | None = None) -> Page:
     """E^r: every entry (``page_entry`` with the memo ``built``) and d^r,
-    which runs from (p, q) to (p-sr, q+s(r-1))."""
+    which runs from (p, q) to (p-sr, q+s(r-1)).
+
+    ``prev`` is E^{r-1} when the caller has it.  E^r is the homology of
+    E^{r-1} under d^{r-1}, so an entry that is zero there, or at which
+    E^{r-1} is exact, is ``_zero_entry`` with no cycle kernel and no SNF;
+    every other entry is ``page_entry``'s."""
     grid = [(p, q) for p in range(fc.p_max + 1) for q in range(fc.q_max + 1)]
     page = Page(r, {}, {}, r >= fc.p_max + 1, fc.step)
     for (p, q) in grid:
-        page.entries[(p, q)] = page_entry(fc, r, p, q, built)
+        if prev is not None and _dies(fc, prev, p, q):
+            page.entries[(p, q)] = _zero_entry(fc, p + q, built)
+        else:
+            page.entries[(p, q)] = page_entry(fc, r, p, q, built)
     for (p, q) in grid:
         src = page.entries[(p, q)]
         tgt = page.target(p, q)
@@ -742,9 +797,19 @@ def spectral_pages(fc: TotalComplex) -> list[Page]:
     """E^0 .. E^{p_max+1}: the pages stabilize once r exceeds the column
     range, so the last is E^inf; a caller that wants fewer slices the
     list.  The pages share one entry memo, so a page that has stabilised
-    shares its entries with the page before."""
+    shares its entries with the page before.
+
+    Each page after E^0 is given the page before, from which it reads its
+    zero entries (``spectral_page``).  E^r = H(E^{r-1}, d^{r-1}) holds for
+    these pages: E^r is the standard page of the filtered total complex
+    of presented modules, truncated at q_max or not, since a truncated
+    resolution still gives a double complex, and a d^r whose target lies
+    off the grid is the zero map in it."""
     built: dict[tuple, Subquotient] = {}
-    return [spectral_page(fc, r, built) for r in range(fc.p_max + 2)]
+    pages: list[Page] = []
+    for r in range(fc.p_max + 2):
+        pages.append(spectral_page(fc, r, built, pages[-1] if pages else None))
+    return pages
 
 
 # -- convergence -------------------------------------------------------------

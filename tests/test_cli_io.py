@@ -299,6 +299,22 @@ class TestCLI:
         assert doc["convergence"]["all_match"] is True
         assert doc["pages"][-1]["stabilized"] is True
 
+    def test_ss_or_d8_nmax_4_matches_the_oracle(self, tmp_path):
+        # Or(D8) alt/aug at --nmax 4: the oracle check at a size whose
+        # entries grow to 131 bits
+        from cathom.groups import orbit_category
+
+        D8 = FiniteGroup.from_permutations([[(0, 1, 2, 3)], [(0, 2)]], 4, name="D8")
+        cat = orbit_category(D8)
+        Ms, Ns = fixture_modules(cat, ZZ)
+        p = tmp_path / "ord8.json"
+        p.write_text(json.dumps(bundle_to_json(cat, modules={"Malt": Ms["alt"],
+                                                             "Naug": Ns["aug"]})))
+        out = tmp_path / "ss.json"
+        assert main(["ss", str(p), "-M", "Malt", "-N", "Naug", "--nmax", "4",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["convergence"]["all_match"] is True
+
     def test_ss_computes_pages_once(self, orz2_bundle, tmp_path, monkeypatch):
         import cathom.cli
         import cathom.spectral
@@ -745,6 +761,25 @@ class TestBundleSections:
             assert main([argv[0], str(p), *argv[1:]]) == 4
             err = capsys.readouterr().err
             assert "names unknown morphism 'ghost'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("index", [0, 2])
+    @pytest.mark.parametrize("end", ["src", "tgt"])
+    def test_morphism_with_unknown_endpoint(self, orz2_bundle, tmp_path, capsys, end, index):
+        doc = json.loads(open(orz2_bundle).read())
+        morphism = doc["category"]["morphisms"][index]
+        morphism[end] = "ghost"
+        p = tmp_path / "ghost.json"
+        p.write_text(json.dumps(doc))
+        want = f"morphism {morphism['id']!r} has unknown endpoint"
+        # validate lists the violation; each command refuses the bundle in one line
+        assert main(["validate", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert want in err and "Traceback" not in err
+        for command in ("ss", "tor", "ext"):
+            assert main([command, str(p), *TestCLI.valid_args(command)]) == 4, command
+            err = capsys.readouterr().err
+            assert err.startswith("INPUT ERROR: ") and want in err, command
+            assert len(err.splitlines()) == 1, command
 
     @pytest.mark.parametrize("edit,validate_rc", [
         (lambda d: d["modules"]["Mconst"]["values"][d["category"]["objects"][0]].update(

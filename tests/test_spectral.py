@@ -3,8 +3,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cathom.catmod import CatModule, CO, CONTRA
-from cathom.fixtures import FIXTURE_NAMES, fixture_category, fixture_modules, group_category
-from cathom.fpmod import CanonicalQuotient, FPModule, presented_homology
+from cathom.extpages import ExtFilteredComplex
+from cathom.fixtures import (
+    FIXTURE_NAMES,
+    alternative_contravariant,
+    fixture_category,
+    fixture_modules,
+    group_category,
+)
+from cathom.fpmod import CanonicalQuotient, FPModule, is_exact, presented_homology
 from cathom.groups import FiniteGroup, orbit_category
 from cathom.matrix import Matrix
 from cathom.resolve import tor
@@ -458,17 +465,32 @@ class TestCellBlocks:
             cell.restrict(keys[0])
 
 
+def _z2xz4():
+    return FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(4))
+
+
+def _entry_complex(name, ring, q_max=3):
+    """A fresh complex: alt/aug over a fixture or Or(Z2xZ4) (step +1), or
+    for ext-<fixture> the step -1 complex of alt against const."""
+    if name.startswith("ext-"):
+        cat = fixture_category(name[len("ext-"):])
+        return ExtFilteredComplex(alternative_contravariant(cat, ring),
+                                  CatModule.constant(cat, ring, CONTRA), q_max=q_max)
+    cat = orbit_category(_z2xz4()) if name == "Or(Z2xZ4)" else fixture_category(name)
+    Ms, Ns = fixture_modules(cat, ring)
+    return build_filtered_complex(Ms["alt"], Ns["aug"], q_max=q_max)
+
+
 class TestPageEntries:
-    """E^r_{p,q} read entry by entry equals the entry of the full pages."""
+    """E^r_{p,q} read entry by entry equals the entry of the full pages,
+    so every entry the pages read off the page before as zero is zero."""
 
     @pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=["Z", "F2"])
-    @pytest.mark.parametrize("name", ["OrZ4", "OrV4", "OrS3"])
+    @pytest.mark.parametrize("name", [*FIXTURE_NAMES, "Or(Z2xZ4)", "ext-OrV4", "ext-OrS3"])
     def test_entry_equals_page_entry(self, name, ring):
-        cat = fixture_category(name)
-        Ms, Ns = fixture_modules(cat, ring)
-        fc = build_filtered_complex(Ms["alt"], Ns["aug"], q_max=3)
+        fc = _entry_complex(name, ring)
         pages = spectral_pages(fc)
-        fresh = build_filtered_complex(Ms["alt"], Ns["aug"], q_max=3)
+        fresh = _entry_complex(name, ring)
         built = {}
         for page in reversed(pages):
             for (p, q), want in page.entries.items():
@@ -477,6 +499,56 @@ class TestPageEntries:
                 assert got.module == want.module
                 assert got.lifts() == want.lifts()
         assert spectral_page(fresh, 1, {}).to_json() == pages[1].to_json()
+
+
+class TestZeroEntriesReadOffThePageBefore:
+    """spectral_pages calls page_entry for E^r_{p,q} exactly where page
+    r-1 leaves it open: not where E^{r-1}_{p,q} is zero (r >= 1), and not
+    where E^{r-1} is exact at (p, q) under d^{r-1} (r >= 2)."""
+
+    @staticmethod
+    def exact(page, p, q):
+        """Whether page is exact at (p, q): d out of it and into it, found
+        by their targets, a missing one the zero map."""
+        ring = page.entries[(p, q)].ring
+        here = page.entries[(p, q)].module
+        tgt = page.entries.get(page.target(p, q))
+        n_tgt = tgt.module.n_gens if tgt else 0
+        d_out = page.diffs.get((p, q)) or Matrix.zeros(ring, n_tgt, here.n_gens)
+        sources = [key for key in page.entries if page.target(*key) == (p, q)]
+        assert len(sources) <= 1
+        if sources and sources[0] in page.diffs:
+            d_in = page.diffs[sources[0]]
+        else:
+            n_src = page.entries[sources[0]].module.n_gens if sources else 0
+            d_in = Matrix.zeros(ring, here.n_gens, n_src)
+        return is_exact(d_out, d_in, here.anns(), tgt.module.anns() if tgt else [])
+
+    def test_alt_aug_or_z2xz4(self, monkeypatch):
+        import cathom.spectral as spectral
+
+        fc = _entry_complex("Or(Z2xZ4)", ZZ, q_max=4)
+        called = []
+        real_entry = spectral.page_entry
+
+        def entry(fc, r, p, q, built):
+            called.append((r, p, q))
+            return real_entry(fc, r, p, q, built)
+
+        monkeypatch.setattr(spectral, "page_entry", entry)
+        pages = spectral_pages(fc)
+        decided = set()
+        for prev in pages[:-1]:
+            for (p, q), e in prev.entries.items():
+                if e.module.is_zero() or (prev.r >= 1 and self.exact(prev, p, q)):
+                    decided.add((prev.r + 1, p, q))
+        every = {(page.r, p, q) for page in pages for (p, q) in page.entries}
+        assert len(called) == len(set(called))
+        assert any(r >= 2 and not pages[r - 1].entries[(p, q)].module.is_zero()
+                   for (r, p, q) in decided)
+        assert set(called) == every - decided
+        for (r, p, q) in decided:
+            assert pages[r].entries[(p, q)].module.is_zero()
 
 
 @st.composite
