@@ -22,7 +22,9 @@ bottom object and coefficient module, and chains with equal keys share
 one oracle call.  The rows stay per chain, and the engine side is still
 computed per chain.  ``verify_e1`` checks the chain sums against the E^1
 entries read one by one (``spectral.page_entry``) for q up to the band,
-so it builds no other page, no d^0 or d^1 map and no q = q_max row.
+so it builds no other page, no d^0 or d^1 map and no q = q_max row.  The
+entries are the complex's, so on a complex whose pages are built it
+builds none of them again.
 Components for i >= 1 are biset concatenations transported through the
 explicit chain/biset bijection of the nerve; the i = 0 component is the
 change-of-groups composite, which on the free resolution summands
@@ -174,7 +176,6 @@ def verify_e1(M: CatModule, N: CatModule, q_max: int = 3,
     if fc is None:
         fc = build_filtered_complex(M, N, q_max=q_max + 1)
     band = min(q_max, fc.q_max - 1)
-    e1_built: dict = {}  # the entry memo of page_entry
     direct_tor = chain_oracle(fc, group_tor, band)
     rows = []
     ring = fc.ring
@@ -198,7 +199,7 @@ def verify_e1(M: CatModule, N: CatModule, q_max: int = 3,
             total = FPModule(ring, 0)
             for chain in fc.chains[p]:
                 total = total.direct_sum(columns[chain].homology(q).module)
-            entry = page_entry(fc, 1, p, q, e1_built).module
+            entry = page_entry(fc, 1, p, q).module
             rows.append({
                 "p": p,
                 "chain": "(sum)",

@@ -86,19 +86,26 @@ class FiniteCategory:
             if c in seen_ids:
                 report.add(f"duplicate object id {c!r}")
             seen_ids.add(c)
+        # the identity and composition typing are checked on the morphisms
+        # whose endpoints are both objects; the others are named once here
+        mors = {}
         for f, (a, b) in self.morphisms.items():
-            if a not in self.obj_index or b not in self.obj_index:
-                report.add(f"morphism {f!r} has unknown endpoint {a!r} or {b!r}")
+            unknown = [f"{end} {x!r}" for end, x in (("source", a), ("target", b))
+                       if x not in self.obj_index]
+            if unknown:
+                plural = "s" if len(unknown) > 1 else ""
+                report.add(f"morphism {f!r} has unknown endpoint{plural}: {', '.join(unknown)}")
+            else:
+                mors[f] = (a, b)
         for c in self.objects:
             e = self.identity.get(c)
             if e is None or e not in self.morphisms:
                 report.add(f"object {c!r} has no identity morphism")
-            elif self.morphisms[e] != (c, c):
+            elif e in mors and mors[e] != (c, c):
                 report.add(f"identity of {c!r} is not an endomorphism of it")
         # composition totality and typing
-        mors = self.morphisms
         for g, f in self.compose_table:
-            for m in sorted({g, f} - mors.keys()):
+            for m in sorted({g, f} - self.morphisms.keys()):
                 report.add(f"compose triple ({g!r},{f!r}) names unknown morphism {m!r}")
         for f, (a, b) in mors.items():
             for g, (b2, c) in mors.items():
@@ -109,9 +116,9 @@ class FiniteCategory:
                 gf = self.compose_table.get((g, f))
                 if gf is None:
                     report.add(f"compose missing for composable pair ({g!r},{f!r})")
-                elif gf not in mors:
+                elif gf not in self.morphisms:
                     report.add(f"compose({g!r},{f!r}) = {gf!r} is not a morphism")
-                elif mors[gf] != (a, c):
+                elif gf in mors and mors[gf] != (a, c):
                     report.add(
                         f"compose({g!r},{f!r}) = {gf!r} has wrong endpoints "
                         f"{mors[gf]} != {(a, c)}"

@@ -32,22 +32,23 @@ step +1: D lowers degree, F_p is the columns p' <= p) and
 ``extpages.ExtFilteredComplex`` (cohomology, step -1: delta raises degree,
 F^p is the columns p' >= p) share the set-up of ``TotalComplex.__init__``,
 build their blocks on demand and plug into the same cycle bases, pages,
-total (co)homology and E^inf-versus-filtration comparison.  Each cycle
-group is solved once per complex: the ``TotalComplex`` owns their memo
-(``TotalComplex.cycles``), which lives and is freed with it, and the
-pages, the total (co)homology and the filtration comparison all read it.
-``page_entry`` builds one entry E^r_{p,q}, the ``Subquotient`` of its
-generators, once per distinct input in a memo its caller owns;
-``spectral_page`` builds one page, its entries and d^r; ``spectral_pages``
-maps it over r with one memo, so a page that has stabilised shares its
-entries with the page before, and gives each page the page before.  Since
-E^r = H(E^{r-1}, d^{r-1}) (McCleary, A User's Guide to Spectral Sequences,
-Thm 2.6), E^r_{p,q} is zero where E^{r-1}_{p,q} is, and where E^{r-1} is
-exact at (p, q); such an entry is read off the page before as the one zero
-entry of its ambient size, with no cycle kernel and no SNF.  The
-exactness test runs from E^1 on: E^1 is the vertical homology of E^0,
-which the test seldom finds zero.  A caller that reads single entries,
-such as ``e1data.verify_e1``, calls ``page_entry`` alone.
+total (co)homology and E^inf-versus-filtration comparison.  The complex
+owns one memo per computed object, which lives and is freed with it.  Its
+cycle groups (``TotalComplex.cycles``) are keyed by the restricted
+differential each one solves, so each is solved once and is one object;
+the pages, the total (co)homology and the filtration comparison all read
+them.  Its page entries are keyed by their input: ``page_entry`` builds
+one entry E^r_{p,q}, the ``Subquotient`` of its generators, once per
+distinct input, so a page that has stabilised shares its entries with the
+page before, and a caller that reads single entries, such as
+``e1data.verify_e1``, reads the pages' own.  ``spectral_page`` builds one
+page, its entries and d^r; ``spectral_pages`` maps it over r and gives
+each page the page before.  Since E^r = H(E^{r-1}, d^{r-1}) (McCleary, A
+User's Guide to Spectral Sequences, Thm 2.6), E^r_{p,q} is zero where
+E^{r-1}_{p,q} is, and where E^{r-1} is exact at (p, q); such an entry is
+read off the page before as the one zero entry of its ambient size, with
+no cycle kernel and no SNF.  The exactness test runs from E^1 on: E^1 is
+the vertical homology of E^0, which the test seldom finds zero.
 ``compare_with_oracle`` is the one comparison of total (co)homology with
 an oracle, the Tor oracle for ``converge_and_compare`` and the Ext oracle
 for ``extpages.ext_pages``.
@@ -240,9 +241,11 @@ class TotalComplex:
     ``block_anns(p, q)``, ``horizontal(p, q)`` and ``vertical(p, q)``; the
     last two build a block on demand, as ``total_diff`` keeps each degree.
 
-    The complex owns the memo of its cycle groups (``cycles``), which the
-    pages, the total (co)homology and the filtration comparison all read,
-    so it lives exactly as long as the complex.
+    Beside the total differentials (``_total_cache``), the complex owns one
+    memo of its cycle groups (``_cycles``, keyed by the restricted
+    differential; see ``cycles``) and one of its page entries
+    (``_entries``, keyed by their input; see ``page_entry``), so both live
+    exactly as long as the complex.
     """
 
     step: int
@@ -260,9 +263,8 @@ class TotalComplex:
         self.chains = enumerate_chains(self.cat, self.p_max)
         self.nerve = NerveCache(self.cat)
         self._total_cache: dict[int, Matrix] = {}
-        self._cycles: dict[tuple[int, int, int], Matrix] = {}  # clamped (n, p, bound)
-        self._kernels: dict[tuple[int, int, int], Matrix] = {}  # restricted differential
-        self._distinct: dict[int, list[Matrix]] = {}  # content hash -> distinct groups
+        self._cycles: dict[tuple[int, int, int], Matrix] = {}  # restricted differential
+        self._entries: dict[tuple, Subquotient] = {}  # page entries by their input
 
     def blocks(self, n: int) -> list[tuple[int, int]]:
         return [
@@ -331,66 +333,38 @@ class TotalComplex:
     def cycles(self, n: int, p: int, bound: int) -> Matrix:
         """{x in F_p T_n : D x in F_bound + relations}, as matrix columns.
 
-        Memoised by (n, p, bound) with p and bound clamped into the
-        filtration range, beyond whose ends the filtration is constant.
-        Each distinct restricted differential is solved once, and groups
-        that are equal as matrices are one object, so equal inputs
-        downstream are recognised by identity."""
-        s = self.step
-        empty, full = self.filtration_range()
-
-        def clamp(x):
-            # in u = s x the filtration grows with u
-            return s * min(max(s * x, s * empty), s * full)
-
-        key = (n, clamp(p), clamp(bound))
-        out = self._cycles.get(key)
-        if out is None:
-            out = self._cycles[key] = self._restricted_kernel(*key)
-        return out
-
-    def _restricted_kernel(self, n: int, p: int, bound: int) -> Matrix:
+        F_p T_n is a prefix (step +1) or a suffix (step -1) of T_n's
+        coordinates, and the rows outside F_bound are the other end of
+        T_{n-s}'s, so (n, |F_p T_n|, #rows outside F_bound) names the
+        restricted differential that is solved.  ``_cycles`` is keyed by
+        that triple alone: beyond either end of the filtration the two
+        sizes stop changing, so each restricted differential is solved once
+        whatever p and bound name it, and is one object, which page entries
+        recognise by identity."""
         ring = self.ring
         s = self.step
-        cols = self.filtration_cols(n, p)
-        # rows of the blocks of degree n - s outside F_bound
-        ofs = self.offsets(n - s)
-        out_rows = []
-        for (pp, qq) in self.blocks(n - s):
-            if s * pp > s * bound:
-                out_rows.extend(range(ofs[(pp, qq)], ofs[(pp, qq)] + self.block_dim(pp, qq)))
-        # F_p T_n is a prefix (step +1) or a suffix (step -1) of T_n's
-        # coordinates, and the rows outside F_bound the other end of
-        # T_{n-s}'s, so their sizes name the restricted differential
-        key = (n, len(cols), len(out_rows))
-        out = self._kernels.get(key)
+        n_cols = sum(self.block_dim(*blk) for blk in self.blocks(n) if s * blk[0] <= s * p)
+        n_out = sum(self.block_dim(*blk) for blk in self.blocks(n - s) if s * blk[0] > s * bound)
+        key = (n, n_cols, n_out)
+        out = self._cycles.get(key)
         if out is not None:
             return out
-        if not cols:
+        if not n_cols:
             out = Matrix.zeros(ring, self.total_dim(n), 0)
         else:
+            cols = self.filtration_cols(n, p)
+            first = self.total_dim(n - s) - n_out if s == 1 else 0
+            out_rows = range(first, first + n_out)
             D = self.total_diff(n)
             anns_next = self.anns_of_degree(n - s)
-            row_pos = {r_: t for t, r_ in enumerate(out_rows)}
             sub = Matrix.from_columns(
-                ring,
-                [{row_pos[r_]: x for r_, x in D.vecs[c].items() if r_ in row_pos} for c in cols],
-                len(out_rows),
-            )
+                ring, [{r_ - first: x for r_, x in D.vecs[c].items() if r_ in out_rows}
+                       for c in cols], n_out)
             K = preimage_basis(sub, _ann_columns(ring, [anns_next[r_] for r_ in out_rows]))
             # embed back into T_n coordinates
             out = Matrix.from_columns(
                 ring, [{cols[k]: x for k, x in vec.items()} for vec in K.vecs], self.total_dim(n))
-        # one object per distinct group
-        h = hash((out.rows, tuple(frozenset(vec.items()) for vec in out.vecs)))
-        same = self._distinct.setdefault(h, [])
-        for other in same:
-            if other == out:
-                out = other
-                break
-        else:
-            same.append(out)
-        self._kernels[key] = out
+        self._cycles[key] = out
         return out
 
 
@@ -691,27 +665,30 @@ def _ann_gen_cols(fc: TotalComplex, n: int, p: int) -> list[dict]:
     return [{c: anns[c]} for c in fc.filtration_cols(n, p) if anns[c]]
 
 
-def _zero_entry(fc: TotalComplex, n: int, built: dict) -> Subquotient:
+def _zero_entry(fc: TotalComplex, n: int) -> Subquotient:
     """The zero entry of total degree n: no Z and no B in the ambient T_n.
-    ``built`` keeps one per ambient size, so every zero entry of that size,
-    read off a page or built by ``page_entry``, is this one object."""
+    The complex keeps one per ambient size among its entries, so every
+    zero entry of that size, read off a page or built by ``page_entry``, is
+    this one object."""
     total = fc.total_dim(n)
-    entry = built.get(("zero", total))
+    entry = fc._entries.get(("zero", total))
     if entry is None:
         empty = Matrix.zeros(fc.ring, total, 0)
-        entry = built[("zero", total)] = Subquotient(fc.ring, total, empty, empty)
+        entry = fc._entries[("zero", total)] = Subquotient(fc.ring, total, empty, empty)
     return entry
 
 
-def page_entry(fc: TotalComplex, r: int, p: int, q: int, built: dict) -> Subquotient:
+def page_entry(fc: TotalComplex, r: int, p: int, q: int) -> Subquotient:
     """E^r_{p,q} = Z(r, p, q) / (Z(max(r-1, 0), p-s, q+s) + D Z(r-1, p+s(r-1),
     q-s(r-2)) + relations), with s = fc.step and the D term for r >= 1 only.
 
-    ``built`` is the caller's memo: one Subquotient per distinct input.  The
-    cycle groups are one object per distinct group, so (Z, Z_prev, Z_src) by
-    identity name them; the annihilator generators are the first (step +1)
-    or last (step -1) of their degree, so their number names them.  With Z
-    and B both empty the entry is ``_zero_entry``."""
+    The complex keeps one Subquotient per distinct input (``_entries``), so
+    the pages and a caller that reads single entries share them.  There is
+    one cycle object per restricted differential (``TotalComplex.cycles``),
+    kept as long as the complex, so (Z, Z_prev, Z_src) by identity name the
+    cycle groups and no identity is reused; the annihilator generators are
+    the first (step +1) or last (step -1) of their degree, so their number
+    names them.  With Z and B both empty the entry is ``_zero_entry``."""
     s = fc.step
     n = p + q
 
@@ -725,9 +702,9 @@ def page_entry(fc: TotalComplex, r: int, p: int, q: int, built: dict) -> Subquot
         zsrc = None
     anns = _ann_gen_cols(fc, n, p)
     if not (zr.cols or zprev.cols or zsrc is not None or anns):
-        return _zero_entry(fc, n, built)
+        return _zero_entry(fc, n)
     key = (n, id(zr), id(zprev), id(zsrc), len(anns))
-    entry = built.get(key)
+    entry = fc._entries.get(key)
     if entry is None:
         total = fc.total_dim(n)
         b_cols = list(zprev.vecs)
@@ -736,7 +713,7 @@ def page_entry(fc: TotalComplex, r: int, p: int, q: int, built: dict) -> Subquot
             b_cols.extend(Dsrc.apply(vec) for vec in zsrc.vecs)
         b_cols.extend(anns)
         gens_B = Matrix.from_columns(fc.ring, b_cols, nrows=total)
-        entry = built[key] = Subquotient(fc.ring, total, zr, gens_B)
+        entry = fc._entries[key] = Subquotient(fc.ring, total, zr, gens_B)
     return entry
 
 
@@ -766,9 +743,9 @@ def _dies(fc: TotalComplex, prev: Page, p: int, q: int) -> bool:
     return level.homology(1).is_zero()
 
 
-def spectral_page(fc: TotalComplex, r: int, built: dict, prev: Page | None = None) -> Page:
-    """E^r: every entry (``page_entry`` with the memo ``built``) and d^r,
-    which runs from (p, q) to (p-sr, q+s(r-1)).
+def spectral_page(fc: TotalComplex, r: int, prev: Page | None = None) -> Page:
+    """E^r: every entry, from the complex's entries, and d^r, which runs
+    from (p, q) to (p-sr, q+s(r-1)).
 
     ``prev`` is E^{r-1} when the caller has it.  E^r is the homology of
     E^{r-1} under d^{r-1}, so an entry that is zero there, or at which
@@ -778,9 +755,9 @@ def spectral_page(fc: TotalComplex, r: int, built: dict, prev: Page | None = Non
     page = Page(r, {}, {}, r >= fc.p_max + 1, fc.step)
     for (p, q) in grid:
         if prev is not None and _dies(fc, prev, p, q):
-            page.entries[(p, q)] = _zero_entry(fc, p + q, built)
+            page.entries[(p, q)] = _zero_entry(fc, p + q)
         else:
-            page.entries[(p, q)] = page_entry(fc, r, p, q, built)
+            page.entries[(p, q)] = page_entry(fc, r, p, q)
     for (p, q) in grid:
         src = page.entries[(p, q)]
         tgt = page.target(p, q)
@@ -796,7 +773,7 @@ def spectral_page(fc: TotalComplex, r: int, built: dict, prev: Page | None = Non
 def spectral_pages(fc: TotalComplex) -> list[Page]:
     """E^0 .. E^{p_max+1}: the pages stabilize once r exceeds the column
     range, so the last is E^inf; a caller that wants fewer slices the
-    list.  The pages share one entry memo, so a page that has stabilised
+    list.  The entries are the complex's, so a page that has stabilised
     shares its entries with the page before.
 
     Each page after E^0 is given the page before, from which it reads its
@@ -805,10 +782,9 @@ def spectral_pages(fc: TotalComplex) -> list[Page]:
     of presented modules, truncated at q_max or not, since a truncated
     resolution still gives a double complex, and a d^r whose target lies
     off the grid is the zero map in it."""
-    built: dict[tuple, Subquotient] = {}
     pages: list[Page] = []
     for r in range(fc.p_max + 2):
-        pages.append(spectral_page(fc, r, built, pages[-1] if pages else None))
+        pages.append(spectral_page(fc, r, pages[-1] if pages else None))
     return pages
 
 
@@ -947,7 +923,7 @@ def two_column_les(M: CatModule, N: CatModule, n_max: int = 3,
         )
     ring = fc.ring
     band = min(fc.certified_band(), n_max)
-    e1 = spectral_page(fc, 1, {})
+    e1 = spectral_page(fc, 1)
 
     zero_entry = Subquotient(ring, 0, Matrix.zeros(ring, 0, 0), Matrix.zeros(ring, 0, 0))
 

@@ -781,6 +781,29 @@ class TestBundleSections:
             assert err.startswith("INPUT ERROR: ") and want in err, command
             assert len(err.splitlines()) == 1, command
 
+    @pytest.mark.parametrize("index", [0, 2])
+    @pytest.mark.parametrize("ends,named", [
+        ({"src": "ghost"}, ": source 'ghost'"),
+        ({"tgt": "ghost"}, ": target 'ghost'"),
+        ({"src": "ghost", "tgt": "ghost2"}, "s: source 'ghost', target 'ghost2'"),
+    ], ids=["src", "tgt", "both"])
+    def test_unknown_endpoint_is_one_violation(self, orz2_bundle, tmp_path, capsys,
+                                               index, ends, named):
+        """The unknown endpoint is named, as source or target, in the one
+        violation: no identity or composition check restates it."""
+        doc = json.loads(open(orz2_bundle).read())
+        morphism = doc["category"]["morphisms"][index]
+        morphism.update(ends)
+        p = tmp_path / "ghost.json"
+        p.write_text(json.dumps(doc))
+        want = f"morphism {morphism['id']!r} has unknown endpoint{named}"
+        assert main(["validate", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"{p}: {want}"]
+        for command in ("ss", "tor", "ext"):
+            assert main([command, str(p), *TestCLI.valid_args(command)]) == 4, command
+            assert capsys.readouterr().err == f"INPUT ERROR: invalid category: {want}\n"
+
     @pytest.mark.parametrize("edit,validate_rc", [
         (lambda d: d["modules"]["Mconst"]["values"][d["category"]["objects"][0]].update(
             relations=[[0, 0, 2]]), 1),

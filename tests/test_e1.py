@@ -579,9 +579,9 @@ class TestE1EntryByEntry:
                 return real(*args, **kwargs)
             return counting
 
-        def entry(fc, r, p, q, built):
+        def entry(fc, r, p, q):
             read.append((r, p, q))
-            return real_entry(fc, r, p, q, built)
+            return real_entry(fc, r, p, q)
 
         for name in calls:
             monkeypatch.setattr(spectral, name, counter(name))

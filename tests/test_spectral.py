@@ -491,14 +491,13 @@ class TestPageEntries:
         fc = _entry_complex(name, ring)
         pages = spectral_pages(fc)
         fresh = _entry_complex(name, ring)
-        built = {}
         for page in reversed(pages):
             for (p, q), want in page.entries.items():
-                got = page_entry(fresh, page.r, p, q, built)
+                got = page_entry(fresh, page.r, p, q)
                 assert got.ambient == want.ambient
                 assert got.module == want.module
                 assert got.lifts() == want.lifts()
-        assert spectral_page(fresh, 1, {}).to_json() == pages[1].to_json()
+        assert spectral_page(fresh, 1).to_json() == pages[1].to_json()
 
 
 class TestZeroEntriesReadOffThePageBefore:
@@ -531,9 +530,9 @@ class TestZeroEntriesReadOffThePageBefore:
         called = []
         real_entry = spectral.page_entry
 
-        def entry(fc, r, p, q, built):
+        def entry(fc, r, p, q):
             called.append((r, p, q))
-            return real_entry(fc, r, p, q, built)
+            return real_entry(fc, r, p, q)
 
         monkeypatch.setattr(spectral, "page_entry", entry)
         pages = spectral_pages(fc)
@@ -549,6 +548,94 @@ class TestZeroEntriesReadOffThePageBefore:
         assert set(called) == every - decided
         for (r, p, q) in decided:
             assert pages[r].entries[(p, q)].module.is_zero()
+
+
+class TestCyclesKeyedByRestrictedDifferential:
+    """TotalComplex.cycles is memoised by the restricted differential it
+    solves alone: arguments beyond either end of the filtration name the
+    group of the end, and each restricted differential is solved once."""
+
+    @pytest.mark.parametrize("name", ["OrZ4", "ext-OrV4"])
+    def test_sizes_do_the_clamp(self, monkeypatch, name):
+        import cathom.spectral as spectral
+
+        fc = _entry_complex(name, ZZ)
+        solved = []
+        real_pre = spectral.preimage_basis
+
+        def pre(A, L):
+            solved.append((A.rows, A.cols))
+            return real_pre(A, L)
+
+        monkeypatch.setattr(spectral, "preimage_basis", pre)
+        lo, hi = sorted(fc.filtration_range())
+        span = range(lo - 3, hi + 4)
+        for n in range(fc.p_max + fc.q_max + 2):
+            for p in span:
+                for bound in span:
+                    got = fc.cycles(n, p, bound)
+                    assert got is fc.cycles(n, min(max(p, lo), hi), min(max(bound, lo), hi))
+        # e.g. (n, p_max + 3, -5) against (n, p_max, -1) at step +1
+        empty, full = fc.filtration_range()
+        beyond = (full + 3 * fc.step, empty - 5 * fc.step)
+        assert fc.cycles(fc.p_max, *beyond) is fc.cycles(fc.p_max, full, empty)
+        # one solve per key (n, |F_p T_n|, #rows outside F_bound) with columns
+        assert solved
+        assert sorted(solved) == sorted((n_out, n_cols) for (_, n_cols, n_out) in fc._cycles
+                                        if n_cols)
+
+
+class TestEntriesLiveOnTheComplex:
+    """The complex keeps its page entries: after spectral_pages, an entry
+    read alone is the page's own wherever page_entry built it, and
+    verify_e1 on the same complex builds none of those again."""
+
+    @pytest.mark.parametrize("name", ["OrV4", "OrS3", "OrZ4"])
+    def test_alt_aug(self, monkeypatch, name):
+        import cathom.e1data as e1data
+        import cathom.spectral as spectral
+
+        cat = fixture_category(name)
+        Ms, Ns = fixture_modules(cat, ZZ)
+        M, N = Ms["alt"], Ns["aug"]
+        fc = build_filtered_complex(M, N, q_max=4)
+        built = []
+        real_sub, real_entry = spectral.Subquotient, spectral.page_entry
+
+        def sub(*args):
+            built.append(args)
+            return real_sub(*args)
+
+        called = set()
+
+        def entry(fc, r, p, q):
+            called.add((r, p, q))
+            return real_entry(fc, r, p, q)
+
+        monkeypatch.setattr(spectral, "Subquotient", sub)
+        monkeypatch.setattr(spectral, "page_entry", entry)
+        pages = spectral_pages(fc)
+        assert any(r == 1 for (r, _, _) in called)
+        rebuilt = []
+
+        def e1_entry(fc, r, p, q):
+            before = len(built)
+            out = real_entry(fc, r, p, q)
+            if (r, p, q) in called:
+                rebuilt.extend(built[before:])
+                assert out is pages[r].entries[(p, q)]
+            return out
+
+        monkeypatch.setattr(e1data, "page_entry", e1_entry)
+        assert e1data.verify_e1(M, N, 3, fc=fc).all_match
+        assert not rebuilt
+        for page in pages:
+            for (p, q), e in page.entries.items():
+                alone = real_entry(fc, page.r, p, q)
+                if (page.r, p, q) in called:
+                    assert alone is e
+                else:
+                    assert e.module.is_zero() and alone.module.is_zero()
 
 
 @st.composite
