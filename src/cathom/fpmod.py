@@ -10,19 +10,17 @@ a vector modulo the diagonal relations of a canonical presentation: it
 gives ``CanonicalQuotient.project`` and the action matrices of
 ``catmod.CatModule`` their canonical entries.  A quotient whose relations
 already span the whole ambient lattice is the zero module without an SNF.
-``is_exact`` is the one test of exactness: the homology of
-``presented_homology`` is zero.
+``presented_homology`` is the one homology at a spot A -> B -> C of
+presented modules, with witnesses; ``resolve.PresentedComplex`` reads a
+whole complex through it.  ``is_exact`` is the one test of exactness:
+that homology is zero.
 """
 
 from __future__ import annotations
 
-from .intlin import ColumnOps, StairBasis, kernel_basis, preimage_basis, smith_normal_form
+from .intlin import ColumnOps, StairBasis, preimage_basis, smith_normal_form
 from .matrix import DimensionMismatch, Matrix, _axpy
 from .rings import Ring
-
-
-class CompositionNonzero(ValueError):
-    pass
 
 
 class NotASubmodule(ValueError):
@@ -231,20 +229,6 @@ def subquotient(ambient_rank: int, gens_Z: Matrix, gens_B: Matrix) -> Subquotien
     if gens_Z.ring != gens_B.ring:
         raise DimensionMismatch("ring mismatch between generator sets")
     return Subquotient(gens_Z.ring, ambient_rank, gens_Z, gens_B)
-
-
-def homology_at(d_out: Matrix, d_in: Matrix) -> FPModule:
-    """ker(d_out)/im(d_in) for maps of free modules, canonical form."""
-    if d_out.ring != d_in.ring:
-        raise DimensionMismatch("ring mismatch")
-    if d_out.cols != d_in.rows:
-        raise DimensionMismatch(
-            f"d_out has {d_out.cols} columns but d_in has {d_in.rows} rows"
-        )
-    if not (d_out @ d_in).is_zero():
-        raise CompositionNonzero("d_out . d_in != 0")
-    ker = kernel_basis(d_out)
-    return Subquotient(d_out.ring, d_out.cols, ker, d_in).module
 
 
 def _ann_columns(ring: Ring, anns: list) -> Matrix:

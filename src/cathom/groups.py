@@ -25,6 +25,11 @@ class FamilyMismatch(ValueError):
 
 DEFAULT_ORDER_BOUND = 16
 
+# The largest group built from permutations or read from a bundle, and the
+# largest permutation degree: S5 (order 120) is built, S6 (720) is refused
+# before its table, since ``FiniteGroup.validate`` takes n^3 steps.
+GROUP_ORDER_BOUND = 120
+
 
 class FiniteGroup:
     def __init__(self, table: list[list[int]], name: str = "G"):
@@ -97,7 +102,12 @@ class FiniteGroup:
     @classmethod
     def from_permutations(cls, gens: list[list[tuple[int, ...]]], degree: int,
                           name: str = "G") -> "FiniteGroup":
-        """Group generated by permutations given in cycle notation."""
+        """Group generated by permutations given in cycle notation.  A
+        degree or an order past ``GROUP_ORDER_BOUND`` is refused before the
+        table is built."""
+        if degree > GROUP_ORDER_BOUND:
+            raise GroupTooLarge(f"degree {degree} exceeds the group order bound "
+                                f"{GROUP_ORDER_BOUND}")
 
         def to_map(cycles):
             m = list(range(degree))
@@ -118,6 +128,8 @@ class FiniteGroup:
                     if q not in elems:
                         elems.add(q)
                         new.append(q)
+            if len(elems) > GROUP_ORDER_BOUND:
+                raise GroupTooLarge(f"|G| exceeds the group order bound {GROUP_ORDER_BOUND}")
             frontier = new
         ordered = [identity] + sorted(e for e in elems if e != identity)
         idx = {p: i for i, p in enumerate(ordered)}
@@ -210,16 +222,8 @@ class WeylData:
         self.G = G
         self.H = H
         self.NH = G.normalizer(H)
-        cosets = []
-        seen = set()
-        for g in sorted(self.NH):
-            if g in seen:
-                continue
-            cs = frozenset(G.mul(g, h) for h in H)
-            seen |= cs
-            cosets.append(cs)
-        cosets.sort(key=min)  # identity coset has min 0, so it comes first
-        self.cosets = cosets
+        # the cosets inside NH, ordered by least element: H itself first
+        self.cosets = cosets = [c for c in G.cosets(H) if c <= self.NH]
         self.reps = [min(c) for c in cosets]
         idx = {c: i for i, c in enumerate(cosets)}
         table = []

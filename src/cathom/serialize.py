@@ -17,7 +17,7 @@ import json
 
 from .catmod import CatModule
 from .fincat import FiniteCategory
-from .groups import FiniteGroup, SubgroupFamily
+from .groups import GROUP_ORDER_BOUND, FiniteGroup, GroupTooLarge, SubgroupFamily
 from .matrix import Matrix
 from .rings import ring_from_tag
 
@@ -115,6 +115,9 @@ def group_from_json(d: dict) -> FiniteGroup:
     try:
         if "table" in d:
             n = len(d["table"])
+            if n > GROUP_ORDER_BOUND:
+                raise GroupTooLarge(f"|G| = {n} exceeds the group order bound "
+                                    f"{GROUP_ORDER_BOUND}")
             if any(len(row) != n or not all(_is_index(x, n) for x in row) for row in d["table"]):
                 raise ParseError(f"group table must be {n} x {n} with entries 0..{n - 1}")
             G = FiniteGroup(d["table"], name=d.get("name", "G"))
@@ -130,6 +133,8 @@ def group_from_json(d: dict) -> FiniteGroup:
             )
     except ParseError:
         raise
+    except GroupTooLarge as e:
+        raise ParseError(str(e)) from None
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad group JSON: {e}") from e
     raise ParseError("group JSON needs 'table' or 'perm_gens'")

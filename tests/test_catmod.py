@@ -14,6 +14,7 @@ from cathom.catmod import (
     tensor_over_C,
 )
 from cathom.fixtures import (
+    FIXTURE_NAMES,
     arrow_category,
     augmentation_covariant,
     alternative_contravariant,
@@ -223,6 +224,12 @@ class TestExtOracle:
         e = ext(M, M, 3)
         assert e[0] == FPModule(ZZ, 1)
         assert all(e[q].is_zero() for q in (1, 2, 3))
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_resolution_independence(self, name):
+        # the greedy cover and the full kernel basis give the same Ext
+        Ms, _ = fixture_modules(fixture_category(name), ZZ)
+        assert ext(Ms["alt"], Ms["const"], 2) == ext(Ms["alt"], Ms["const"], 2, strategy="full")
 
 
 class TestFunctors:

@@ -13,7 +13,7 @@ from cathom.cache import DiskCache, cached_free_resolution, resolution_from_json
 from cathom.catmod import CatModule, CO, VarianceMismatch
 from cathom.cli import main
 from cathom.fixtures import fixture_category, fixture_modules, klein_four
-from cathom.groups import FiniteGroup, SubgroupFamily
+from cathom.groups import GROUP_ORDER_BOUND, FiniteGroup, SubgroupFamily
 from cathom.resolve import ext, free_resolution, tor
 from cathom.rings import GF, QQ, ZZ
 from cathom.serialize import (
@@ -932,6 +932,46 @@ def run_each_command(path, commands, capsys):
         rc = main([command, str(path), *args])
         out[command] = rc, capsys.readouterr().err
     return out
+
+
+class TestGroupBound:
+    """A bundle group past ``GROUP_ORDER_BOUND``, by order or by degree, is
+    refused before its table is built or validated, by every command."""
+
+    @staticmethod
+    def bundle_with(tmp_path, group):
+        doc = orz2_doc(ZZ)
+        doc["groups"]["S"] = group
+        p = tmp_path / "group.json"
+        p.write_text(json.dumps(doc))
+        return p
+
+    @pytest.mark.parametrize("group", [
+        {"perm_gens": [[[0, 1, 2, 3, 4, 5]], [[0, 1]]], "degree": 6},
+        {"perm_gens": [[[0, 1]]], "degree": 2_000_000},
+        {"table": FiniteGroup.cyclic(GROUP_ORDER_BOUND + 1).table},
+    ], ids=["S6", "degree-2e6", "table-past-the-bound"])
+    def test_past_the_bound_is_refused_before_validation(self, tmp_path, capsys, monkeypatch,
+                                                         group):
+        validate = FiniteGroup.validate
+
+        def only_within_the_bound(self):
+            # the bundle's own S3 is still validated
+            assert self.n <= GROUP_ORDER_BOUND, "FiniteGroup.validate ran on a refused group"
+            return validate(self)
+
+        monkeypatch.setattr(FiniteGroup, "validate", only_within_the_bound)
+        p = self.bundle_with(tmp_path, group)
+        for command, (rc, err) in run_each_command(p, ("validate", "tor", "ss"), capsys).items():
+            assert rc == 4, command
+            assert f"exceeds the group order bound {GROUP_ORDER_BOUND}" in err, command
+            assert len(err.splitlines()) == 1 and "Traceback" not in err, command
+
+    def test_s5_still_validates(self, tmp_path, capsys):
+        p = self.bundle_with(tmp_path, {"perm_gens": [[[0, 1, 2, 3, 4]], [[0, 1]]], "degree": 5})
+        assert main(["validate", str(p)]) == 0
+        assert "2 groups" in capsys.readouterr().out
+        assert load_bundle(str(p)).groups["S"].n == 120
 
 
 class TestHostileEntries:

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cathom.catmod import CatModule, CO, CONTRA
+from cathom.catmod import CatModule, CO, CONTRA, FreeCatModule
 from cathom.extpages import ExtFilteredComplex
+from cathom.fincat import NerveCache, chain_bound, nd_tilde_nerve
 from cathom.fixtures import (
     FIXTURE_NAMES,
     alternative_contravariant,
@@ -21,7 +22,6 @@ from cathom.spectral import (
     MergedQuotient,
     NotTwoColumn,
     build_filtered_complex,
-    build_nerve_complex,
     converge_and_compare,
     page_entry,
     spectral_page,
@@ -35,42 +35,68 @@ def constants(cat, ring=ZZ):
     return CatModule.constant(cat, ring, CONTRA), CatModule.constant(cat, ring, CO)
 
 
+def nerve_complex(cat):
+    """The cellular complex of the two-sided tilde nerve, (p, s, t) -> the
+    cell D_p(s, t) for p up to the chain bound: by co-Yoneda, the cell over
+    the representable R mor(-, t) at the summand s."""
+    nerve = NerveCache(cat)
+    reps = {t: FreeCatModule(cat, ZZ, CONTRA, [t]).as_catmodule() for t in cat.objects}
+    return {
+        (p, s, t): Cell.over(reps[t], nerve, p, s)
+        for p in range(chain_bound(cat) + 1)
+        for s in cat.objects
+        for t in cat.objects
+    }
+
+
 class TestNerveComplex:
     def test_groupoid_ranks(self):
         cat = fixture_category("BZ2")
-        nb = build_nerve_complex(cat)
-        assert nb.p_max == 0
-        assert nb.rank(0, "*", "*") == 2  # classes of * -> * -> * are indexed by the composite
+        cells = nerve_complex(cat)
+        assert chain_bound(cat) == 0
+        assert cells[(0, "*", "*")].dim == 2  # classes of * -> * -> * are indexed by the composite
 
     def test_or_z2_rank(self):
         cat = fixture_category("OrZ2")
-        nb = build_nerve_complex(cat)
+        cells = nerve_complex(cat)
         free, fixed = cat.objects
-        assert nb.rank(1, free, fixed) == 1
+        assert cells[(1, free, fixed)].dim == 1
 
-    @pytest.mark.parametrize("name", ["OrZ4", "OrS3"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_cells_are_free_on_the_nerve_classes(self, name):
+        cat = fixture_category(name)
+        for (p, s, t), cell in nerve_complex(cat).items():
+            assert cell.dim == nd_tilde_nerve(cat, p, s, t).size(), (p, s, t)
+            assert cell.module.torsion == (), (p, s, t)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_d_squared_zero(self, name):
         cat = fixture_category(name)
-        nb = build_nerve_complex(cat)
-        assert nb.validate() == []
+        cells = nerve_complex(cat)
+        for (p, s, t), cell in cells.items():
+            if p >= 2:
+                d1 = cell.boundary(cells[(p - 1, s, t)])
+                d0 = cells[(p - 1, s, t)].boundary(cells[(p - 2, s, t)])
+                assert (d0 @ d1).is_zero(), (p, s, t)
 
     def test_homology_is_mor_bimodule(self):
         # the nerve complex resolves the morphism bimodule in each slot pair
-        cat = fixture_category("OrZ4")
-        nb = build_nerve_complex(cat)
-        for s in cat.objects:
-            for t in cat.objects:
-                d1 = nb.diff_matrix(1, s, t)
-                h0 = presented_homology(
-                    Matrix.zeros(ZZ, 0, nb.rank(0, s, t)), d1,
-                    [0] * nb.rank(0, s, t), [],
-                ).module
-                assert h0 == FPModule(ZZ, len(cat.hom[(s, t)]))
-                if nb.p_max >= 2:
-                    d2 = nb.diff_matrix(2, s, t)
-                    h1 = presented_homology(d1, d2, [0] * nb.rank(1, s, t),
-                                            [0] * nb.rank(0, s, t)).module
-                    assert h1.is_zero()
+        for name in FIXTURE_NAMES:
+            cat = fixture_category(name)
+            cells = nerve_complex(cat)
+            top = chain_bound(cat)
+            for s in cat.objects:
+                for t in cat.objects:
+                    dims = [cells[(p, s, t)].dim for p in range(top + 1)]
+                    diffs = [Matrix.zeros(ZZ, 0, dims[0])] + [
+                        cells[(p, s, t)].boundary(cells[(p - 1, s, t)])
+                        for p in range(1, top + 1)
+                    ] + [Matrix.zeros(ZZ, dims[top], 0)]
+                    for p in range(top + 1):
+                        h = presented_homology(diffs[p], diffs[p + 1], [0] * dims[p],
+                                               [0] * (dims[p - 1] if p else 0)).module
+                        want = FPModule(ZZ, len(cat.hom[(s, t)]) if p == 0 else 0)
+                        assert h == want, (name, p, s, t)
 
 
 class TestFilteredComplex:
