@@ -20,7 +20,7 @@ import json
 import os
 import tempfile
 
-from .catmod import CO, CatModule, FreeCatModule
+from .catmod import CatModule, FreeCatModule, action_ends
 from .resolve import Resolution, free_resolution
 from .serialize import ParseError, category_to_json, content_hash, module_to_json
 
@@ -109,9 +109,10 @@ def resolution_from_json(M: CatModule, d: dict) -> Resolution:
         for c, terms in zip(levels[k], level):
             image = {}
             for j, psi, x in terms:
-                # psi: c -> below[j] (contravariant) or below[j] -> c (covariant)
-                if not (0 <= j < len(below) and cat.morphisms.get(psi) == (
-                        (below[j], c) if M.variance == CO else (c, below[j]))):
+                # psi is a basis element of R mor(c, below[j]) (contravariant)
+                # or R mor(below[j], c) (covariant): it acts below[j] -> c
+                if not (0 <= j < len(below) and psi in cat.morphisms
+                        and action_ends(cat, M.variance, psi) == (below[j], c)):
                     raise ValueError(f"a term of level {k} names no morphism of the category")
                 image[(j, psi)] = ring.entry_from_json(x)
             out.append(image)

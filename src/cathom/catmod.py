@@ -2,9 +2,10 @@
 
 A CatModule stores, for every object, a canonical presentation (diagonal
 annihilators) and, for every morphism, the action matrix between the
-canonical generators, direction depending on variance.  Values given by
-arbitrary presentations are canonicalized on load and the actions are
-transported.
+canonical generators.  ``action_ends`` is the one statement of its
+direction: f: a -> b acts M(b) -> M(a) on a contravariant module and
+M(a) -> M(b) on a covariant one.  Values given by arbitrary presentations
+are canonicalized on load and the actions are transported.
 
 Also here: free modules on represented functors, the tensor product over
 the category, functors between categories, and restriction/induction
@@ -44,6 +45,12 @@ CONTRA = "contra"
 CO = "co"
 
 
+def action_ends(cat: FiniteCategory, variance: str, f: str) -> tuple[str, str]:
+    """(source, target) of the action of f on a module of this variance."""
+    a, b = cat.morphisms[f]
+    return (b, a) if variance == CONTRA else (a, b)
+
+
 def _reduce_mod_anns(mat: Matrix, anns: list) -> Matrix:
     """The matrix with every column reduced modulo the target anns, its
     canonical form over Z; over a field or with no relations, mat itself."""
@@ -77,21 +84,13 @@ class CatModule:
         self.ring = ring
         self.anns = {c: list(anns[c]) for c in cat.objects}
         self.action = {
-            f: _reduce_mod_anns(action[f], self.anns[self._target_obj(f)])
+            f: _reduce_mod_anns(action[f], self.anns[action_ends(cat, variance, f)[1]])
             for f in cat.morphisms
         }
         if check:
             problems = self.validate()
             if problems:
                 raise ValueError("not a module:\n" + "\n".join(problems))
-
-    def _target_obj(self, f: str) -> str:
-        a, b = self.cat.morphisms[f]
-        return a if self.variance == CONTRA else b
-
-    def _source_obj(self, f: str) -> str:
-        a, b = self.cat.morphisms[f]
-        return b if self.variance == CONTRA else a
 
     def rank(self, obj: str) -> int:
         return len(self.anns[obj])
@@ -110,7 +109,7 @@ class CatModule:
         cat = self.cat
         ring = self.ring
         for f in cat.morphisms:
-            src, tgt = self._source_obj(f), self._target_obj(f)
+            src, tgt = action_ends(cat, self.variance, f)
             mat = self.action[f]
             if (mat.rows, mat.cols) != (self.rank(tgt), self.rank(src)):
                 out.append(f"action of {f!r} has wrong shape")
@@ -142,7 +141,8 @@ class CatModule:
                     comp = self.action[f] @ self.action[g]
                 else:
                     comp = self.action[g] @ self.action[f]
-                if not mats_equal_mod(comp, self.action[gf], self.anns[self._target_obj(gf)]):
+                tgt = action_ends(cat, self.variance, gf)[1]
+                if not mats_equal_mod(comp, self.action[gf], self.anns[tgt]):
                     out.append(f"functoriality fails on ({g!r},{f!r})")
         return out
 
@@ -194,8 +194,8 @@ class CatModule:
         """
         anns = {c: quots[c].module.anns() for c in cat.objects}
         action = {}
-        for f, (a, b) in cat.morphisms.items():
-            src, tgt = (b, a) if variance == CONTRA else (a, b)
+        for f in cat.morphisms:
+            src, tgt = action_ends(cat, variance, f)
             action[f] = induced_map(quots[src], quots[tgt], raw_action[f])
         return cls(cat, variance, ring, anns, action, check=check)
 
@@ -274,9 +274,7 @@ class FreeCatModule:
 
     def action_matrix(self, f: str) -> Matrix:
         cat = self.cat
-        a, b = cat.morphisms[f]
-        src = b if self.variance == CONTRA else a
-        tgt = a if self.variance == CONTRA else b
+        src, tgt = action_ends(cat, self.variance, f)
         tgt_index = self.basis_index(tgt)
         one = self.ring.one
         cols = [
@@ -445,8 +443,8 @@ def induce(F: Functor, X: CatModule) -> CatModule:
         quots[d] = T.quot
     index = {d: {g: i for i, g in enumerate(keyed[d])} for d in cat.objects}
     raw_action = {}
-    for g, (d1, d2) in cat.morphisms.items():
-        src, tgt = (d2, d1) if contra else (d1, d2)
+    for g in cat.morphisms:
+        src, tgt = action_ends(cat, X.variance, g)
         # (b, x, phi) -> (b, x, phi o g) or (b, x, g o phi), one to one
         moved = [
             {index[tgt][(b, x, cat.compose(phi, g) if contra else cat.compose(g, phi))]: ring.one}

@@ -5,6 +5,13 @@ EI/left-free predicates, chains of isomorphism classes with their bisets,
 and the non-degenerate simplices of the two-sided tilde nerve (diagram
 classes modulo objectwise isomorphism).
 
+Each derived object is computed once and kept: the category holds its
+isomorphisms with their inverses, its non-isomorphism graph and its
+isomorphism classes, and ``IsoClassData`` holds the class graph (i -> j
+when mor(rep_i, rep_j) is nonempty, i != j), its depth-first post-order
+and the longest path from each class.  The chain bound, the chains and
+the resolutions' scan order all read that one walk.
+
 Every orbit class is named by its least member (canonical orbit
 representatives, as in Holt, Eick and O'Brien, Handbook of Computational
 Group Theory, ch. 4): an isomorphism class by its first object, a biset
@@ -20,11 +27,17 @@ defined for EI categories; everything else raises UnboundedChains.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cached_property
 from itertools import product
 
 
 class UnboundedChains(Exception):
     pass
+
+
+def _unbounded(reps: list[str]) -> UnboundedChains:
+    return UnboundedChains(
+        f"non-isomorphism strings repeat classes {reps}; the chain filtration is infinite")
 
 
 class FiniteCategory:
@@ -58,11 +71,6 @@ class FiniteCategory:
                 self.hom[(a, b)].append(f)
         for key in self.hom:
             self.hom[key].sort()
-        self._iso_cache: set[str] | None = None
-        self._inverse: dict[str, str] = {}
-        self._iso_data: IsoClassData | None = None
-        self._graph: tuple[dict[str, dict[str, list[str]]],
-                           dict[str, list[tuple[str, str]]]] | None = None
 
     def src(self, f: str) -> str:
         return self.morphisms[f][0]
@@ -145,10 +153,9 @@ class FiniteCategory:
 
     # -- isomorphisms ---------------------------------------------------
 
-    def _compute_isos(self):
-        if self._iso_cache is not None:
-            return
-        isos = set()
+    @cached_property
+    def _inverses(self) -> dict[str, str]:
+        """f -> f^-1 for every isomorphism f."""
         inverse = {}
         for f, (a, b) in self.morphisms.items():
             for g in self.hom[(b, a)]:
@@ -156,35 +163,30 @@ class FiniteCategory:
                     self.compose(g, f) == self.id_of(a)
                     and self.compose(f, g) == self.id_of(b)
                 ):
-                    isos.add(f)
                     inverse[f] = g
                     break
-        self._iso_cache = isos
-        self._inverse = inverse
+        return inverse
 
     def is_iso(self, f: str) -> bool:
-        self._compute_isos()
-        return f in self._iso_cache  # type: ignore[operator]
+        return f in self._inverses
 
     def inverse(self, f: str) -> str:
-        self._compute_isos()
-        return self._inverse[f]
+        return self._inverses[f]
 
     def isos_between(self, a: str, b: str) -> list[str]:
         return [f for f in self.hom[(a, b)] if self.is_iso(f)]
 
-    def _noniso_graph(self):
-        """(noniso_out, iso_out), built once.
+    @cached_property
+    def _noniso_graph(self) -> tuple[dict[str, dict[str, list[str]]],
+                                     dict[str, list[tuple[str, str]]]]:
+        """(noniso_out, iso_out).
 
         ``noniso_out[a]`` maps each b with mor(a, b) holding a
         non-isomorphism to those morphisms in hom order (b in object
         order); ``iso_out[a]`` lists (u, u^-1) for every isomorphism u
         leaving a, the identity first.
         """
-        if self._graph is not None:
-            return self._graph
-        self._compute_isos()
-        isos = self._iso_cache
+        inverses = self._inverses
         noniso_out: dict[str, dict[str, list[str]]] = {}
         iso_out: dict[str, list[tuple[str, str]]] = {}
         for a in self.objects:
@@ -193,16 +195,15 @@ class FiniteCategory:
             inv = iso_out[a] = [(ida, ida)]
             for b in self.objects:
                 for f in self.hom[(a, b)]:
-                    if f not in isos:
+                    if f not in inverses:
                         out.setdefault(b, []).append(f)
                     elif f != ida:
-                        inv.append((f, self._inverse[f]))
-        self._graph = (noniso_out, iso_out)
-        return self._graph
+                        inv.append((f, inverses[f]))
+        return noniso_out, iso_out
 
     def noniso_morphisms(self, a: str, b: str) -> list[str]:
         """mor(a, b) minus the isomorphisms."""
-        return list(self._noniso_graph()[0][a].get(b, ()))
+        return list(self._noniso_graph[0][a].get(b, ()))
 
     def aut(self, c: str) -> list[str]:
         """Automorphisms of c, in hom order."""
@@ -229,9 +230,11 @@ class FiniteCategory:
                             return False
         return True
 
+    @cached_property
+    def _iso_data(self) -> "IsoClassData":
+        return IsoClassData(self)
+
     def iso_classes(self) -> "IsoClassData":
-        if self._iso_data is None:
-            self._iso_data = IsoClassData(self)
         return self._iso_data
 
     def __repr__(self):
@@ -254,10 +257,13 @@ class ValidationReport:
 
 
 class IsoClassData:
-    """Partition of objects into isomorphism classes with witnesses.
+    """Partition of objects into isomorphism classes with witnesses, and
+    the class graph.
 
     The representative of each class is its first object in category
-    order; witness(c) is an isomorphism c -> representative.
+    order; witness(c) is an isomorphism c -> representative.  ``edges``,
+    ``order`` and ``depth`` are the class graph, its walk and its longest
+    paths, each computed on first use and kept.
     """
 
     def __init__(self, cat: FiniteCategory):
@@ -288,15 +294,47 @@ class IsoClassData:
     def aut_group(self, class_idx: int) -> list[str]:
         return self.cat.aut(self.representative[class_idx])
 
-    def partial_order_pairs(self) -> set[tuple[int, int]]:
-        """(i, j) with class_i <= class_j, i.e. mor(rep_i, rep_j) nonempty."""
-        cat = self.cat
-        out = set()
-        for i, ri in enumerate(self.representative):
-            for j, rj in enumerate(self.representative):
-                if cat.hom[(ri, rj)]:
-                    out.add((i, j))
-        return out
+    @cached_property
+    def edges(self) -> list[tuple[int, ...]]:
+        """i -> the classes j != i with mor(rep_i, rep_j) nonempty, in
+        class order.  Every such morphism is a non-isomorphism."""
+        hom = self.cat.hom
+        reps = self.representative
+        return [tuple(j for j, rj in enumerate(reps) if j != i and hom[(ri, rj)])
+                for i, ri in enumerate(reps)]
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """The depth-first post-order of ``edges``, roots in class order:
+        each class comes after every class it reaches.  A cycle raises
+        UnboundedChains naming its classes."""
+        edges = self.edges
+        state: dict[int, int] = {}
+        order: list[int] = []
+
+        def dfs(v, stack):
+            state[v] = 1
+            for w in edges[v]:
+                if state.get(w) == 1:
+                    raise _unbounded([self.representative[i]
+                                      for i in stack[stack.index(w):] + [w]])
+                if w not in state:
+                    dfs(w, stack + [w])
+            state[v] = 2
+            order.append(v)
+
+        for v in range(self.count):
+            if v not in state:
+                dfs(v, [v])
+        return tuple(order)
+
+    @cached_property
+    def depth(self) -> list[int]:
+        """Class -> the length of the longest path of ``edges`` from it."""
+        depth = [0] * self.count
+        for v in self.order:
+            depth[v] = max((1 + depth[w] for w in self.edges[v]), default=0)
+        return depth
 
 
 # -- chains ------------------------------------------------------------
@@ -327,68 +365,33 @@ class PChain:
         return "<" + " -> ".join(self.reps) + ">"
 
 
-def noniso_class_graph(cat: FiniteCategory) -> dict[int, list[int]]:
-    """Edges i -> j between iso classes with mor_not-iso(rep_i, rep_j) nonempty."""
-    noniso_out = cat._noniso_graph()[0]
-    reps = cat.iso_classes().representative
-    return {
-        i: [j for j, rj in enumerate(reps) if rj in noniso_out[ri]]
-        for i, ri in enumerate(reps)
-    }
+def check_bounded_chains(cat: FiniteCategory) -> IsoClassData:
+    """The category's class data once its chains are bounded: raise
+    UnboundedChains on a non-isomorphism endomorphism of a representative
+    or on a cycle of the class graph (``IsoClassData.order``).
 
-
-def check_bounded_chains(cat: FiniteCategory) -> dict[int, list[int]]:
-    """Raise UnboundedChains when the non-iso class graph has a cycle;
-    otherwise return that graph.
-
-    Equivalent to the EI condition for finite categories: a cycle lets a
+    Equivalent to the EI condition for finite categories: either lets a
     string of |Is(C)|+1 non-isomorphisms compose class-wise.
     """
-    edges = noniso_class_graph(cat)
-    state: dict[int, int] = {}
-
-    def dfs(v, stack):
-        state[v] = 1
-        for w in edges[v]:
-            if state.get(w, 0) == 1:
-                cyc = stack[stack.index(w):] if w in stack else [w]
-                raise UnboundedChains(
-                    "non-isomorphism strings repeat classes "
-                    f"{[cat.iso_classes().representative[i] for i in cyc + [w]]}; "
-                    "the chain filtration is infinite"
-                )
-            if state.get(w, 0) == 0:
-                dfs(w, stack + [w])
-        state[v] = 2
-
-    for v in edges:
-        if state.get(v, 0) == 0:
-            dfs(v, [v])
-    return edges
-
-
-def _longest_path(edges: dict[int, list[int]]) -> int:
-    memo: dict[int, int] = {}
-
-    def longest(v):
-        if v not in memo:
-            memo[v] = max((1 + longest(w) for w in edges[v]), default=0)
-        return memo[v]
-
-    return max((longest(v) for v in edges), default=0)
+    data = cat.iso_classes()
+    for rep in data.representative:
+        if cat.noniso_morphisms(rep, rep):
+            raise _unbounded([rep, rep])
+    data.order  # a cycle raises here
+    return data
 
 
 def chain_bound(cat: FiniteCategory) -> int:
     """Length of the longest chain (longest path in the acyclic class graph)."""
-    return _longest_path(check_bounded_chains(cat))
+    return max(check_bounded_chains(cat).depth, default=0)
 
 
 def enumerate_chains(cat: FiniteCategory, p_max: int | None = None) -> dict[int, list[PChain]]:
     """All p-chains with nonempty biset, grouped by p, for p <= p_max."""
-    edges = check_bounded_chains(cat)
-    data = cat.iso_classes()
+    data = check_bounded_chains(cat)
+    edges = data.edges
     if p_max is None:
-        p_max = _longest_path(edges)
+        p_max = max(data.depth, default=0)
     out: dict[int, list[PChain]] = {p: [] for p in range(p_max + 1)}
     reps = data.representative
 
@@ -428,7 +431,7 @@ class ChainBiset:
         self.chain = chain
         reps = chain.reps
         p = chain.p
-        noniso_out, iso_out = cat._noniso_graph()
+        noniso_out, iso_out = cat._noniso_graph
         compose = cat.compose_table
         factor_sets = [noniso_out[reps[i]].get(reps[i + 1], []) for i in range(p)]
         moves = [[(a, ainv) for a, ainv in iso_out[c] if cat.tgt(a) == c] for c in reps[1:-1]]
@@ -492,7 +495,7 @@ class NerveCell:
         self.p = p
         self.src = src
         self.tgt = tgt
-        noniso_out, iso_out = cat._noniso_graph()
+        noniso_out, iso_out = cat._noniso_graph
         hom = cat.hom
         compose = cat.compose_table
         fixed_tgt = iso_out[tgt][:1]
@@ -542,7 +545,7 @@ class NerveCell:
     def _least(self, diagram: tuple) -> tuple:
         """The least diagram in the orbit of diagram."""
         cat = self.cat
-        iso_out = cat._noniso_graph()[1]
+        iso_out = cat._noniso_graph[1]
         alpha, phis, beta = diagram
         moves = [iso_out[cat.tgt(f)] for f in (alpha, *phis)]
         moves.append(iso_out[self.tgt][:1])

@@ -4,7 +4,7 @@ one-object group categories, and orbit categories of small groups."""
 
 from __future__ import annotations
 
-from .catmod import CO, CONTRA, CatModule, FreeCatModule
+from .catmod import CO, CONTRA, CatModule, FreeCatModule, action_ends
 from .fincat import FiniteCategory
 from .groups import FiniteGroup, group_category, orbit_category
 from .resolve import scan_order
@@ -66,9 +66,8 @@ def support_module(cat: FiniteCategory, ring: Ring, variance: str,
 
     anns = {c: [ring.zero] if c in support else [] for c in cat.objects}
     action = {}
-    for f, (a, b) in cat.morphisms.items():
-        src = b if variance == CONTRA else a
-        tgt = a if variance == CONTRA else b
+    for f in cat.morphisms:
+        src, tgt = action_ends(cat, variance, f)
         rows = len(anns[tgt])
         cols = [{0: ring.one} if rows else {} for _ in anns[src]]
         action[f] = Matrix.from_columns(ring, cols, rows)

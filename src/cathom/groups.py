@@ -195,18 +195,14 @@ class FiniteGroup:
             return False
         return all(self.mul(a, b) in H for a in H for b in H)
 
-    def cosets(self, H: frozenset[int], side: str = "left") -> list[frozenset[int]]:
-        """Partition of G into cosets, each sorted by minimal element."""
+    def cosets(self, H: frozenset[int]) -> list[frozenset[int]]:
+        """Partition of G into left cosets gH, in order of least element."""
         seen = set()
         out = []
         for g in range(self.n):
             if g in seen:
                 continue
-            cs = (
-                frozenset(self.mul(g, h) for h in H)
-                if side == "left"
-                else frozenset(self.mul(h, g) for h in H)
-            )
+            cs = frozenset(self.mul(g, h) for h in H)
             seen |= cs
             out.append(cs)
         return out

@@ -39,7 +39,7 @@ from .catmod import (
     VarianceMismatch,
     mats_equal_mod,
 )
-from .fincat import FiniteCategory
+from .fincat import FiniteCategory, UnboundedChains
 from .fpmod import (
     FPModule,
     Subquotient,
@@ -63,38 +63,18 @@ def scan_order(cat: FiniteCategory, variance: str) -> list[str]:
 
     A contravariant generator at c reaches d when mor(d, c) is nonempty,
     so sinks of the class preorder come first; covariantly, sources come
-    first.  Falls back to category order when the preorder has cycles.
+    first.  The classes are taken in ``IsoClassData.order``, reversed for
+    CO.  Falls back to category order when the preorder has cycles.
     """
     data = cat.iso_classes()
-    n = data.count
-    reach = data.partial_order_pairs()
-    edges = {i: [j for j in range(n) if i != j and (i, j) in reach] for i in range(n)}
-    order: list[int] = []
-    state = {}
-
-    def dfs(v):
-        state[v] = 1
-        for w in edges[v]:
-            if state.get(w, 0) == 1:
-                raise ValueError("cyclic")
-            if state.get(w, 0) == 0:
-                dfs(w)
-        state[v] = 2
-        order.append(v)
-
     try:
-        for v in range(n):
-            if state.get(v, 0) == 0:
-                dfs(v)
-    except ValueError:
+        order = data.order
+    except UnboundedChains:
         return list(cat.objects)
     # order has sinks first; that is the contravariant scan order
     if variance == CO:
         order = order[::-1]
-    out = []
-    for k in order:
-        out.extend(data.classes[k])
-    return out
+    return [c for k in order for c in data.classes[k]]
 
 
 class Resolution:

@@ -90,10 +90,6 @@ class NotTwoColumn(Exception):
     pass
 
 
-class ComparisonFailed(Exception):
-    pass
-
-
 # -- merged coequalizer quotients -----------------------------------------
 
 
@@ -741,12 +737,6 @@ class ConvergenceReport:
             c["match"] for c in self.cells
         )
 
-    def first_mismatch(self):
-        for c in self.cells:
-            if not c["match"]:
-                return (c["p"], c["q"])
-        return None
-
     def to_json(self) -> dict:
         return {
             "certified_band": self.band,
@@ -808,28 +798,19 @@ def compare_with_oracle(fc: TotalComplex, einf: Page, oracle: list[FPModule],
 def converge_and_compare(M: CatModule, N: CatModule, n_max: int = 3,
                          q_max: int | None = None,
                          fc: FilteredComplex | None = None,
-                         strict: bool = False,
                          pages: list[Page] | None = None) -> ConvergenceReport:
     """Assemble E^inf, compare graded pieces of the filtration on the
     total homology, and compare the total homology with the Tor oracle.
 
     ``pages`` are the full ``spectral_pages(fc)`` when the caller already
-    has them.  With strict=True the first mismatching cell raises
-    ComparisonFailed instead of being reported."""
+    has them."""
     if fc is None:
         fc = build_filtered_complex(M, N, q_max=n_max + 1 if q_max is None else q_max)
     band = min(fc.certified_band(), n_max)
     if pages is None:
         pages = spectral_pages(fc)
     degrees, cells = compare_with_oracle(fc, pages[-1], tor(M, N, band), "m")
-    report = ConvergenceReport(band, degrees, cells)
-    if strict and not report.all_match:
-        where = report.first_mismatch()
-        raise ComparisonFailed(
-            f"E_inf and the oracle filtration disagree first at {where}"
-            if where else "total homology disagrees with the oracle"
-        )
-    return report
+    return ConvergenceReport(band, degrees, cells)
 
 
 # -- two-column long exact sequence ------------------------------------------

@@ -716,17 +716,6 @@ class TestConfigInvariants:
         with pytest.raises(FamilyMismatch):
             cofinal_inclusion_check(z2, top)
 
-    def test_strict_convergence_raises_nothing_on_match(self):
-        from cathom.catmod import CatModule, CO, CONTRA
-        from cathom.spectral import converge_and_compare
-        from cathom.fixtures import fixture_category
-
-        cat = fixture_category("OrZ2")
-        M = CatModule.constant(cat, ZZ, CONTRA)
-        N = CatModule.constant(cat, ZZ, CO)
-        rep = converge_and_compare(M, N, 2, strict=True)
-        assert rep.all_match
-
 
 class TestBundleSections:
     @pytest.mark.parametrize("key,value,named", [
@@ -936,7 +925,8 @@ def run_each_command(path, commands, capsys):
 
 class TestGroupBound:
     """A bundle group past ``GROUP_ORDER_BOUND``, by order or by degree, is
-    refused before its table is built or validated, by every command."""
+    refused before its table is built or validated, by every command.  Only
+    a group given as a table is validated."""
 
     @staticmethod
     def bundle_with(tmp_path, group):
@@ -972,6 +962,27 @@ class TestGroupBound:
         assert main(["validate", str(p)]) == 0
         assert "2 groups" in capsys.readouterr().out
         assert load_bundle(str(p)).groups["S"].n == 120
+
+    def test_perm_gens_group_is_not_validated(self, tmp_path, capsys, monkeypatch):
+        # permutations closed under composition form a group by construction,
+        # so the n^3 associativity check runs on table groups alone
+        validate = FiniteGroup.validate
+
+        def tables_only(self):
+            assert self.n != 120, "FiniteGroup.validate ran on the perm_gens S5"
+            return validate(self)
+
+        monkeypatch.setattr(FiniteGroup, "validate", tables_only)
+        p = self.bundle_with(tmp_path, {"perm_gens": [[[0, 1, 2, 3, 4]], [[0, 1]]], "degree": 5})
+        for command, (rc, err) in run_each_command(p, ("tor", "ss", "validate"), capsys).items():
+            assert rc == 0, (command, err)
+
+    def test_non_associative_table_is_refused(self, tmp_path, capsys):
+        table = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 0], [3, 2, 0, 0]]
+        p = self.bundle_with(tmp_path, {"table": table})
+        for command, (rc, err) in run_each_command(p, ("tor", "ss", "validate"), capsys).items():
+            assert rc == (1 if command == "validate" else 4), command
+            assert "associativity fails" in err and "Traceback" not in err, command
 
 
 class TestHostileEntries:

@@ -1,7 +1,10 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cathom.catmod import CO, CONTRA
 from cathom.fincat import (
     BalancedTriples,
     ChainBiset,
@@ -17,6 +20,7 @@ from cathom.fincat import (
 )
 from cathom.fixtures import FIXTURE_NAMES, fixture_category
 from cathom.groups import FiniteGroup, SubgroupFamily, orbit_category
+from cathom.resolve import scan_order
 
 
 def trivial_category():
@@ -211,10 +215,10 @@ class TestChains:
 
     def test_partial_order_antisymmetric(self):
         for cat in (orbit_category(FiniteGroup.cyclic(4)), poset012()):
-            pairs = cat.iso_classes().partial_order_pairs()
-            for (i, j) in pairs:
-                if i != j:
-                    assert (j, i) not in pairs
+            edges = cat.iso_classes().edges
+            for i, js in enumerate(edges):
+                for j in js:
+                    assert i not in edges[j]
 
 
 class TestChainBiset:
@@ -558,3 +562,154 @@ class TestOrbitNamesAgainstReference:
                         bt = BalancedTriples(cat, chain, s, t, biset)
                         assert bt.classes == classes, (chain, s, t)
                         assert {x: bt.index[x] for x in index} == index, (chain, s, t)
+
+
+# -- the class walk against references ---------------------------------
+
+
+def reference_scan_order(cat: FiniteCategory, variance: str) -> list[str]:
+    """An independent scan order: its own depth-first post-order over the
+    pairs (i, j), i != j, of classes with mor(rep_i, rep_j) nonempty,
+    reversed for CO; category order when that preorder has a cycle."""
+    data = cat.iso_classes()
+    n = data.count
+    reps = data.representative
+    reach = {(i, j) for i in range(n) for j in range(n) if cat.hom[(reps[i], reps[j])]}
+    edges = {i: [j for j in range(n) if i != j and (i, j) in reach] for i in range(n)}
+    order: list[int] = []
+    state = {}
+
+    def dfs(v):
+        state[v] = 1
+        for w in edges[v]:
+            if state.get(w, 0) == 1:
+                raise ValueError("cyclic")
+            if state.get(w, 0) == 0:
+                dfs(w)
+        state[v] = 2
+        order.append(v)
+
+    try:
+        for v in range(n):
+            if state.get(v, 0) == 0:
+                dfs(v)
+    except ValueError:
+        return list(cat.objects)
+    if variance == CO:
+        order = order[::-1]
+    return [c for k in order for c in data.classes[k]]
+
+
+def _category(objects, mors, composite, identity):
+    """The category whose composition table is composite(g, f) on every
+    composable pair."""
+    comp = {(g, f): composite(g, f) for f, (a, b) in mors.items()
+            for g, (b2, c) in mors.items() if b == b2}
+    return FiniteCategory(objects, mors, comp, identity, name="generated")
+
+
+@st.composite
+def class_walk_categories(draw):
+    """(category, strict order lt on the poset elements 0..n-1, n, whether
+    the chains are bounded).
+
+    A random poset on up to 7 elements, i < j for every (i, j) in lt, its
+    objects listed in a shuffled order.  The "idempotent" variant adds a
+    non-isomorphism e = e o e at one element, fixing every other morphism
+    (not EI, no cycle); the "split" variant adds a separate pair s0, s1
+    with r: s0 -> s1, s: s1 -> s0 and r o s = id (two classes on a
+    cycle).  Small ones may be doubled into isomorphic copies.
+    """
+    n = draw(st.integers(1, 7))
+    lt = {(i, j) for i, j in combinations(range(n), 2) if draw(st.booleans())}
+    for k in range(n):  # transitive closure, k as the middle element
+        lt |= {(i, j) for (i, k2) in lt if k2 == k for (k3, j) in lt if k3 == k}
+    variant = draw(st.sampled_from(["poset", "idempotent", "split"]))
+    objects = [f"x{i}" for i in range(n)]
+    mors = {f"a{i}_{j}": (f"x{i}", f"x{j}") for i in range(n) for j in range(n)
+            if i == j or (i, j) in lt}
+    identity = {f"x{i}": f"a{i}_{i}" for i in range(n)}
+
+    def composite(g, f):
+        (a, _), (_, c) = mors[f], mors[g]
+        return f"a{a[1:]}_{c[1:]}"
+
+    if variant == "idempotent":
+        x = f"x{draw(st.integers(0, n - 1))}"
+        mors["e"] = (x, x)
+        plain = composite
+
+        def composite(g, f):
+            if "e" not in (g, f):
+                return plain(g, f)
+            if mors[f] == mors[g]:  # e with e or with the identity of x
+                return "e"
+            return f if g == "e" else g
+    elif variant == "split":
+        objects += ["s0", "s1"]
+        mors.update({"i0": ("s0", "s0"), "i1": ("s1", "s1"), "e": ("s0", "s0"),
+                     "r": ("s0", "s1"), "s": ("s1", "s0")})
+        identity.update({"s0": "i0", "s1": "i1"})
+        table = {("s", "r"): "e", ("r", "s"): "i1", ("e", "e"): "e",
+                 ("r", "e"): "r", ("e", "s"): "s"}
+        plain = composite
+
+        def composite(g, f):
+            if mors[f][0][0] == "x":
+                return plain(g, f)
+            if g in ("i0", "i1"):
+                return f
+            if f in ("i0", "i1"):
+                return g
+            return table[(g, f)]
+    objects = draw(st.permutations(objects))
+    cat = _category(objects, mors, composite, identity)
+    if n <= 4 and draw(st.booleans()):
+        cat = double(cat)
+    return cat, lt, n, variant == "poset"
+
+
+def brute_chain_counts(n: int, lt: set) -> list[int]:
+    """The number of chains x_0 < ... < x_p for each p, by testing every
+    subset of the elements for being totally ordered."""
+    counts = [0] * n
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            if all(pair in lt for pair in combinations(subset, 2)):
+                counts[size - 1] += 1
+    while counts and counts[-1] == 0:
+        counts.pop()
+    return counts
+
+
+class TestClassWalkAgainstReference:
+    """scan_order, chain_bound and enumerate_chains read the one cached walk
+    of the class graph on IsoClassData; they agree with an independent
+    scan order and with brute-force chains."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(class_walk_categories())
+    def test_generated_categories(self, case):
+        cat, lt, n, bounded = case
+        assert cat.validate().ok
+        for variance in (CONTRA, CO):
+            assert scan_order(cat, variance) == reference_scan_order(cat, variance)
+        if not bounded:
+            with pytest.raises(UnboundedChains):
+                chain_bound(cat)
+            with pytest.raises(UnboundedChains):
+                enumerate_chains(cat)
+            return
+        counts = brute_chain_counts(n, lt)
+        assert chain_bound(cat) == len(counts) - 1
+        chains = enumerate_chains(cat)
+        assert [len(chains[p]) for p in sorted(chains)] == counts
+
+    @pytest.mark.parametrize("catf", [
+        *[(lambda name=name: fixture_category(name)) for name in FIXTURE_NAMES],
+        _s4_orbit_category,
+    ], ids=[*FIXTURE_NAMES, "OrS4"])
+    def test_fixtures(self, catf):
+        cat = catf()
+        for variance in (CONTRA, CO):
+            assert scan_order(cat, variance) == reference_scan_order(cat, variance)
