@@ -96,10 +96,7 @@ class CatModule:
         return len(self.anns[obj])
 
     def value(self, obj: str) -> FPModule:
-        anns = self.anns[obj]
-        free = sum(1 for d in anns if not d)
-        torsion = tuple(sorted(int(d) for d in anns if d))
-        return FPModule(self.ring, free, torsion)
+        return FPModule.of_diagonal(self.ring, self.anns[obj])
 
     def act(self, f: str) -> Matrix:
         return self.action[f]

@@ -196,9 +196,8 @@ def verify_e1(M: CatModule, N: CatModule, q_max: int = 3,
                     "match": engine == direct[q],
                 })
         for q in range(band + 1):
-            total = FPModule(ring, 0)
-            for chain in fc.chains[p]:
-                total = total.direct_sum(columns[chain].homology(q).module)
+            summands = [columns[chain].homology(q).module for chain in fc.chains[p]]
+            total = FPModule.of_diagonal(ring, [d for m in summands for d in m.anns()])
             entry = page_entry(fc, 1, p, q).module
             rows.append({
                 "p": p,

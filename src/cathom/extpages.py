@@ -192,9 +192,8 @@ def ext_pages(M: CatModule, N: CatModule, p_max: int | None = None,
     e1_rows = []
     for p in sorted(fcx.chains):
         for q in range(band + 1):
-            total = FPModule(ring, 0)
-            for chain in fcx.chains[p]:
-                total = total.direct_sum(direct[(p, chain)][q])
+            summands = [direct[(p, chain)][q] for chain in fcx.chains[p]]
+            total = FPModule.of_diagonal(ring, [d for m in summands for d in m.anns()])
             page_entry = e1.entry(p, q)
             e1_rows.append({"p": p, "q": q, "page": page_entry.pretty(),
                             "product_form": total.pretty(),

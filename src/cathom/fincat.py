@@ -367,17 +367,21 @@ class PChain:
 
 def check_bounded_chains(cat: FiniteCategory) -> IsoClassData:
     """The category's class data once its chains are bounded: raise
-    UnboundedChains on a non-isomorphism endomorphism of a representative
-    or on a cycle of the class graph (``IsoClassData.order``).
+    UnboundedChains on a non-isomorphism endomorphism of a representative.
 
-    Equivalent to the EI condition for finite categories: either lets a
-    string of |Is(C)|+1 non-isomorphisms compose class-wise.
+    This is the EI condition, and for a finite category it also rules out
+    a cycle of the class graph.  Going round a cycle rep_0 -> ... -> rep_k
+    = rep_0 composes to an endomorphism of rep_0; when it is not
+    invertible, rep_0 has a loop.  When it is, the first step f: rep_0 ->
+    rep_1 has a left inverse g, and f g (g, then f) is an idempotent of
+    rep_1.  It is not the identity (else f would be an isomorphism between
+    two classes), so it is not invertible: rep_1 has a loop.  So
+    ``IsoClassData.order`` never raises once this returns.
     """
     data = cat.iso_classes()
     for rep in data.representative:
         if cat.noniso_morphisms(rep, rep):
             raise _unbounded([rep, rep])
-    data.order  # a cycle raises here
     return data
 
 

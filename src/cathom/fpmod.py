@@ -1,13 +1,17 @@
 """Finitely presented modules in canonical invariant-factor form.
 
 An FPModule value is the canonical form (free rank, invariant factors > 1).
-CanonicalQuotient and Subquotient carry the witness data (projection and
-lifts) needed to push maps through quotients, which is what the homology
-and spectral-page machinery is built on.  Vectors in and out of them are
-the zero-free {index: value} dicts of ``matrix``, relations included, and
-generator sets are matrix columns.  ``_mod_anns`` is the one reduction of
-a vector modulo the diagonal relations of a canonical presentation: it
-gives ``CanonicalQuotient.project`` and the action matrices of
+``FPModule.of_diagonal`` is the one canonical form of a diagonal
+presentation, read off ``intlin.invariant_factors``; direct sums and
+module values go through it, and ``CanonicalQuotient`` reads its form off
+the Smith normal form diagonal.  CanonicalQuotient and Subquotient carry
+the witness data (projection and lifts) needed to push maps through
+quotients, which is what the homology and spectral-page machinery is
+built on.  Vectors in and out of them are the zero-free {index: value}
+dicts of ``matrix``, relations included, and generator sets are matrix
+columns.  ``_mod_anns`` is the one reduction of a vector modulo the
+diagonal relations of a canonical presentation: it gives
+``CanonicalQuotient.project`` and the action matrices of
 ``catmod.CatModule`` their canonical entries.  A quotient whose relations
 already span the whole ambient lattice is the zero module without an SNF.
 ``presented_homology`` is the one homology at a spot A -> B -> C of
@@ -18,7 +22,7 @@ that homology is zero.
 
 from __future__ import annotations
 
-from .intlin import ColumnOps, StairBasis, preimage_basis, smith_normal_form
+from .intlin import ColumnOps, StairBasis, invariant_factors, preimage_basis, smith_normal_form
 from .matrix import DimensionMismatch, Matrix, _axpy
 from .rings import Ring
 
@@ -55,13 +59,20 @@ class FPModule:
         """Per-generator annihilators: 0 for free generators."""
         return [0] * self.free_rank + list(self.torsion)
 
+    @classmethod
+    def of_diagonal(cls, ring: Ring, anns: list) -> "FPModule":
+        """R^n modulo d e_i for each d = anns[i] (0: no relation): the one
+        canonical form of a diagonal presentation.  The torsion is the
+        non-unit invariant factors of the nonzero anns."""
+        nonzero = [d for d in anns if d]
+        diag = Matrix.from_columns(ring, [{i: d} for i, d in enumerate(nonzero)], len(nonzero))
+        torsion = tuple(int(d) for d in invariant_factors(diag) if d != 1)
+        return cls(ring, len(anns) - len(nonzero), torsion)
+
     def direct_sum(self, other: "FPModule") -> "FPModule":
         if self.ring != other.ring:
             raise ValueError("ring mismatch")
-        merged = sorted(self.torsion + other.torsion)
-        # restore the divisibility chain via pairwise lcm/gcd sweeps
-        merged = _divisibility_chain(merged)
-        return FPModule(self.ring, self.free_rank + other.free_rank, tuple(merged))
+        return FPModule.of_diagonal(self.ring, self.anns() + other.anns())
 
     def __eq__(self, other):
         return (
@@ -86,27 +97,6 @@ class FPModule:
             parts.append(f"{sym}^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-def _divisibility_chain(factors: list[int]) -> list[int]:
-    """Rewrite a multiset of torsion orders as a divisibility chain."""
-    from math import gcd
-
-    factors = [d for d in factors if d > 1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                a, b = factors[i], factors[j]
-                g = gcd(a, b)
-                l = a * b // g
-                if (g, l) != (a, b) and (g, l) != (b, a):
-                    factors[i], factors[j] = g, l
-                    changed = True
-        factors = [d for d in factors if d > 1]
-        factors.sort()
-    return factors
 
 
 class CanonicalQuotient:
@@ -139,19 +129,12 @@ class CanonicalQuotient:
             return
         # the relations' staircase basis as the columns SNF diagonalizes
         snf = smith_normal_form(Matrix.from_columns(ring, basis.basis(), ambient))
-        diag = snf.diagonal()
-        n = ambient
-        k = len(diag)
-        anns = []
-        for i in range(n):
-            d = diag[i] if i < k else ring.zero
-            anns.append(d)
-        free_idx = [i for i in range(n) if anns[i] == ring.zero]
-        if ring.is_field:
-            tors_idx = []
-        else:
-            tors_idx = [i for i in range(n) if anns[i] not in (ring.zero, one)]
-            tors_idx.sort(key=lambda i: (anns[i], i))
+        # SNF's diagonal is a divisibility chain: ones first, zeros last
+        # (over a field every nonzero entry is one)
+        anns = snf.diagonal()
+        anns += [ring.zero] * (ambient - len(anns))
+        free_idx = [i for i, d in enumerate(anns) if d == ring.zero]
+        tors_idx = [i for i, d in enumerate(anns) if d not in (ring.zero, one)]
         self._kept = free_idx + tors_idx
         torsion = tuple(int(anns[i]) for i in tors_idx)
         self.module = FPModule(ring, len(free_idx), torsion)

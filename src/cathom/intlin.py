@@ -7,7 +7,8 @@ divisibility, saturated kernels and integral solving.  Over the fields the
 same code degenerates to Gaussian elimination.  A staircase visits the
 columns of a vector in increasing order through a heap, and row
 operations run one loop per ring (``matrix._axpy``), with no per-entry
-ring calls.
+ring calls; the gcd step of ``StairBasis.add`` builds its new pivot and
+remainder from two ``_axpy`` calls each.
 
 Vectors are the zero-free {index: value} dicts of ``matrix``, and matrices
 are read and built through their column dicts; only ``det_int``, the
@@ -100,18 +101,12 @@ class StairBasis:
                 continue
             # genuine gcd step: replace pivot, keep reducing the remainder
             g, x, y = _xgcd(a, lead)
-            new_piv = {}
-            for j in set(piv) | set(row):
-                v = x * piv.get(j, 0) + y * row.get(j, 0)
-                if v:
-                    new_piv[j] = v
-            rem = {}
-            fa = a // g
-            fb = lead // g
-            for j in set(piv) | set(row):
-                v = fa * row.get(j, 0) - fb * piv.get(j, 0)
-                if v:
-                    rem[j] = v
+            new_piv: dict = {}
+            _axpy(ring, new_piv, piv, x)
+            _axpy(ring, new_piv, row, y)
+            rem: dict = {}
+            _axpy(ring, rem, row, a // g)
+            _axpy(ring, rem, piv, -(lead // g))
             self.pivots[c] = new_piv
             row = rem
             heap = sorted(rem)

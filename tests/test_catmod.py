@@ -72,6 +72,19 @@ class TestCatModule:
         M = CatModule.from_presentations(cat, CONTRA, ZZ, values, raw)
         assert M.value("*") == FPModule(ZZ, 0, (2,))
 
+    @pytest.mark.parametrize("anns, free, torsion", [
+        ([3, 2], 0, (6,)),
+        ([1], 0, ()),
+        ([0, 2, 4], 1, (2, 4)),
+        ([6, 4, 0, 1], 1, (2, 12)),
+    ])
+    def test_value_of_any_diagonal(self, anns, free, torsion):
+        # annihilators out of order, coprime or equal to 1 are still a
+        # module: the value is their invariant-factor form
+        cat = trivial_category()
+        M = CatModule(cat, CONTRA, ZZ, {"*": anns}, {"id": Matrix.identity(ZZ, len(anns))})
+        assert M.value("*") == FPModule(ZZ, free, torsion)
+
 
 class TestTensor:
     @pytest.mark.parametrize("name", ["point", "arrow", "OrZ2", "OrZ4", "BZ2"])

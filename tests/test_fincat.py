@@ -14,6 +14,7 @@ from cathom.fincat import (
     UnboundedChains,
     chain_bound,
     chain_biset,
+    check_bounded_chains,
     enumerate_chains,
     face,
     nd_tilde_nerve,
@@ -694,6 +695,16 @@ class TestClassWalkAgainstReference:
         assert cat.validate().ok
         for variance in (CONTRA, CO):
             assert scan_order(cat, variance) == reference_scan_order(cat, variance)
+        try:
+            cat.iso_classes().order
+        except UnboundedChains:
+            # a cycle of the class graph forces a loop at a representative,
+            # and the loop check names it before any cycle is looked for
+            loop = r"repeat classes \['([^']+)', '\1'\]"
+            with pytest.raises(UnboundedChains, match=loop):
+                check_bounded_chains(cat)
+            with pytest.raises(UnboundedChains):
+                enumerate_chains(cat, p_max=2)
         if not bounded:
             with pytest.raises(UnboundedChains):
                 chain_bound(cat)

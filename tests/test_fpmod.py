@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cathom.fpmod import (
     CanonicalQuotient,
@@ -42,6 +44,55 @@ class TestFPModule:
     def test_invalid_chain_rejected(self):
         with pytest.raises(ValueError):
             FPModule(ZZ, 0, (4, 2))
+
+
+def reference_of_diagonal(anns: list[int]) -> FPModule:
+    """Z^n modulo d e_i for each d = anns[i], by prime powers: the k-th
+    largest invariant factor is the product over the primes of their k-th
+    largest prime-power part."""
+    exponents: dict[int, list[int]] = {}
+    for d in anns:
+        p = 2
+        while d > 1:
+            e = 0
+            while d % p == 0:
+                d, e = d // p, e + 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+            p += 1
+    columns = max((len(es) for es in exponents.values()), default=0)
+    factors = [1] * columns
+    for p, es in exponents.items():
+        for k, e in enumerate(sorted(es, reverse=True)):
+            factors[k] *= p ** e
+    return FPModule(ZZ, anns.count(0), tuple(reversed(factors)))
+
+
+diagonals = st.lists(st.integers(0, 60), max_size=8)
+
+
+class TestOfDiagonal:
+    """FPModule.of_diagonal, the one canonical form of a diagonal
+    presentation, against a prime-power reference."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(diagonals)
+    def test_against_prime_powers(self, anns):
+        assert FPModule.of_diagonal(ZZ, anns) == reference_of_diagonal(anns)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(diagonals, diagonals)
+    def test_direct_sum(self, a, b):
+        A, B = FPModule.of_diagonal(ZZ, a), FPModule.of_diagonal(ZZ, b)
+        assert A.direct_sum(B) == reference_of_diagonal(a + b)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(diagonals)
+    def test_fields_count_only_the_free_rank(self, anns):
+        for ring in (QQ, GF(2)):
+            entries = [ring.coerce(d) for d in anns]
+            free = sum(1 for d in entries if not d)
+            assert FPModule.of_diagonal(ring, entries) == FPModule(ring, free)
 
 
 def homology_at(d_out, d_in):

@@ -175,6 +175,15 @@ class TestAgainstReference:
             assert rec_new == rec_ref
             assert all(canonical(ring, x) for x in [*res.values(), *rec_new.values()])
 
+    def test_gcd_step(self):
+        # 4 does not divide 6: the pivot becomes -1 (4, 1, 0) + (6, 0, 1)
+        # and the remainder 2 (6, 0, 1) - 3 (4, 1, 0), negated, a new pivot
+        ref, new = RefStairBasis(ZZ, 3), StairBasis(ZZ, 3)
+        for vec in ({0: 4, 1: 1}, {0: 6, 2: 1}):
+            assert new.add(vec) and ref.add(vec)
+        assert new.pivots == {0: {0: 2, 1: -1, 2: 1}, 1: {1: 3, 2: -2}}
+        assert new.pivots == ref.pivots
+
     @settings(max_examples=300, deadline=None)
     @given(kernel_cases(), st.sampled_from(NUMBERS))
     def test_axpy(self, case, c):
