@@ -15,6 +15,12 @@ X over B with a represented functor of C restricted along F, and
 ``e1data.ChainGroupData`` balances M(c_p) with a chain's biset through
 it.  (The page engine's ``spectral.Cell`` keeps its own coequalizer,
 whose raw generator order fixes the page bases.)
+
+``represented(cat, variance, c, d)`` is the one statement of the basis at d
+of the functor represented by c; ``FreeCatModule.basis`` and
+``resolve.free_resolution`` read it.  ``FreeCatModule.transport`` is the
+one place in a free module that picks the composition order by variance,
+and ``action_matrix`` is built from its columns.
 """
 
 from __future__ import annotations
@@ -49,6 +55,12 @@ def action_ends(cat: FiniteCategory, variance: str, f: str) -> tuple[str, str]:
     """(source, target) of the action of f on a module of this variance."""
     a, b = cat.morphisms[f]
     return (b, a) if variance == CONTRA else (a, b)
+
+
+def represented(cat: FiniteCategory, variance: str, c: str, d: str) -> list[str]:
+    """The basis at d of the functor represented by c: mor(d, c) for a
+    contravariant module, mor(c, d) for a covariant one."""
+    return cat.hom[(d, c)] if variance == CONTRA else cat.hom[(c, d)]
 
 
 def _reduce_mod_anns(mat: Matrix, anns: list) -> Matrix:
@@ -215,14 +227,8 @@ class FreeCatModule:
 
     def basis(self, obj: str) -> list[tuple[int, str]]:
         if obj not in self._basis_cache:
-            out = []
-            for i, c in enumerate(self.summands):
-                homs = (
-                    self.cat.hom[(obj, c)]
-                    if self.variance == CONTRA
-                    else self.cat.hom[(c, obj)]
-                )
-                out.extend((i, f) for f in homs)
+            out = [(i, f) for i, c in enumerate(self.summands)
+                   for f in represented(self.cat, self.variance, c, obj)]
             self._basis_cache[obj] = out
             self._index_cache[obj] = {bf: k for k, bf in enumerate(out)}
         return self._basis_cache[obj]
@@ -270,16 +276,12 @@ class FreeCatModule:
             for key, c in self.transport(psi, vecs[j]).items()]))
 
     def action_matrix(self, f: str) -> Matrix:
-        cat = self.cat
-        src, tgt = action_ends(cat, self.variance, f)
-        tgt_index = self.basis_index(tgt)
+        """The action of f, column by column the ``transport`` of a basis
+        element."""
+        src, tgt = action_ends(self.cat, self.variance, f)
         one = self.ring.one
-        cols = [
-            {tgt_index[(i, cat.compose(psi, f) if self.variance == CONTRA
-                        else cat.compose(f, psi))]: one}
-            for (i, psi) in self.basis(src)
-        ]
-        return Matrix.from_columns(self.ring, cols, len(tgt_index))
+        cols = [self.to_coords(tgt, self.transport(f, {key: one})) for key in self.basis(src)]
+        return Matrix.from_columns(self.ring, cols, self.rank(tgt))
 
     def as_catmodule(self) -> CatModule:
         anns = {c: [self.ring.zero] * self.rank(c) for c in self.cat.objects}

@@ -12,7 +12,12 @@ built by the one block builder ``yoneda_matrix``: the Tor complex
 (F_* (x)_C N), the Ext complex Hom_C(F_*, N) (also the columns of
 ``extpages.ExtFilteredComplex`` and its horizontal blocks) and the chain
 map of the assembly.  Vectors over a free module's basis are moved and
-renumbered by ``FreeCatModule.to_keys``/``to_coords``/``push``.
+renumbered by ``FreeCatModule.to_keys``/``to_coords``/``push``.  Which
+morphisms a generator reaches is ``catmod.represented``'s, and
+``Resolution.lift`` is the one degreewise lift through a level's map out
+(the augmentation at level 0): the assembly map lifts through it at every
+level, the horseshoe from level 2 on.  ``tor`` and ``ext`` differ only in
+their variance check and their collapse, and share one body.
 
 A ``PresentedComplex`` carries the ``step`` of ``spectral.TotalComplex``:
 +1 for the Tor complex and the bar complex, -1 for the Ext complex.  Its
@@ -38,6 +43,7 @@ from .catmod import (
     Functor,
     VarianceMismatch,
     mats_equal_mod,
+    represented,
 )
 from .fincat import FiniteCategory, UnboundedChains
 from .fpmod import (
@@ -109,6 +115,13 @@ class Resolution:
         ]
         return Matrix.from_columns(self.ring, cols, nrows=Fprev.rank(obj))
 
+    def lift(self, k: int, obj: str, rhs: dict) -> dict | None:
+        """A keyed x in F_k(obj) that the map out of F_k sends to rhs, or
+        None.  At k = 0 that map is the augmentation, solved exactly, not
+        modulo M's relations."""
+        x = ColumnOps(self.eval_aug(obj) if k == 0 else self.eval_diff(k, obj)).solve(rhs)
+        return None if x is None else self.levels[k].to_keys(obj, x)
+
     def _maps(self, obj: str) -> list[Matrix]:
         """[aug, d_1, ..., d_len] at obj."""
         return [self.eval_aug(obj)] + [self.eval_diff(k, obj) for k in range(1, self.length + 1)]
@@ -155,9 +168,6 @@ def free_resolution(M: CatModule, length: int, strategy: str = "greedy") -> Reso
     cat = M.cat
     ring = M.ring
     order = scan_order(cat, M.variance)
-    reaches = lambda d, c: (
-        cat.hom[(d, c)] if M.variance == CONTRA else cat.hom[(c, d)]
-    )
 
     # level 0: cover the values of M
     spanned = {c: StairBasis(ring, M.rank(c)) for c in cat.objects}
@@ -173,7 +183,7 @@ def free_resolution(M: CatModule, length: int, strategy: str = "greedy") -> Reso
             summands.append(c)
             res.aug_images.append(e)
             for d in cat.objects:
-                for phi in reaches(d, c):
+                for phi in represented(cat, M.variance, c, d):
                     spanned[d].add(M.act(phi).apply(e))
     res.levels.append(FreeCatModule(cat, ring, M.variance, summands))
 
@@ -198,7 +208,7 @@ def free_resolution(M: CatModule, length: int, strategy: str = "greedy") -> Reso
                 keyed = prev.to_keys(c, v)
                 images.append(keyed)
                 for d in cat.objects:
-                    for phi in reaches(d, c):
+                    for phi in represented(cat, M.variance, c, d):
                         spanned[d].add(prev.to_coords(d, prev.transport(phi, keyed)))
         res.levels.append(FreeCatModule(cat, ring, M.variance, summands))
         res.gen_images.append(images)
@@ -318,26 +328,28 @@ def hom_complex(res: Resolution, N: CatModule) -> PresentedComplex:
     return _collapse(res, N, cochain=True)
 
 
+def _oracle(M: CatModule, N: CatModule, n_max: int, strategy: str,
+            collapse) -> list[FPModule]:
+    """The homology types in degrees 0..n_max of ``collapse`` (the tensor
+    or the Hom complex) of a free resolution of M against N."""
+    if M.ring != N.ring:
+        raise VarianceMismatch("M and N have different rings")
+    cx = collapse(free_resolution(M, n_max + 1, strategy=strategy), N)
+    return [cx.homology(q) for q in range(n_max + 1)]
+
+
 def tor(M: CatModule, N: CatModule, n_max: int, strategy: str = "greedy") -> list[FPModule]:
     """Tor_q^{RC}(M, N) for q <= n_max via a free resolution of M."""
     if M.variance != CONTRA or N.variance != CO:
         raise VarianceMismatch("tor needs M contravariant, N covariant")
-    if M.ring != N.ring:
-        raise VarianceMismatch("M and N have different rings")
-    res = free_resolution(M, n_max + 1, strategy=strategy)
-    cx = tensor_complex(res, N)
-    return [cx.homology(q) for q in range(n_max + 1)]
+    return _oracle(M, N, n_max, strategy, tensor_complex)
 
 
 def ext(M: CatModule, N: CatModule, n_max: int, strategy: str = "greedy") -> list[FPModule]:
     """Ext^q_{RC}(M, N) for q <= n_max; both modules contravariant."""
     if M.variance != CONTRA or N.variance != CONTRA:
         raise VarianceMismatch("ext needs both modules contravariant")
-    if M.ring != N.ring:
-        raise VarianceMismatch("M and N have different rings")
-    res = free_resolution(M, n_max + 1, strategy=strategy)
-    cx = hom_complex(res, N)
-    return [cx.homology(q) for q in range(n_max + 1)]
+    return _oracle(M, N, n_max, strategy, hom_complex)
 
 
 def horseshoe(iota: dict[str, Matrix], pi: dict[str, Matrix],
@@ -376,7 +388,6 @@ def horseshoe(iota: dict[str, Matrix], pi: dict[str, Matrix],
         for i in range(len(resA.levels[k].summands)):
             images.append(dict(resA.gen_images[k][i]))
         h_this: list[dict] = []
-        FAprev = resA.levels[k - 1]
         for i, obj in enumerate(resC.levels[k].summands):
             dC = resC.gen_images[k][i]
             if k == 1:
@@ -385,13 +396,12 @@ def horseshoe(iota: dict[str, Matrix], pi: dict[str, Matrix],
                                         for t, x in middle.act(psi).apply(sigma0[j]).items()])
                 mat = iota[obj] @ resA.eval_aug(obj)
                 hvec = solve_mod(mat, middle.anns[obj], rhs)
+                hkeyed = None if hvec is None else resA.levels[0].to_keys(obj, hvec)
             else:
                 rhs = resA.levels[k - 2].push(obj, dC, h_prev)
-                rhs = {t: ring.neg(x) for t, x in rhs.items()}
-                hvec = ColumnOps(resA.eval_diff(k - 1, obj)).solve(rhs)
-            if hvec is None:
+                hkeyed = resA.lift(k - 1, obj, {t: ring.neg(x) for t, x in rhs.items()})
+            if hkeyed is None:
                 raise LiftFailed(f"horseshoe: no correction at level {k}")
-            hkeyed = FAprev.to_keys(obj, hvec)
             h_this.append(hkeyed)
             combined: dict = dict(hkeyed)
             for (j, psi), coeff in dC.items():
@@ -455,16 +465,14 @@ def assembly_tor(F: Functor, N: CatModule, n_max: int) -> AssemblyResult:
     for k in range(n_max + 2):
         level_vecs = []
         for i, obj in enumerate(FP.levels[k].summands):
-            if k == 0:
-                target = P.aug_images[i]  # a vector of length 1
-                v = ColumnOps(Pp.eval_aug(obj)).solve(target)
-            else:
-                # rhs = rho_{k-1}(d(gen i)) inside P'_{k-1}(obj)
-                rhs = Pp.levels[k - 1].push(obj, FP.gen_images[k][i], rho[k - 1])
-                v = ColumnOps(Pp.eval_diff(k, obj)).solve(rhs)
+            # the augmentation value (a vector of length 1), or
+            # rho_{k-1}(d(gen i)) inside P'_{k-1}(obj)
+            rhs = (P.aug_images[i] if k == 0
+                   else Pp.levels[k - 1].push(obj, FP.gen_images[k][i], rho[k - 1]))
+            v = Pp.lift(k, obj, rhs)
             if v is None:
                 raise LiftFailed(f"no lift at level {k} generator {i}")
-            level_vecs.append(Pp.levels[k].to_keys(obj, v))
+            level_vecs.append(v)
         rho.append(level_vecs)
 
     src_cx = tensor_complex(FP, N)  # equals P (x)_B F^* N by adjunction

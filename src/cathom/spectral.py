@@ -39,7 +39,11 @@ step +1: D lowers degree, F_p is the columns p' <= p) and
 ``extpages.ExtFilteredComplex`` (cohomology, step -1: delta raises degree,
 F^p is the columns p' >= p) share the set-up of ``TotalComplex.__init__``,
 build their blocks on demand and plug into the same cycle bases, pages,
-total (co)homology and E^inf-versus-filtration comparison.  The complex
+total (co)homology and E^inf-versus-filtration comparison.  The blocks of
+a total degree run in increasing p, so F_p T_n is a prefix of T_n's
+coordinates for step +1 and a suffix for step -1; ``TotalComplex.span``
+is the one statement of that range, and the cycle groups and the
+annihilator generators of every page entry read it.  The complex
 owns one memo per computed object, which lives and is freed with it.  Its
 cycle groups (``TotalComplex.cycles``) are keyed by the restricted
 differential each one solves, so each is solved once and is one object;
@@ -69,6 +73,7 @@ sequence.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
 
 from .catmod import CO, CONTRA, CatModule, VarianceMismatch
 from .fincat import NerveCache, chain_bound, enumerate_chains, face
@@ -207,12 +212,8 @@ class TotalComplex:
         return sum(self.block_dim(*blk) for blk in self.blocks(n))
 
     def offsets(self, n: int) -> dict[tuple[int, int], int]:
-        out = {}
-        total = 0
-        for blk in self.blocks(n):
-            out[blk] = total
-            total += self.block_dim(*blk)
-        return out
+        blks = self.blocks(n)
+        return dict(zip(blks, accumulate((self.block_dim(*blk) for blk in blks), initial=0)))
 
     def anns_of_degree(self, n: int) -> list:
         out = []
@@ -240,16 +241,16 @@ class TotalComplex:
         self._total_cache[n] = out
         return out
 
-    def filtration_cols(self, n: int, p: int) -> list[int]:
-        """Coordinate indices of the filtration step F_p T_n."""
+    def span(self, n: int, p: int) -> range:
+        """The coordinates of F_p T_n.  The blocks run in increasing p, so
+        F_p T_n is a prefix of T_n's coordinates for step +1 and a suffix
+        for step -1; this is the one place that says so."""
         s = self.step
-        ofs = self.offsets(n)
-        out = []
-        for (pp, qq) in self.blocks(n):
-            if s * pp <= s * p:
-                start = ofs[(pp, qq)]
-                out.extend(range(start, start + self.block_dim(pp, qq)))
-        return out
+        inside = sum(self.block_dim(*blk) for blk in self.blocks(n) if s * blk[0] <= s * p)
+        if s == 1:
+            return range(inside)
+        total = self.total_dim(n)
+        return range(total - inside, total)
 
     def filtration_range(self) -> tuple[int, int]:
         """(empty, full): F_empty is zero and F_full is the whole degree;
@@ -263,9 +264,9 @@ class TotalComplex:
     def cycles(self, n: int, p: int, bound: int) -> Matrix:
         """{x in F_p T_n : D x in F_bound + relations}, as matrix columns.
 
-        F_p T_n is a prefix (step +1) or a suffix (step -1) of T_n's
-        coordinates, and the rows outside F_bound are the other end of
-        T_{n-s}'s, so (n, |F_p T_n|, #rows outside F_bound) names the
+        The columns are ``span(n, p)`` and the rows that must vanish are
+        T_{n-s}'s outside ``span(n - s, bound)``, the other end of its
+        coordinates, so (n, |F_p T_n|, #rows outside F_bound) names the
         restricted differential that is solved.  ``_cycles`` is keyed by
         that triple alone: beyond either end of the filtration the two
         sizes stop changing, so each restricted differential is solved once
@@ -273,24 +274,22 @@ class TotalComplex:
         recognise by identity."""
         ring = self.ring
         s = self.step
-        n_cols = sum(self.block_dim(*blk) for blk in self.blocks(n) if s * blk[0] <= s * p)
-        n_out = sum(self.block_dim(*blk) for blk in self.blocks(n - s) if s * blk[0] > s * bound)
-        key = (n, n_cols, n_out)
+        cols = self.span(n, p)
+        kept = self.span(n - s, bound)
+        rows = range(kept.stop, self.total_dim(n - s)) if s == 1 else range(kept.start)
+        key = (n, len(cols), len(rows))
         out = self._cycles.get(key)
         if out is not None:
             return out
-        if not n_cols:
+        if not cols:
             out = Matrix.zeros(ring, self.total_dim(n), 0)
         else:
-            cols = self.filtration_cols(n, p)
-            first = self.total_dim(n - s) - n_out if s == 1 else 0
-            out_rows = range(first, first + n_out)
             D = self.total_diff(n)
             anns_next = self.anns_of_degree(n - s)
             sub = Matrix.from_columns(
-                ring, [{r_ - first: x for r_, x in D.vecs[c].items() if r_ in out_rows}
-                       for c in cols], n_out)
-            K = preimage_basis(sub, _ann_columns(ring, [anns_next[r_] for r_ in out_rows]))
+                ring, [{r_ - rows.start: x for r_, x in D.vecs[c].items() if r_ in rows}
+                       for c in cols], len(rows))
+            K = preimage_basis(sub, _ann_columns(ring, [anns_next[r_] for r_ in rows]))
             # embed back into T_n coordinates
             out = Matrix.from_columns(
                 ring, [{cols[k]: x for k, x in vec.items()} for vec in K.vecs], self.total_dim(n))
@@ -596,7 +595,7 @@ class Page:
 
 def _ann_gen_cols(fc: TotalComplex, n: int, p: int) -> list[dict]:
     anns = fc.anns_of_degree(n)
-    return [{c: anns[c]} for c in fc.filtration_cols(n, p) if anns[c]]
+    return [{c: anns[c]} for c in fc.span(n, p) if anns[c]]
 
 
 def _zero_entry(fc: TotalComplex, n: int) -> Subquotient:
@@ -796,16 +795,16 @@ def compare_with_oracle(fc: TotalComplex, einf: Page, oracle: list[FPModule],
 
 
 def converge_and_compare(M: CatModule, N: CatModule, n_max: int = 3,
-                         q_max: int | None = None,
                          fc: FilteredComplex | None = None,
                          pages: list[Page] | None = None) -> ConvergenceReport:
     """Assemble E^inf, compare graded pieces of the filtration on the
     total homology, and compare the total homology with the Tor oracle.
 
-    ``pages`` are the full ``spectral_pages(fc)`` when the caller already
-    has them."""
+    ``fc`` and ``pages`` (the full ``spectral_pages(fc)``) are the
+    caller's when it already has them; without ``fc`` the complex is built
+    with q_max = n_max + 1."""
     if fc is None:
-        fc = build_filtered_complex(M, N, q_max=n_max + 1 if q_max is None else q_max)
+        fc = build_filtered_complex(M, N, q_max=n_max + 1)
     band = min(fc.certified_band(), n_max)
     if pages is None:
         pages = spectral_pages(fc)
@@ -828,14 +827,12 @@ class LESReport:
         return {"nodes": self.nodes, "all_exact": self.all_exact}
 
 
-def two_column_les(M: CatModule, N: CatModule, n_max: int = 3,
-                   fc: FilteredComplex | None = None) -> LESReport:
+def two_column_les(M: CatModule, N: CatModule, n_max: int = 3) -> LESReport:
     """The long exact sequence ... -> E1_{1,q} -> E1_{0,q} -> Tor_q ->
     E1_{1,q-1} -> ... when there are no p-chains beyond p = 1; exactness
     is checked by ``fpmod.is_exact`` at every node up to total degree
     n_max."""
-    if fc is None:
-        fc = build_filtered_complex(M, N, q_max=n_max + 1)
+    fc = build_filtered_complex(M, N, q_max=n_max + 1)
     if fc.p_bound > 1:
         raise NotTwoColumn(
             f"chains of length {fc.p_bound} exist; the E^1 page has more than two columns"

@@ -130,6 +130,38 @@ class TestFilteredComplex:
             assert fc1.total_diff(n).data == fc8.total_diff(n).data
 
 
+def block_scan(fc, n, p):
+    """The coordinates of F_p T_n read block by block: those of the blocks
+    with p' <= p (step +1) or p' >= p (step -1)."""
+    out, start = [], 0
+    for (pp, qq) in fc.blocks(n):
+        dim = fc.block_dim(pp, qq)
+        if (pp <= p) if fc.step == 1 else (pp >= p):
+            out.extend(range(start, start + dim))
+        start += dim
+    return out
+
+
+class TestSpan:
+    """TotalComplex.span is the block scan, for p beyond both ends of the
+    filtration too, which ``cycles`` receives for large r."""
+
+    @pytest.mark.parametrize("kind", ["const/aug", "ext alt/const"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_span_is_block_scan(self, name, kind):
+        cat = fixture_category(name)
+        if kind == "const/aug":
+            Ms, Ns = fixture_modules(cat, ZZ)
+            fc = build_filtered_complex(Ms["const"], Ns["aug"], q_max=3)
+        else:
+            fc = ExtFilteredComplex(alternative_contravariant(cat, ZZ),
+                                    CatModule.constant(cat, ZZ, CONTRA), q_max=3)
+        lo, hi = sorted(fc.filtration_range())
+        for n in range(fc.p_max + fc.q_max + 2):
+            for p in range(lo - 2, hi + 3):
+                assert list(fc.span(n, p)) == block_scan(fc, n, p), (n, p)
+
+
 class TestPages:
     def test_groupoid_single_column(self):
         cat = group_category(FiniteGroup.cyclic(2))
@@ -216,7 +248,7 @@ class TestConvergence:
         ring = ZZ if ringname == "Z" else GF(2)
         cat = fixture_category(name)
         Ms, Ns = fixture_modules(cat, ring)
-        rep = converge_and_compare(Ms["const"], Ns["aug"], 2, q_max=3)
+        rep = converge_and_compare(Ms["const"], Ns["aug"], 2)
         assert rep.all_match, rep.to_json()
 
     def test_final_object_fixture(self):
